@@ -437,17 +437,17 @@ class Session:
         self.close()
         return False
 
-    def sample(self, theta: int, *, seed=None) -> MRRCollection:
-        """Generate (and share) the optimisation MRR collection.
+    def _generate(self, rt, theta: int, detail: str):
+        """Generate one collection under ``rt`` and trace its stages.
 
-        ``seed`` defaults to the session seed — the same value a legacy
-        hand-wired ``MRRCollection.generate(..., seed=...)`` call would
-        use, which is what keeps facade and legacy paths bit-identical.
+        The shared body of :meth:`sample`, :meth:`sample_evaluation`
+        and :meth:`sample_incremental`; returns
+        ``MRRCollection.generate_traced``'s ``(collection, events,
+        key)``.
         """
-        rt = self._role_runtime("opt", theta, seed)
         start = time.perf_counter()
         try:
-            self._mrr, events, self._mrr_key = MRRCollection.generate_traced(
+            result = MRRCollection.generate_traced(
                 self.graph,
                 self.campaign,
                 theta,
@@ -460,18 +460,34 @@ class Session:
             # broken workers — release it so the next call starts clean
             self._close_pool()
             raise
-        elapsed = time.perf_counter() - start
+        self._record_events(result[1], detail, time.perf_counter() - start)
+        return result
+
+    def _record_events(self, events, detail: str, seconds: float) -> None:
+        """Record sample/index ``events`` on the pipeline trace.
+
+        The generation is timed as a whole; its wall-clock is
+        attributed to the first stage it reports (sample).
+        """
         for i, event in enumerate(events):
-            # the generate call is timed as a whole; its wall-clock is
-            # attributed to the first stage it reports (sample)
             stage, action = event
             self._trace.record(
                 stage,
                 action,
-                "opt",
-                seconds=elapsed if i == 0 else 0.0,
+                detail,
+                seconds=seconds if i == 0 else 0.0,
                 extra=getattr(event, "extra", None),
             )
+
+    def sample(self, theta: int, *, seed=None) -> MRRCollection:
+        """Generate (and share) the optimisation MRR collection.
+
+        ``seed`` defaults to the session seed — the same value a legacy
+        hand-wired ``MRRCollection.generate(..., seed=...)`` call would
+        use, which is what keeps facade and legacy paths bit-identical.
+        """
+        rt = self._role_runtime("opt", theta, seed)
+        self._mrr, _events, self._mrr_key = self._generate(rt, theta, "opt")
         return self._mrr
 
     def sample_evaluation(self, theta: int, *, seed=None) -> MRRCollection:
@@ -484,43 +500,19 @@ class Session:
         if seed is None and isinstance(self.seed, int):
             seed = self.seed + 1
         rt = self._role_runtime("eval", theta, seed)
-        start = time.perf_counter()
-        try:
-            self._mrr_eval, events, _eval_key = MRRCollection.generate_traced(
-                self.graph,
-                self.campaign,
-                theta,
-                piece_graphs=self.piece_graphs,
-                runtime=rt,
-                pool=self._sampling_pool(rt),
-            )
-        except BaseException:
-            self._close_pool()
-            raise
-        elapsed = time.perf_counter() - start
-        for i, event in enumerate(events):
-            stage, action = event
-            self._trace.record(
-                stage,
-                action,
-                "eval",
-                seconds=elapsed if i == 0 else 0.0,
-                extra=getattr(event, "extra", None),
-            )
+        self._mrr_eval, _events, _key = self._generate(rt, theta, "eval")
         self._eval_seed = seed
         return self._mrr_eval
 
     def sample_incremental(self, theta: int, *, seed=None) -> MRRCollection:
-        """Generate the optimisation collection on the incremental tier.
+        """:meth:`sample`, plus an incremental lineage for :meth:`update`.
 
-        Same role as :meth:`sample`, different stream scheme: every
-        (piece, block) shard is keyed by its coordinates alone (see
-        :mod:`repro.incremental.sampler`), so the session can absorb
-        graph deltas and theta growth through :meth:`update` — kept
-        shards are reused verbatim, appended and invalidated ones are
-        regenerated bit-identically to a cold keyed generate.  The draw
-        differs from :meth:`sample`'s for the same seed; within the
-        incremental scheme it is just as pinned.
+        Draws exactly the collection :meth:`sample` draws for the same
+        seed, and pins its stream entropy and (piece, block) geometry
+        so the session can absorb graph deltas and theta growth through
+        :meth:`update` — kept shards are reused verbatim, appended and
+        invalidated ones are regenerated bit-identically to a cold
+        generate.
         """
         from repro.incremental.update import sample_incremental
 

@@ -65,7 +65,7 @@ _ARRAYS = "arrays.npz"
 _STATS = "stats.json"
 _STATS_DIR = "stats.d"
 _STAGING_DIR = "tmp"
-_FORMAT = 1
+_FORMAT = 2
 _STAT_FIELDS = ("hits", "misses", "puts")
 
 

@@ -71,9 +71,9 @@ class ExperimentProfile:
     theta_multiplier: dict[str, float] = field(default_factory=dict)
     seed: int = 2019  # ICDE year; fixed for reproducibility
     #: Sampling-runtime fan-out (``repro.sampling.parallel``): ``None``
-    #: keeps the historical serial stream, ``"auto"``/int fan the
-    #: (piece, root block) tasks out on a pool.  Collections are
-    #: identical for every worker count, so figures stay reproducible.
+    #: runs the (piece, root block) tasks inline, ``"auto"``/int fan
+    #: them out on a pool.  Collections are identical for every worker
+    #: count, so figures stay reproducible.
     workers: int | str | None = None
     #: Per-piece diffusion models: ``None`` (IC everywhere), one name,
     #: or a sequence cycled across the pieces of each cell — the

@@ -20,9 +20,7 @@ from repro.core.bitset import SampleBitset
 from repro.core.coverage import coverage_gains
 from repro.diffusion.projection import PieceGraph
 from repro.exceptions import SolverError
-from repro.sampling.mrr import MRRCollection
-from repro.sampling.rr import ReverseReachableSampler
-from repro.utils.rng import as_generator
+from repro.sampling.mrr import MRRCollection, generate_keyed
 from repro.utils.validation import check_positive_int
 
 __all__ = ["max_coverage_seeds", "ris_influence_maximization"]
@@ -126,15 +124,19 @@ def ris_influence_maximization(
     per-call execution kwargs are deprecated equivalents kept for
     backward compatibility with bit-identical seed sets.  Under LT the
     graph should be weight-normalised first
-    (:func:`repro.diffusion.threshold.normalize_lt_weights`); seed sets
-    are identical for every worker count, and disk-store runs match the
-    in-RAM store at ``workers >= 1``.
+    (:func:`repro.diffusion.threshold.normalize_lt_weights`).  The RR
+    sets come from the same coordinate-keyed stream as every MRR
+    collection, so seed sets are identical for every worker count,
+    executor and store.
 
     Returns ``(seeds, spread_estimate)``.
     """
-    from repro.diffusion.threshold import LinearThresholdSampler
     from repro.runtime import resolve_runtime
-    from repro.sampling.parallel import sample_piece_blocks
+    from repro.sampling.parallel import (
+        keyed_roots,
+        resolve_entropy,
+        task_block_size,
+    )
 
     rt = resolve_runtime(
         runtime,
@@ -150,41 +152,21 @@ def ris_influence_maximization(
     )
     check_positive_int("k", k)
     check_positive_int("theta", theta)
-    rng = as_generator(rt.seed)
     if pool is None:
         pool = np.arange(piece_graph.n, dtype=np.int64)
     model = rt.single_model()
-    store_obj = rt.store_for_generate()
-    roots = rng.integers(0, piece_graph.n, size=theta)
-    pool_width = rt.pool_width
-    if store_obj is not None:
-        collection = MRRCollection._generate_into_store(
-            piece_graph.n,
-            [piece_graph],
-            (model,),
-            roots,
-            rng,
-            backend=rt.backend,
-            workers=pool_width or 1,
-            executor=rt.executor,
-            store=store_obj,
-        )
-        return max_coverage_seeds(collection, 0, pool, k)
-    if pool_width is not None:
-        ((ptr, nodes),) = sample_piece_blocks(
-            [piece_graph],
-            (model,),
-            roots,
-            rng,
-            backend=rt.backend,
-            workers=pool_width,
-            executor=rt.executor,
-        )
-    else:
-        if model == "lt":
-            sampler = LinearThresholdSampler(piece_graph, backend=rt.backend)
-        else:
-            sampler = ReverseReachableSampler(piece_graph, backend=rt.backend)
-        ptr, nodes = sampler.sample_many(roots, rng)
-    collection = MRRCollection(piece_graph.n, roots, [ptr], [nodes])
+    entropy = resolve_entropy(rt.seed)
+    block_size = task_block_size(theta)
+    collection = generate_keyed(
+        piece_graph.n,
+        [piece_graph],
+        (model,),
+        keyed_roots(entropy, piece_graph.n, theta, block_size),
+        entropy,
+        backend=rt.backend,
+        workers=rt.pool_width or 1,
+        executor=rt.executor,
+        store=rt.store_for_generate(),
+        block_size=block_size,
+    )
     return max_coverage_seeds(collection, 0, pool, k)

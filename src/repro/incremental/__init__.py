@@ -6,11 +6,11 @@ Production graphs change under traffic; this subsystem makes the
 - :class:`GraphDelta` / :func:`apply_delta` — a value describing edge
   adds/removes/reweights, applied to a :class:`~repro.graph.digraph.TopicGraph`
   to produce a new fingerprinted graph;
-- coordinate-keyed sampling (:mod:`repro.incremental.sampler`) — every
-  (piece, block) shard draws from a SeedSequence keyed by its
-  coordinates, so raising theta *appends* shards bit-identical to a
-  cold generate at the larger theta, and delta-invalidated shards
-  regenerate independently;
+- coordinate-keyed sampling (:mod:`repro.sampling.parallel`, the one
+  stream every collection draws) — every (piece, block) shard draws
+  from a SeedSequence keyed by its coordinates, so raising theta
+  *appends* shards bit-identical to a cold generate at the larger
+  theta, and delta-invalidated shards regenerate independently;
 - warm-started re-solve (:mod:`repro.incremental.warm`) — CELF seeded
   from the previous run's marginal gains with a tracked staleness
   bound, plus incumbent-primed branch and bound;

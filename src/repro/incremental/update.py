@@ -1,9 +1,10 @@
 """Delta-aware resampling and warm re-solve: the update engine.
 
 ``sample_incremental`` generates a session's optimisation collection
-through the coordinate-keyed scheme (:mod:`repro.incremental.sampler`)
-and pins an :class:`IncrementalState` on the session; ``update_session``
-then carries the whole pipeline across a :class:`GraphDelta`:
+(the one coordinate-keyed stream of :mod:`repro.sampling.parallel`,
+exactly as ``Session.sample`` draws it) and pins an
+:class:`IncrementalState` on the session; ``update_session`` then
+carries the whole pipeline across a :class:`GraphDelta`:
 
 1. **Dirty analysis** — the delta's per-piece dirty heads
    (:func:`~repro.incremental.delta.piece_dirty_heads`, computed
@@ -40,15 +41,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.artifacts import ArtifactKey, piece_graphs_digest
-from repro.exceptions import SamplingError, SolverError
+from repro.artifacts import piece_graphs_digest
+from repro.exceptions import SolverError
 from repro.incremental.delta import GraphDelta, apply_delta, piece_dirty_heads
-from repro.incremental.sampler import generate_keyed, keyed_roots
 from repro.incremental.warm import WarmGains, staleness_bound
-from repro.sampling.mrr import MRRCollection, resolve_models
-from repro.sampling.parallel import task_block_size
-from repro.sampling.store import MemoryStore, SampleStore, ShardStore
-from repro.utils.rng import as_generator
+from repro.sampling.mrr import (
+    MRRCollection,
+    generate_keyed,
+    publish_collection,
+    resolve_models,
+    sample_key,
+)
+from repro.sampling.parallel import keyed_roots
+from repro.sampling.store import ShardStore, store_fingerprint
 
 __all__ = [
     "IncrementalState",
@@ -69,8 +74,6 @@ class IncrementalState:
     block_size: int
     #: Current theta of the lineage.
     theta: int
-    #: Whether the entropy came from an integer seed (cache-eligible).
-    reproducible: bool
     #: The seed the lineage was sampled under — updates must resolve
     #: their runtime with the same seed or the artifact keys drift.
     seed: object = None
@@ -136,87 +139,32 @@ class UpdateResult:
         return self.result.seed_sets
 
 
-def _resolve_entropy(seed) -> tuple[int, bool]:
-    """The lineage entropy: the seed itself when it can key streams."""
-    if isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0:
-        return int(seed), True
-    return int(as_generator(seed).integers(0, 2**63 - 1)), False
-
-
-def _incremental_runtime(session, seed, entropy: int, reproducible: bool):
+def _lineage_runtime(session, seed):
     """The session runtime with a per-lineage shard subdirectory.
 
-    Keyed by entropy, *not* theta — unlike the per-collection role
+    Keyed by the seed, *not* theta — unlike the per-collection role
     runtimes, an incremental lineage keeps one directory across theta
     growth and deltas.
     """
     from repro.runtime import resolve_runtime
 
-    rt = resolve_runtime(
-        session.runtime, seed=seed if seed is not None else session.seed
-    )
+    rt = resolve_runtime(session.runtime, seed=seed)
     part = (
-        f"inc-ent{entropy}" if reproducible
+        f"inc-ent{rt.seed}" if isinstance(rt.seed, int)
         else f"inc-run{uuid.uuid4().hex[:12]}"
     )
     return rt.with_shard_subdir(part)
 
 
-def _incremental_key(
-    rt, graph_fp: str, campaign, theta: int, pieces_fp: str,
-    block_size: int, entropy: int,
-) -> ArtifactKey:
-    """The sample-stage artifact key of one keyed collection.
+def _hosted(collection, key) -> bool:
+    """Whether ``collection`` may live inside the artifact store.
 
-    ``stream=incremental`` separates it from spawn-derived artifacts of
-    the same dimensions; block size and entropy pin the coordinate
-    scheme, so an update's copy-on-write commit lands exactly where a
-    cold keyed generate of the new graph would look.
+    A cached collection on a shard store is (almost always) the
+    artifact's own directory, which must never be mutated; treating the
+    rare private re-stream of an arrays payload as hosted too only
+    costs one copy-on-write.
     """
-    return ArtifactKey(
-        graph=graph_fp,
-        campaign=campaign.fingerprint(),
-        runtime=rt.cache_key(),
-        stage="sample",
-        extra=(
-            f"theta={theta}",
-            f"pieces={pieces_fp[:16]}",
-            "stream=incremental",
-            f"block={block_size}",
-            f"entropy={entropy}",
-        ),
-    )
-
-
-def _cache_eligible(rt, art_store, store_obj, reproducible: bool) -> bool:
-    """Whether a keyed generation may live in the artifact store.
-
-    Mirrors ``MRRCollection.generate_traced`` — plus the incremental
-    restriction to directory-hosting stores and disk targets: an
-    updated collection must be re-committable as shards, and in-RAM
-    targets would force a materialise-on-hit that the update path could
-    not mutate copy-on-write anyway.
-    """
-    return (
-        art_store is not None
-        and reproducible
-        and rt.shard_dir is None
-        and not isinstance(rt.store, SampleStore)
-        and isinstance(store_obj, ShardStore)
-        and art_store.hosts_directories
-    )
-
-
-def _record_events(session, events, detail: str, seconds: float) -> None:
-    for i, event in enumerate(events):
-        stage, action = event
-        session._trace.record(
-            stage,
-            action,
-            detail,
-            seconds=seconds if i == 0 else 0.0,
-            extra=getattr(event, "extra", None),
-        )
+    return key is not None and isinstance(collection.store, ShardStore)
 
 
 def _clone_shard_dir(src: str, dst: str) -> None:
@@ -245,136 +193,30 @@ def _clone_shard_dir(src: str, dst: str) -> None:
 
 
 def sample_incremental(session, theta: int, *, seed=None) -> MRRCollection:
-    """Generate the optimisation collection on the incremental tier.
+    """Generate the optimisation collection and start a lineage.
 
-    The delta-aware counterpart of ``Session.sample``: same collection
-    role, different stream scheme (coordinate-keyed, see
-    :mod:`repro.incremental.sampler`), so the session can later absorb
-    graph deltas and theta growth through ``Session.update`` instead of
-    resampling from scratch.  Starts a fresh incremental lineage —
-    a previous one (and its warm state) is discarded.
-
-    The draw differs from ``Session.sample``'s for the same seed — the
-    schemes key their streams differently — but is equally pinned:
-    (entropy, coordinates) fully determine every shard.
+    The same draw as ``Session.sample`` for the same seed — every
+    collection is coordinate-keyed — plus an :class:`IncrementalState`
+    pinning the lineage's entropy and block size, so the session can
+    later absorb graph deltas and theta growth through
+    ``Session.update`` instead of resampling from scratch.  Starts a
+    fresh lineage — a previous one (and its warm state) is discarded.
     """
-    from repro.pipeline import TraceEvent
-    from repro.sampling.batch import check_backend
-
-    theta = int(theta)
-    if theta < 1:
-        raise SamplingError(f"theta must be positive, got {theta}")
-    entropy, reproducible = _resolve_entropy(
-        seed if seed is not None else session.seed
-    )
-    rt = _incremental_runtime(session, seed, entropy, reproducible)
-    n = session.graph.n
-    if n == 0:
-        raise SamplingError("cannot sample from an empty graph")
-    block_size = task_block_size(theta)
-    piece_graphs = session.piece_graphs
-    models = resolve_models(rt.model, session.num_pieces)
-    graph_fp = session.graph.fingerprint()
-    pieces_fp = piece_graphs_digest(piece_graphs)
-    roots = keyed_roots(entropy, n, theta, block_size)
-
-    art_store = rt.artifact_store()
-    store_obj = rt.store_for_generate()
-    if store_obj is None:
-        store_obj = MemoryStore()
-    cacheable = _cache_eligible(rt, art_store, store_obj, reproducible)
-
-    key = None
-    flight = None
-    hosted = False
-    collection = None
-    start = time.perf_counter()
-    events = [
-        TraceEvent(
-            "sample",
-            "run",
-            {
-                "stream": "incremental",
-                "backend": check_backend(rt.backend),
-                "executor": rt.executor,
-                "workers": int(rt.pool_width or 1),
-                "task_block": int(block_size),
-                "entropy": int(entropy),
-            },
-        ),
-        ("index", "run"),
-    ]
-    try:
-        if cacheable:
-            key = _incremental_key(
-                rt, graph_fp, session.campaign, theta, pieces_fp,
-                block_size, entropy,
-            )
-            hit = art_store.get(key)
-            if hit is None:
-                flight = art_store.producer_flight(key)
-                if not flight.claim():
-                    hit = flight.wait(lambda: art_store.get(key))
-            if hit is not None:
-                shard = ShardStore.open(
-                    os.path.join(hit.path, "shards"),
-                    max_resident_bytes=rt.max_resident_bytes,
-                )
-                collection = MRRCollection.from_store(shard)
-                events = [("sample", "hit"), ("index", "hit")]
-                hosted = True
-            else:
-                shards_dir = os.path.join(art_store.stage_dir(key), "shards")
-                store_obj = ShardStore(
-                    shards_dir, max_resident_bytes=rt.max_resident_bytes
-                )
-        if collection is None:
-            try:
-                collection = generate_keyed(
-                    n,
-                    piece_graphs,
-                    models,
-                    roots,
-                    entropy,
-                    backend=rt.backend,
-                    workers=rt.pool_width or 1,
-                    executor=rt.executor,
-                    store=store_obj,
-                    block_size=block_size,
-                    graph_fingerprint=graph_fp,
-                    pieces_fingerprint=pieces_fp,
-                    pool=session._sampling_pool(rt),
-                )
-            except BaseException:
-                session._close_pool()
-                raise
-            if cacheable:
-                artifact = art_store.commit(
-                    key,
-                    {
-                        "format": "shards",
-                        "n": n,
-                        "theta": theta,
-                        "num_pieces": session.num_pieces,
-                    },
-                )
-                store_obj.close()
-                store_obj.shard_dir = os.path.join(artifact.path, "shards")
-                hosted = True
-    finally:
-        if flight is not None:
-            flight.release()
-    _record_events(session, events, "opt", time.perf_counter() - start)
-
+    seed = seed if seed is not None else session.seed
+    rt = _lineage_runtime(session, seed)
+    collection, events, key = session._generate(rt, theta, "opt")
+    if isinstance(rt.seed, int):
+        entropy = rt.seed
+    else:  # an unreproducible draw always runs and reports its entropy
+        entropy = events[0].extra["entropy"]
     session._mrr = collection
     session._mrr_key = key
     session._inc = IncrementalState(
-        entropy=entropy,
-        block_size=block_size,
-        theta=theta,
-        reproducible=reproducible,
-        seed=seed if seed is not None else session.seed,
-        hosted=hosted,
+        entropy=int(entropy),
+        block_size=collection.store.block_size,
+        theta=collection.theta,
+        seed=seed,
+        hosted=_hosted(collection, key),
     )
     return collection
 
@@ -460,9 +302,7 @@ def update_session(
     session._mrr_eval = None  # sampled on the old graph
     session._eval_seed = None
 
-    rt = _incremental_runtime(
-        session, state.seed, state.entropy, state.reproducible
-    )
+    rt = _lineage_runtime(session, state.seed)
     piece_graphs = session.piece_graphs  # re-projected on the new graph
     models = resolve_models(rt.model, num_pieces)
     new_fp = new_graph.fingerprint()
@@ -475,8 +315,9 @@ def update_session(
     art_store = rt.artifact_store()
     key = None
     flight = None
-    events = None
     collection = None
+    # Nothing dropped or resampled unless the fill below runs.
+    kept, resampled, invalidated = total_new, 0, 0
     try:
         if state.hosted:
             # The live directory is artifact-owned: never mutate it.
@@ -487,24 +328,16 @@ def update_session(
                     "hosting artifact store — resample with "
                     "sample_incremental() before updating"
                 )
-            key = _incremental_key(
-                rt, new_fp, campaign, theta_new, pieces_fp,
-                state.block_size, state.entropy,
+            key = sample_key(
+                rt, new_fp, campaign, theta_new, pieces_fp, state.block_size
             )
-            hit = art_store.get(key) if art_store is not None else None
+            hit = art_store.get(key)
             if hit is not None:
-                shard = ShardStore.open(
-                    os.path.join(hit.path, "shards"),
-                    max_resident_bytes=rt.max_resident_bytes,
-                )
+                # The whole post-delta collection is already cached.
                 store.close()
-                collection = MRRCollection.from_store(shard)
-                events = [("sample", "hit"), ("index", "hit")]
-                # Nothing was dropped or resampled: the whole post-delta
-                # collection was served from the artifact cache.
-                kept = total_new
-                resampled = 0
-                invalidated = 0
+                collection, events, _ = MRRCollection._from_artifact(
+                    hit, rt, rt.store_for_generate()
+                )
             else:
                 flight = art_store.producer_flight(key)
                 flight.claim()  # losers produce privately; commit is benign
@@ -521,14 +354,9 @@ def update_session(
                 )
                 store = work
         if collection is None:
-            new_fingerprint_args = dict(
-                graph_fingerprint=new_fp, pieces_fingerprint=pieces_fp
-            )
-            from repro.incremental.sampler import incremental_fingerprint
-
             store.retarget(
                 theta_new,
-                fingerprint=incremental_fingerprint(
+                fingerprint=store_fingerprint(
                     new_graph.n, roots, models, rt.backend,
                     graph=new_fp, pieces=pieces_fp, entropy=state.entropy,
                 ),
@@ -554,24 +382,15 @@ def update_session(
                     executor=rt.executor,
                     store=store,
                     block_size=state.block_size,
+                    graph_fingerprint=new_fp,
+                    pieces_fingerprint=pieces_fp,
                     pool=session._sampling_pool(rt),
-                    **new_fingerprint_args,
                 )
             except BaseException:
                 session._close_pool()
                 raise
             if state.hosted:
-                artifact = art_store.commit(
-                    key,
-                    {
-                        "format": "shards",
-                        "n": new_graph.n,
-                        "theta": theta_new,
-                        "num_pieces": num_pieces,
-                    },
-                )
-                store.close()
-                store.shard_dir = os.path.join(artifact.path, "shards")
+                publish_collection(art_store, key, collection)
             from repro.pipeline import TraceEvent
 
             events = [
@@ -579,7 +398,6 @@ def update_session(
                     "sample",
                     "run",
                     {
-                        "stream": "incremental",
                         "kept": int(kept),
                         "invalidated": invalidated,
                         "appended": int(appended),
@@ -592,9 +410,10 @@ def update_session(
     finally:
         if flight is not None:
             flight.release()
-    _record_events(session, events, "opt", time.perf_counter() - start)
+    session._record_events(events, "opt", time.perf_counter() - start)
     session._mrr = collection
     session._mrr_key = key
+    state.hosted = _hosted(collection, key)
 
     # -- staleness accounting ------------------------------------------
     changed_rows = 0

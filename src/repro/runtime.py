@@ -41,6 +41,8 @@ import os
 import warnings
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from repro.exceptions import ConfigError
 
 __all__ = [
@@ -301,6 +303,29 @@ def _check_max_resident(value):
     return value
 
 
+def _check_seed(seed):
+    """Validate an RNG seed at the boundary; integers come back as ``int``.
+
+    Allowed: ``None`` (fresh entropy), a non-negative integer (a
+    reproducible draw), a ``numpy.random.Generator`` or a
+    ``numpy.random.SeedSequence``.
+    """
+    if seed is None or isinstance(
+        seed, (np.random.Generator, np.random.SeedSequence)
+    ):
+        return seed
+    if (
+        isinstance(seed, (bool, np.bool_))
+        or not isinstance(seed, (int, np.integer))
+        or seed < 0
+    ):
+        raise ConfigError(
+            "seed must be None, a non-negative integer, a numpy "
+            f"Generator or a SeedSequence, got {seed!r}"
+        )
+    return int(seed)
+
+
 class _ShardDirKeying:
     """Shared helper: key the shard directory per generated collection.
 
@@ -348,10 +373,11 @@ class Runtime(_ShardDirKeying):
         Diffusion model(s): ``"ic"`` (default) / ``"lt"``, or a
         per-piece sequence for heterogeneous multiplex campaigns.
     workers:
-        Parallel-runtime fan-out: ``"serial"``/``0`` pin the serial
-        path, ``"auto"`` sizes the pool to the machine, a positive int
-        fixes the pool size.  ``None`` defers to ``REPRO_WORKERS``
-        (else serial) like every other field.
+        Parallel-runtime fan-out: ``"serial"``/``0`` run inline,
+        ``"auto"`` sizes the pool to the machine, a positive int fixes
+        the pool size.  ``None`` defers to ``REPRO_WORKERS`` (else
+        inline) like every other field.  Every width draws the same
+        samples.
     executor:
         Pool flavour — ``"thread"`` (default), ``"process"``, or
         ``"spawned"``.  ``"spawned"`` is the distributed runtime: disk
@@ -382,8 +408,9 @@ class Runtime(_ShardDirKeying):
         is set.  ``None`` defers to ``REPRO_ARTIFACTS`` (else off).
     seed:
         Default RNG seed policy: used whenever an entry point is not
-        given a per-call ``seed``.  Anything accepted by
-        :func:`repro.utils.rng.as_generator`.
+        given a per-call ``seed``.  ``None``, a non-negative integer, a
+        ``numpy.random.Generator`` or a ``SeedSequence``; anything else
+        fails resolution with :class:`ConfigError`.
     """
 
     backend: str | None = None
@@ -423,8 +450,8 @@ class ResolvedRuntime(_ShardDirKeying):
     """A :class:`Runtime` with every layer of the order applied.
 
     All fields are concrete: ``backend``/``executor`` are validated
-    names, ``workers`` is the resolved pool width (``0`` = the serial
-    legacy path), ``store`` is a validated name or a
+    names, ``workers`` is the resolved pool width (``0`` = inline),
+    ``store`` is a validated name or a
     :class:`~repro.sampling.store.SampleStore` instance.  Re-resolving
     a ``ResolvedRuntime`` is idempotent — concrete fields never fall
     through to the env layer again — which lets an entry point resolve
@@ -443,7 +470,7 @@ class ResolvedRuntime(_ShardDirKeying):
 
     @property
     def pool_width(self) -> int | None:
-        """Pool size for the parallel runtime (``None`` = serial path)."""
+        """Pool size for the parallel runtime (``None`` = inline)."""
         return self.workers or None
 
     def replace(self, **changes) -> "ResolvedRuntime":
@@ -514,25 +541,16 @@ class ResolvedRuntime(_ShardDirKeying):
         return resolve_artifact_store(self.artifacts)
 
     def store_for_generate(self):
-        """The generate-time store: an instance, or ``None``.
+        """The store one generation fills: the caller's instance, or a
+        fresh :class:`~repro.sampling.store.MemoryStore` /
+        :class:`~repro.sampling.store.ShardStore` for a store name."""
+        from repro.sampling.store import resolve_store
 
-        ``None`` means "plain in-RAM arrays via the historical code
-        path"; a disk store (or any caller-provided store instance)
-        means "stream shards through the store".  Matches the legacy
-        per-call semantics bit-for-bit: a resolved *default* memory
-        store maps back to the historical path, while an explicitly
-        constructed :class:`MemoryStore` instance still streams.
-        """
-        from repro.sampling.store import SampleStore, resolve_store
-
-        if isinstance(self.store, SampleStore):
-            return self.store
-        resolved = resolve_store(
+        return resolve_store(
             self.store,
             shard_dir=self.shard_dir,
             max_resident_bytes=self.max_resident_bytes,
         )
-        return resolved if resolved.kind == "disk" else None
 
 
 #: The all-defaults runtime every entry point falls back on.
@@ -584,8 +602,10 @@ def resolve_runtime(
     runtime field; unset knobs fall through to the ``REPRO_*`` env
     layer and finally the library default.  Every knob — including ones
     a given entry point never exercises — is validated here, raising
-    :class:`ConfigError`, so a bad ``executor`` string fails at entry
-    even on the serial path that would historically have ignored it.
+    :class:`ConfigError`, so a bad ``executor`` string — or a seed
+    outside ``None`` / non-negative int / ``Generator`` /
+    ``SeedSequence`` — fails at entry even on an inline path that would
+    never touch it.
 
     When ``caller`` is given, any non-``None`` legacy kwarg emits a
     :class:`DeprecationWarning` naming the new ``runtime=`` spelling;
@@ -648,5 +668,5 @@ def resolve_runtime(
         shard_dir=None if shard_dir is None else os.fspath(shard_dir),
         max_resident_bytes=_check_max_resident(max_resident_bytes),
         artifacts=artifacts,
-        seed=seed if seed is not None else base.seed,
+        seed=_check_seed(seed if seed is not None else base.seed),
     )

@@ -20,7 +20,6 @@ from repro.sampling.parallel import (
     make_pool,
     parallel_map,
     resolve_workers,
-    sample_piece_blocks,
     spawn_task_seeds,
     stream_piece_blocks,
     task_block_size,
@@ -66,7 +65,6 @@ __all__ = [
     "resolve_models",
     "resolve_store",
     "resolve_workers",
-    "sample_piece_blocks",
     "simulate_cascade_batch",
     "simulate_lt_cascade_batch",
     "spawn_task_seeds",

@@ -20,14 +20,13 @@ filesystem — cooperatively fill one :class:`~repro.sampling.store.ShardStore`:
   task's own child stream, commit the shard, release.  When a worker
   dies mid-task its lease expires and a peer re-claims the task.
 
-**Bit-identity contract.**  The coordinator draws *one* integer from
-the caller's rng — exactly the draw
-:func:`~repro.sampling.parallel.spawn_task_seeds` would have made —
-and records it in the job spec.  Workers rebuild the identical
-per-task ``SeedSequence`` children and index them by task position
-(piece-major, the same order every other topology uses), so any number
-of workers in any interleaving lands on the same bytes as
-``workers=1`` serial generation.
+**Bit-identity contract.**  The coordinator records the collection's
+stream entropy in the job spec, and each worker samples task
+``(piece j, block b)`` from
+:func:`~repro.sampling.parallel.keyed_task_seed` — the same
+coordinate-keyed stream every other topology uses — so any number of
+workers in any interleaving lands on the same bytes as inline
+generation.
 
 **Failure semantics.**  Every shard commit is rename-atomic and
 deterministic, so the worst consequence of any race — a stolen-but-
@@ -79,25 +78,16 @@ DEFAULT_SPEC_WAIT = 120.0
 #: multiple of the launch width.
 _RESTART_FACTOR = 2
 
-#: Tags for coordinate-keyed SeedSequence streams (the incremental
-#: tier, :mod:`repro.incremental.sampler`): task ``(piece j, block b)``
-#: draws from ``SeedSequence((entropy, KEYED_TASK_TAG, j, b))`` and the
-#: block-``b`` roots from ``SeedSequence((entropy, KEYED_ROOT_TAG, b))``
-#: — pure coordinate functions, so appended or regenerated tasks rebuild
-#: their exact streams without replaying a spawn sequence.
-KEYED_ROOT_TAG = 0x726F6F74  # "root"
-KEYED_TASK_TAG = 0x7461736B  # "task"
-
 
 @dataclass
 class JobSpec:
     """Everything a worker needs to reproduce the coordinator's tasks.
 
-    ``entropy`` is the single integer the coordinator drew from the
-    generation rng; ``SeedSequence(entropy).spawn(num_pieces *
-    num_blocks)`` rebuilds every task's child stream.  The piece graphs
-    travel pickled inside the spec — workers on other machines need
-    only the shared filesystem, not the original graph construction.
+    ``entropy`` keys every task's stream
+    (:func:`~repro.sampling.parallel.keyed_task_seed`).  The piece
+    graphs travel pickled inside the spec — workers on other machines
+    need only the shared filesystem, not the original graph
+    construction.
     """
 
     n: int
@@ -110,21 +100,6 @@ class JobSpec:
     entropy: int
     fingerprint: str | None
     piece_graphs: list = field(repr=False)
-    #: Coordinate-keyed task streams (incremental tier): each task's
-    #: SeedSequence is a pure function of (entropy, piece, block), so a
-    #: worker regenerating one invalidated shard — or appending blocks
-    #: for a larger theta — rebuilds its exact stream in isolation.
-    keyed: bool = False
-
-    def task_seeds(self):
-        if self.keyed:
-            return [
-                np.random.SeedSequence((self.entropy, KEYED_TASK_TAG, j, b))
-                for j in range(self.num_pieces)
-                for b in range(self.num_blocks)
-            ]
-        root = np.random.SeedSequence(self.entropy)
-        return root.spawn(self.num_pieces * self.num_blocks)
 
 
 def _dist_dir(shard_dir: str) -> str:
@@ -253,7 +228,7 @@ def fill_store_distributed(
     piece_graphs,
     models,
     roots: np.ndarray,
-    rng,
+    entropy: int,
     *,
     backend,
     workers: int,
@@ -262,16 +237,13 @@ def fill_store_distributed(
     lease_ttl: float = DEFAULT_LEASE_TTL,
     poll: float = DEFAULT_POLL,
     timeout: float | None = None,
-    entropy: int | None = None,
-    keyed: bool = False,
 ) -> int:
     """Coordinate a distributed fill of ``store``; returns block count.
 
     ``store`` must be mid-write (``begin`` called, roots saved, not
-    finalized) — the caller keeps ownership of ``finalize``.  Exactly
-    one integer is consumed from ``rng`` (the same draw every other
-    topology makes), so the filled store is bit-identical to
-    ``workers=1`` generation.
+    finalized) — the caller keeps ownership of ``finalize``.  Tasks are
+    keyed by ``entropy``, so the filled store is bit-identical to
+    inline generation.
 
     ``launch`` is how many local worker processes to start: ``None``
     (default) launches ``workers`` of them; ``0`` launches none and
@@ -293,11 +265,6 @@ def fill_store_distributed(
 
     for piece_graph, model in zip(piece_graphs, models):
         _cached_sampler(piece_graph, model, backend)
-    if entropy is None:
-        # The one rng draw every other topology makes; callers on the
-        # coordinate-keyed scheme pass their pinned entropy instead and
-        # the rng is never consumed.
-        entropy = int(rng.integers(0, 2**63 - 1))
     spec = JobSpec(
         n=store.n,
         theta=int(roots.size),
@@ -309,7 +276,6 @@ def fill_store_distributed(
         entropy=int(entropy),
         fingerprint=store.fingerprint,
         piece_graphs=list(piece_graphs),
-        keyed=bool(keyed),
     )
     # The manifest and roots.npy are already on disk (begin/save_roots
     # ran before us), so a worker that sees the spec can open the store.
@@ -386,7 +352,7 @@ def run_worker(
     partial fills).  Exits cleanly — return, not exception — when the
     store is complete, however many of the shards it produced itself.
     """
-    from repro.sampling.parallel import _sample_task
+    from repro.sampling.parallel import _sample_task, keyed_task_seed
 
     spec = wait_for_job_spec(shard_dir, timeout=spec_wait, poll=poll)
     store = ShardStore(shard_dir, shared_writer=True)
@@ -406,7 +372,6 @@ def run_worker(
                 f"roots draw under {shard_dir} has {roots.size} entries, "
                 f"job spec says theta={spec.theta}"
             )
-        seeds = spec.task_seeds()
         done = 0
         while True:
             store.rescan()
@@ -437,7 +402,7 @@ def run_worker(
                                 spec.models[j],
                                 spec.backend,
                                 roots[start : start + spec.block_size],
-                                seeds[j * spec.num_blocks + b],
+                                keyed_task_seed(spec.entropy, j, b),
                             )
                         )
                         store.put_block(j, b, ptr, nodes)

@@ -39,11 +39,9 @@ import numpy as np
 from repro.artifacts import ArtifactKey, piece_graphs_digest
 from repro.diffusion.adoption import AdoptionModel
 from repro.diffusion.projection import PieceGraph, project_campaign
-from repro.diffusion.threshold import LinearThresholdSampler
 from repro.exceptions import SamplingError, StoreBusyError, StoreError
 from repro.graph.digraph import TopicGraph
 from repro.sampling.batch import check_model
-from repro.sampling.rr import ReverseReachableSampler
 from repro.sampling.store import (
     MemoryStore,
     SampleStore,
@@ -52,14 +50,18 @@ from repro.sampling.store import (
     store_fingerprint,
 )
 from repro.topics.distributions import Campaign
-from repro.utils.rng import as_generator
 from repro.utils.validation import (
     check_index_array,
     check_piece_graphs_aligned,
     check_positive_int,
 )
 
-__all__ = ["MRRCollection", "resolve_models"]
+__all__ = [
+    "MRRCollection",
+    "generate_keyed",
+    "resolve_models",
+    "sample_key",
+]
 
 
 def resolve_models(model, num_pieces: int) -> tuple[str, ...]:
@@ -166,10 +168,13 @@ class MRRCollection:
         execution kwargs are deprecated equivalents kept for backward
         compatibility; results are bit-identical between the two
         spellings.  LT pieces should be weight-normalised first
-        (:func:`repro.diffusion.threshold.normalize_lt_weights`); disk
-        stores sample through the block decomposition and therefore
-        match memory-store runs with ``workers >= 1`` exactly, resume
-        interrupted shard directories, and reload finished ones.
+        (:func:`repro.diffusion.threshold.normalize_lt_weights`).
+
+        Every generation draws the one coordinate-keyed stream of
+        :mod:`repro.sampling.parallel`: for a given seed the roots and
+        RR sets are bit-identical across stores, worker counts and
+        executors; disk stores additionally resume interrupted shard
+        directories and reload finished ones.
 
         When the resolved runtime carries an artifact store
         (``Runtime(artifacts=...)`` / ``REPRO_ARTIFACTS``) and the
@@ -227,18 +232,19 @@ class MRRCollection:
         digest into downstream solve-stage keys.  A freshly-sampled
         ``("sample", "run")`` event is a
         :class:`~repro.pipeline.TraceEvent` whose ``extra`` reports the
-        effective block geometry (the adaptive kernel block and the
-        per-task root block).
+        stream entropy and the effective block geometry (the per-task
+        root block and the adaptive kernel block).
 
-        ``pool`` lends a caller-owned executor to the blocked sampling
-        stream (the Session's warm pool); ownership and shutdown stay
-        with the caller.
+        ``pool`` lends a caller-owned executor to the sampling tasks
+        (the Session's warm pool); ownership and shutdown stay with the
+        caller.
         """
         from repro.pipeline import TraceEvent
         from repro.runtime import resolve_runtime
         from repro.sampling.batch import adaptive_block_size, check_backend
         from repro.sampling.parallel import (
-            sample_piece_blocks,
+            keyed_roots,
+            resolve_entropy,
             task_block_size,
         )
 
@@ -258,7 +264,6 @@ class MRRCollection:
         theta = check_positive_int("theta", theta)
         if graph.n == 0:
             raise SamplingError("cannot sample from an empty graph")
-        rng = as_generator(rt.seed)
         if piece_graphs is None:
             piece_graphs = project_campaign(graph, campaign)
         elif len(piece_graphs) != campaign.num_pieces:
@@ -277,6 +282,8 @@ class MRRCollection:
         graph_fp = graph.fingerprint()
         pieces_fp = piece_graphs_digest(piece_graphs)
         store_obj = rt.store_for_generate()
+        entropy = resolve_entropy(rt.seed)
+        block_size = task_block_size(theta)
 
         # -- content-addressed cache -----------------------------------
         # Eligible only when the draw is reproducible (integer seed) and
@@ -285,42 +292,19 @@ class MRRCollection:
         # must not alias, and a directory payload (out-of-core shards)
         # needs a store that can host directories.
         art_store = rt.artifact_store()
-        reproducible = isinstance(rt.seed, int) and not isinstance(
-            rt.seed, bool
-        )
+        disk = isinstance(store_obj, ShardStore)
         cacheable = (
             art_store is not None
-            and reproducible
+            and isinstance(rt.seed, int)
             and rt.shard_dir is None
             and not isinstance(rt.store, SampleStore)
-            and (store_obj is None or art_store.hosts_directories)
-        )
-        pool_width = rt.pool_width
-        # The two sampling decompositions draw from differently-spawned
-        # child streams: the historical serial loop (in-RAM target, no
-        # pool) and the (piece, root block) decomposition (any pool
-        # size, and always the disk store).  Each is deterministic, but
-        # they are NOT bit-identical to each other, so the key must
-        # record which one produced the samples — while every pool
-        # *size* of the blocked stream still shares one artifact.
-        stream = (
-            "serial"
-            if store_obj is None and pool_width is None
-            else "blocked"
+            and (not disk or art_store.hosts_directories)
         )
         key = None
         flight = None
         if cacheable:
-            key = ArtifactKey(
-                graph=graph_fp,
-                campaign=campaign.fingerprint(),
-                runtime=rt.cache_key(),
-                stage="sample",
-                extra=(
-                    f"theta={theta}",
-                    f"pieces={pieces_fp[:16]}",
-                    f"stream={stream}",
-                ),
+            key = sample_key(
+                rt, graph_fp, campaign, theta, pieces_fp, block_size
             )
             got = cls._cached_or_none(art_store, key, rt, store_obj)
             if got is not None:
@@ -341,118 +325,53 @@ class MRRCollection:
                 # way it now produces (duplicate commits stay benign).
 
         try:
-            # The sample stage's effective block geometry (the ISSUE'd trace
-            # gap): the per-task root block of the (piece, block)
-            # decomposition — theta itself on the serial path — and the
-            # (roots, n) kernel block adaptive sizing actually picks for it.
-            task_block = theta if stream == "serial" else task_block_size(theta)
             events = [
                 TraceEvent(
                     "sample",
                     "run",
                     {
-                        "stream": stream,
+                        "entropy": int(entropy),
                         "backend": check_backend(rt.backend),
                         "executor": rt.executor,
-                        "workers": int(pool_width or 1),
-                        "task_block": int(task_block),
+                        "workers": int(rt.pool_width or 1),
+                        "task_block": int(block_size),
                         "block_roots": adaptive_block_size(
-                            graph.n, min(task_block, theta)
+                            graph.n, min(block_size, theta)
                         ),
                         "block_n": int(graph.n),
                     },
                 ),
                 ("index", "run"),
             ]
-            if store_obj is not None:
-                if cacheable:
-                    # Host the shard directory inside the artifact object.
-                    # stage_dir() hands out a *private* staging directory
-                    # and commit() publishes it with one atomic rename, so
-                    # concurrent workers missing this key each generate
-                    # privately and the loser's commit is a benign no-op —
-                    # never two producers interleaving bucket files in one
-                    # directory.
-                    shards_dir = os.path.join(art_store.stage_dir(key), "shards")
-                    store_obj = ShardStore(
-                        shards_dir, max_resident_bytes=rt.max_resident_bytes
-                    )
-                roots = rng.integers(0, graph.n, size=theta)
-                collection = cls._generate_into_store(
-                    graph.n,
-                    piece_graphs,
-                    models,
-                    roots,
-                    rng,
-                    backend=rt.backend,
-                    workers=pool_width or 1,
-                    executor=rt.executor,
-                    store=store_obj,
-                    graph_fingerprint=graph_fp,
-                    pieces_fingerprint=pieces_fp,
-                    pool=pool,
+            if cacheable and disk:
+                # Host the shard directory inside the artifact object.
+                # stage_dir() hands out a *private* staging directory
+                # and commit() publishes it with one atomic rename, so
+                # concurrent workers missing this key each generate
+                # privately and the loser's commit is a benign no-op —
+                # never two producers interleaving bucket files in one
+                # directory.
+                store_obj = ShardStore(
+                    os.path.join(art_store.stage_dir(key), "shards"),
+                    max_resident_bytes=rt.max_resident_bytes,
                 )
-                if cacheable:
-                    artifact = art_store.commit(
-                        key,
-                        {
-                            "format": "shards",
-                            "n": graph.n,
-                            "theta": theta,
-                            "num_pieces": campaign.num_pieces,
-                        },
-                    )
-                    # The staging directory just moved to its content
-                    # address (or lost the commit race to an identical
-                    # twin): repoint the live store at the published copy.
-                    store_obj.close()
-                    store_obj.shard_dir = os.path.join(artifact.path, "shards")
-                return collection, events, key
-            roots = rng.integers(0, graph.n, size=theta)
-            if pool_width is not None:
-                pairs = sample_piece_blocks(
-                    piece_graphs,
-                    models,
-                    roots,
-                    rng,
-                    backend=rt.backend,
-                    workers=pool_width,
-                    executor=rt.executor,
-                    pool=pool,
-                )
-                rr_ptr = [ptr for ptr, _ in pairs]
-                rr_nodes = [nodes for _, nodes in pairs]
-            else:
-                rr_ptr: list[np.ndarray] = []
-                rr_nodes: list[np.ndarray] = []
-                for pg, piece_model in zip(piece_graphs, models):
-                    if piece_model == "lt":
-                        sampler = LinearThresholdSampler(pg, backend=rt.backend)
-                    else:
-                        sampler = ReverseReachableSampler(pg, backend=rt.backend)
-                    ptr, nodes = sampler.sample_many(roots, rng)
-                    rr_ptr.append(ptr)
-                    rr_nodes.append(nodes)
-            collection = cls(graph.n, roots, rr_ptr, rr_nodes)
+            collection = generate_keyed(
+                graph.n,
+                piece_graphs,
+                models,
+                keyed_roots(entropy, graph.n, theta, block_size),
+                entropy,
+                backend=rt.backend,
+                workers=rt.pool_width or 1,
+                executor=rt.executor,
+                store=store_obj,
+                block_size=block_size,
+                graph_fingerprint=graph_fp,
+                pieces_fingerprint=pieces_fp,
+                pool=pool,
+            )
             if cacheable:
-                arrays = {"roots": collection.roots}
-                for j in range(collection.num_pieces):
-                    ptr, nodes = collection.store.rr_arrays(j)
-                    idx_ptr, idx_samples = collection.store.index_arrays(j)
-                    arrays[f"rr_ptr{j}"] = ptr
-                    arrays[f"rr_nodes{j}"] = nodes
-                    arrays[f"idx_ptr{j}"] = idx_ptr
-                    arrays[f"idx_samples{j}"] = idx_samples
-                art_store.put(
-                    key,
-                    {
-                        "format": "arrays",
-                        "n": graph.n,
-                        "theta": theta,
-                        "num_pieces": campaign.num_pieces,
-                    },
-                    arrays,
-                )
+                publish_collection(art_store, key, collection)
             return collection, events, key
         finally:
             if flight is not None:
@@ -501,62 +420,56 @@ class MRRCollection:
         The two cross-format paths convert: shards are materialised
         into RAM with their prebuilt indexes, and arrays are re-streamed
         into a shard store (which rebuilds indexes — the one path where
-        the index stage runs on a hit).
+        the index stage runs on a hit).  Either way the collection keeps
+        the generation's block geometry, so a later delta invalidates
+        per block.
         """
-        from repro.sampling.parallel import task_block_size
-
         meta = hit.meta
         n = int(meta["n"])
         theta = int(meta["theta"])
         num_pieces = int(meta["num_pieces"])
+        block_size = int(meta["block_size"])
         key = hit.key
         if meta.get("format") == "shards":
-            shards_dir = os.path.join(hit.path, "shards")
             shard = ShardStore.open(
-                shards_dir, max_resident_bytes=rt.max_resident_bytes
+                os.path.join(hit.path, "shards"),
+                max_resident_bytes=rt.max_resident_bytes,
             )
-            if store_obj is None or not isinstance(store_obj, ShardStore):
+            if isinstance(store_obj, ShardStore):
+                collection = cls.from_store(shard)
+            else:
                 # memory target: materialise, indexes included
+                rr = [shard.rr_arrays(j) for j in range(num_pieces)]
+                idx = [shard.index_arrays(j) for j in range(num_pieces)]
                 collection = cls(
                     n,
                     shard.load_roots(),
                     store=MemoryStore.from_finalized_arrays(
                         n,
-                        [shard.rr_arrays(j)[0] for j in range(num_pieces)],
-                        [shard.rr_arrays(j)[1] for j in range(num_pieces)],
-                        [shard.index_arrays(j)[0] for j in range(num_pieces)],
-                        [shard.index_arrays(j)[1] for j in range(num_pieces)],
+                        [ptr for ptr, _ in rr],
+                        [nodes for _, nodes in rr],
+                        [ptr for ptr, _ in idx],
+                        [samples for _, samples in idx],
+                        block_size=block_size,
                     ),
                 )
                 shard.close()
-            else:
-                collection = cls.from_store(shard)
             return collection, [("sample", "hit"), ("index", "hit")], key
         arrays = hit.arrays
         roots = np.asarray(arrays["roots"], dtype=np.int64)
-        if store_obj is not None:
+        if isinstance(store_obj, ShardStore):
             # disk target from an arrays payload: re-stream the cached
             # blocks through the shard store (rebuilds indexes).
-            store_obj.begin(
-                n, num_pieces, theta, task_block_size(theta),
-                fingerprint=str(meta.get("token", ""))[:128] or None,
-            )
-            if isinstance(store_obj, ShardStore):
-                store_obj.save_roots(roots)
+            store_obj.begin(n, num_pieces, theta, block_size)
+            store_obj.save_roots(roots)
             if not store_obj.finalized:
-                block = store_obj.block_size
                 for j in range(num_pieces):
                     ptr = np.asarray(arrays[f"rr_ptr{j}"], dtype=np.int64)
                     nodes = np.asarray(arrays[f"rr_nodes{j}"], dtype=np.int64)
                     for b in range(store_obj.num_blocks):
-                        lo = b * block
-                        hi = min(lo + block, theta)
-                        if store_obj.has_block(j, b):
-                            continue
+                        lo, hi = store_obj._block_span(b)
                         store_obj.put_block(
-                            j,
-                            b,
-                            ptr[lo : hi + 1] - ptr[lo],
+                            j, b, ptr[lo : hi + 1] - ptr[lo],
                             nodes[ptr[lo] : ptr[hi]],
                         )
                 store_obj.finalize()
@@ -571,99 +484,10 @@ class MRRCollection:
                 [arrays[f"rr_nodes{j}"] for j in range(num_pieces)],
                 [arrays[f"idx_ptr{j}"] for j in range(num_pieces)],
                 [arrays[f"idx_samples{j}"] for j in range(num_pieces)],
+                block_size=block_size,
             ),
         )
         return collection, [("sample", "hit"), ("index", "hit")], key
-
-    @classmethod
-    def _generate_into_store(
-        cls,
-        n: int,
-        piece_graphs,
-        models,
-        roots: np.ndarray,
-        rng,
-        *,
-        backend,
-        workers: int,
-        executor,
-        store: SampleStore,
-        graph_fingerprint: str | None = None,
-        pieces_fingerprint: str | None = None,
-        pool=None,
-    ) -> "MRRCollection":
-        """Stream (piece, root block) shards into ``store`` as sampled.
-
-        Shards are committed the moment their task finishes (task
-        order, bounded in-flight window), so peak RAM during generation
-        is O(workers x block) instead of O(theta).  Shards already in
-        the store — a resumed :class:`ShardStore` directory — are
-        skipped without disturbing any other task's child stream, and a
-        fully finalized store is reloaded without sampling at all.
-
-        ``executor="spawned"`` with an on-disk :class:`ShardStore`
-        routes the fill through :mod:`repro.sampling.dist`: independent
-        worker processes claim task leases and stream shards into the
-        directory while this process polls for completion.  The child
-        seed streams are identical by construction, so the result is
-        bit-for-bit the collection every other topology produces.
-        """
-        from repro.sampling.parallel import (
-            stream_piece_blocks,
-            task_block_size,
-        )
-
-        theta = int(roots.size)
-        store.begin(
-            n,
-            len(piece_graphs),
-            theta,
-            task_block_size(theta),
-            fingerprint=store_fingerprint(
-                n,
-                roots,
-                models,
-                backend,
-                graph=graph_fingerprint,
-                pieces=pieces_fingerprint,
-            ),
-        )
-        if isinstance(store, ShardStore):
-            store.save_roots(roots)
-        if not store.finalized:
-            if (
-                executor == "spawned"
-                and isinstance(store, ShardStore)
-                and store.shard_dir is not None
-            ):
-                from repro.runtime import DEFAULT_DIST_LAUNCH
-                from repro.sampling.dist import fill_store_distributed
-
-                fill_store_distributed(
-                    piece_graphs,
-                    models,
-                    roots,
-                    rng,
-                    backend=backend,
-                    workers=workers,
-                    store=store,
-                    launch=DEFAULT_DIST_LAUNCH,
-                )
-            else:
-                for piece, block, ptr, nodes in stream_piece_blocks(
-                    piece_graphs,
-                    models,
-                    roots,
-                    rng,
-                    backend=backend,
-                    workers=workers,
-                    executor=executor,
-                    skip=store.has_block,
-                    pool=pool,
-                ):
-                    store.put_block(piece, block, ptr, nodes)
-            store.finalize()
-        return cls(n, roots, store=store)
 
     @classmethod
     def from_store(
@@ -687,16 +511,6 @@ class MRRCollection:
     # ------------------------------------------------------------------
     # raw access
     # ------------------------------------------------------------------
-
-    @property
-    def _rr_ptr(self) -> list[np.ndarray]:
-        """Per-piece CSR pointers, materialised (tests / diagnostics)."""
-        return [self.store.rr_arrays(j)[0] for j in range(self.num_pieces)]
-
-    @property
-    def _rr_nodes(self) -> list[np.ndarray]:
-        """Per-piece CSR node arrays, materialised (tests / diagnostics)."""
-        return [self.store.rr_arrays(j)[1] for j in range(self.num_pieces)]
 
     def rr_set(self, piece: int, sample: int) -> np.ndarray:
         """The RR set of ``sample`` (0-based) for ``piece``."""
@@ -863,3 +677,152 @@ class MRRCollection:
             f"MRRCollection(theta={self.theta}, pieces={self.num_pieces}, "
             f"n={self.n}, store={self.store.kind})"
         )
+
+
+def sample_key(
+    rt, graph_fp: str, campaign: Campaign, theta: int, pieces_fp: str,
+    block_size: int,
+) -> ArtifactKey:
+    """The sample-stage artifact key of one collection.
+
+    The runtime slice carries the seed (the stream entropy of every
+    cacheable draw); the block size pins the (piece, block) geometry
+    the keyed streams hang off, so an incremental update's
+    copy-on-write commit lands exactly where a cold generate of the
+    new graph with that geometry looks.
+    """
+    return ArtifactKey(
+        graph=graph_fp,
+        campaign=campaign.fingerprint(),
+        runtime=rt.cache_key(),
+        stage="sample",
+        extra=(
+            f"theta={int(theta)}",
+            f"pieces={pieces_fp[:16]}",
+            f"block={int(block_size)}",
+        ),
+    )
+
+
+def publish_collection(art_store, key: ArtifactKey, collection) -> None:
+    """Commit a freshly generated collection under ``key``.
+
+    A shard store was generated in ``art_store.stage_dir(key)``: the
+    commit moves it to its content address (or loses the race to an
+    identical twin) and the live store is repointed at the published
+    copy.  An in-RAM collection is stored as its finalized CSR and
+    inverted-index arrays.
+    """
+    store = collection.store
+    meta = {
+        "n": collection.n,
+        "theta": collection.theta,
+        "num_pieces": collection.num_pieces,
+        "block_size": store.block_size,
+    }
+    if isinstance(store, ShardStore):
+        artifact = art_store.commit(key, {"format": "shards", **meta})
+        store.close()
+        store.shard_dir = os.path.join(artifact.path, "shards")
+        return
+    arrays = {"roots": collection.roots}
+    for j in range(collection.num_pieces):
+        arrays[f"rr_ptr{j}"], arrays[f"rr_nodes{j}"] = store.rr_arrays(j)
+        arrays[f"idx_ptr{j}"], arrays[f"idx_samples{j}"] = (
+            store.index_arrays(j)
+        )
+    art_store.put(key, {"format": "arrays", **meta}, arrays)
+
+
+def generate_keyed(
+    n: int,
+    piece_graphs,
+    models,
+    roots: np.ndarray,
+    entropy: int,
+    *,
+    backend,
+    workers: int,
+    executor,
+    store: SampleStore,
+    block_size: int,
+    graph_fingerprint: str | None = None,
+    pieces_fingerprint: str | None = None,
+    pool=None,
+) -> MRRCollection:
+    """Fill ``store`` with keyed (piece, root block) shards; the collection.
+
+    The one store fill behind every generation: ``begin`` with the
+    store fingerprint, stream the *missing* shards
+    (``skip=store.has_block`` — how a resumed shard directory, or an
+    updated store, samples only its holes), ``finalize``.  Shards are
+    committed the moment their task finishes (task order, bounded
+    in-flight window), so peak RAM during generation is
+    O(workers x block) instead of O(theta), and a finalized shard
+    directory reloads without sampling at all.
+
+    ``executor="spawned"`` with an on-disk :class:`ShardStore` routes
+    the fill through :mod:`repro.sampling.dist`: independent worker
+    processes claim task leases and stream shards into the directory
+    while this process polls for completion — the same keyed streams,
+    so the same bytes.
+
+    A store already begun under this exact fingerprint is a mid-update
+    in-RAM store (``retarget`` / ``invalidate_blocks`` ran first) and
+    is filled in place; any other store is begun here — which resumes
+    or validates a shard directory, and rejects a reused finalized
+    :class:`MemoryStore`.
+    """
+    from repro.sampling.parallel import stream_piece_blocks
+
+    fingerprint = store_fingerprint(
+        n,
+        roots,
+        models,
+        backend,
+        graph=graph_fingerprint,
+        pieces=pieces_fingerprint,
+        entropy=entropy,
+    )
+    if isinstance(store, ShardStore) or store.fingerprint != fingerprint:
+        store.begin(
+            n, len(piece_graphs), int(roots.size), int(block_size),
+            fingerprint=fingerprint,
+        )
+    if isinstance(store, ShardStore) and not store.finalized:
+        store.save_roots(roots)
+    if not store.finalized:
+        if (
+            executor == "spawned"
+            and isinstance(store, ShardStore)
+            and store.shard_dir is not None
+        ):
+            from repro.runtime import DEFAULT_DIST_LAUNCH
+            from repro.sampling.dist import fill_store_distributed
+
+            fill_store_distributed(
+                piece_graphs,
+                models,
+                roots,
+                entropy,
+                backend=backend,
+                workers=workers,
+                store=store,
+                launch=DEFAULT_DIST_LAUNCH,
+            )
+        else:
+            for piece, block, ptr, nodes in stream_piece_blocks(
+                piece_graphs,
+                models,
+                roots,
+                entropy,
+                backend=backend,
+                workers=workers,
+                executor=executor,
+                block_size=block_size,
+                skip=store.has_block,
+                pool=pool,
+            ):
+                store.put_block(piece, block, ptr, nodes)
+        store.finalize()
+    return MRRCollection(n, roots, store=store)

@@ -1,31 +1,40 @@
-"""Parallel per-piece sampling runtime.
+"""Parallel per-piece sampling runtime: the one MRR sampling stream.
 
 MRR generation is embarrassingly parallel twice over: each piece's RR
 sets are independent given the shared roots, and within a piece every
 block of roots is independent too.  This module turns that structure
 into an explicit task decomposition — one task per (piece, root block)
-— executed on a thread or process pool, with three contracts that make
-the parallelism invisible to everything downstream:
+— executed inline or on a thread or process pool, with three contracts
+that make the parallelism invisible to everything downstream:
 
-* **Deterministic streams.**  Each task draws from its own child
-  generator, spawned from one parent draw via
-  ``numpy.random.SeedSequence.spawn``.  The task list and the seed
-  assignment depend only on (theta, pieces, seed) — never on the worker
-  count — so ``workers=1`` and ``workers=8`` produce bit-identical
-  collections.
+* **Coordinate-keyed streams.**  One integer *entropy* per collection
+  (:func:`resolve_entropy`: the seed itself, or one draw from the
+  caller's generator) keys every draw by its coordinates alone:
+
+  - block ``b``'s roots come from
+    ``SeedSequence((entropy, KEYED_ROOT_TAG, b))`` — always a full
+    ``block_size`` draw, truncated to the block's span, so a partial
+    tail block that later grows redraws a *prefix-consistent* extension;
+  - task ``(piece j, block b)`` samples with
+    ``SeedSequence((entropy, KEYED_TASK_TAG, j, b))``.
+
+  Both are pure functions of ``(entropy, coordinates)``, never of the
+  worker count, the executor, the store or theta, so every topology
+  produces the same bytes, a resumed store samples only its missing
+  blocks, raising theta *appends* blocks bit-identical to a cold draw
+  at the larger theta, and a delta-invalidated shard regenerates its
+  exact stream in isolation (:mod:`repro.incremental`).
 * **Deterministic merge.**  Results are committed in task order
   regardless of completion order.
 * **Clean failure.**  A worker exception cancels the remaining tasks,
   shuts the pool down, and re-raises — no orphaned threads or hung
   futures.
 
-``workers=None`` (the default everywhere) keeps the historical serial
-path byte-for-byte: one generator threads through all pieces
-sequentially, so existing pinned results are untouched.  The
-``REPRO_WORKERS`` environment variable overrides that default
-(``"auto"``, an integer, or ``"serial"``) so CI can run the whole suite
-under the parallel runtime; per-call ``workers=0`` forces the serial
-path even then.
+``workers=None`` / ``0`` / ``"serial"`` (and ``1``) run the tasks
+inline; the ``REPRO_WORKERS`` environment variable overrides the
+``None`` default (``"auto"``, an integer, or ``"serial"``) so CI can
+run the whole suite under a pool.  Monte-Carlo forward simulation keeps
+its own spawned per-round streams (:func:`spawn_task_seeds`).
 """
 
 from __future__ import annotations
@@ -39,15 +48,19 @@ import numpy as np
 
 from repro.exceptions import ConfigError, ParameterError, SamplingError
 from repro.runtime import DEFAULT_EXECUTOR, DEFAULT_WORKERS, EXECUTORS
+from repro.utils.rng import as_generator
 
 __all__ = [
     "DEFAULT_EXECUTOR",
     "EXECUTORS",
     "make_pool",
     "parallel_map",
+    "keyed_block_roots",
+    "keyed_roots",
+    "keyed_task_seed",
+    "resolve_entropy",
     "resolve_workers",
     "round_chunks",
-    "sample_piece_blocks",
     "spawn_task_seeds",
     "stream_piece_blocks",
     "task_block_size",
@@ -70,15 +83,19 @@ _MIN_TASK_BLOCK = 256
 #: Rounds per Monte-Carlo task (same worker-independence argument).
 _ROUND_CHUNK = 8
 
+#: SeedSequence tags separating the root draw from the task draws.
+KEYED_ROOT_TAG = 0x726F6F74  # "root"
+KEYED_TASK_TAG = 0x7461736B  # "task"
+
 
 def resolve_workers(workers) -> int | None:
     """Normalise a ``workers`` knob into a pool size.
 
-    Returns ``None`` for the serial legacy path (the default when
-    neither the argument nor ``REPRO_WORKERS`` asks for a pool), or a
-    positive integer pool size.  ``"auto"`` sizes the pool to the
-    machine; ``0`` / ``"serial"`` force the serial path regardless of
-    the environment default.
+    Returns ``None`` for inline execution (the default when neither the
+    argument nor ``REPRO_WORKERS`` asks for a pool), or a positive
+    integer pool size.  ``"auto"`` sizes the pool to the machine;
+    ``0`` / ``"serial"`` force inline execution regardless of the
+    environment default.  Inline and pooled runs draw identical bytes.
     """
     if workers is None:
         workers = DEFAULT_WORKERS
@@ -137,7 +154,9 @@ def spawn_task_seeds(rng, count: int) -> list[np.random.SeedSequence]:
 
     One integer is drawn from ``rng`` (keeping the caller's stream the
     single source of entropy), then ``SeedSequence.spawn`` derives
-    non-overlapping children — the per-task streams of the runtime.
+    non-overlapping children — the per-chunk streams of Monte-Carlo
+    forward simulation.  MRR sampling keys its tasks by coordinates
+    instead (:func:`keyed_task_seed`).
     """
     if count < 0:
         raise ParameterError(f"count must be >= 0, got {count}")
@@ -247,8 +266,6 @@ def _sample_task(args):
     when the block does not fit (or shm is unavailable in the worker).
     """
     piece_graph, model, backend, roots, seed = args[:5]
-    from repro.utils.rng import as_generator
-
     sampler = _cached_sampler(piece_graph, model, backend)
     ptr, nodes = sampler.sample_many(roots, as_generator(seed))
     if len(args) > 5:
@@ -261,33 +278,89 @@ def _sample_task(args):
     return ptr, nodes
 
 
+
+
+def resolve_entropy(seed) -> int:
+    """A collection's stream entropy: the seed itself when it can key.
+
+    A non-negative integer seed is used as-is (so equal seeds give
+    equal collections); anything else — ``None``, a ``Generator``, a
+    ``SeedSequence`` — contributes exactly one integer draw.
+    """
+    if isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0:
+        return int(seed)
+    return int(as_generator(seed).integers(0, 2**63 - 1))
+
+
+def keyed_block_roots(
+    entropy: int, n: int, block_size: int, block: int
+) -> np.ndarray:
+    """The full ``block_size`` root draw of block ``block``.
+
+    Callers slice to the block's span; drawing the full block first
+    keeps a tail block's roots a prefix of the roots it has after theta
+    grows past it.
+    """
+    seq = np.random.SeedSequence((int(entropy), KEYED_ROOT_TAG, int(block)))
+    rng = np.random.Generator(np.random.PCG64(seq))
+    return rng.integers(0, int(n), size=int(block_size))
+
+
+def keyed_roots(
+    entropy: int, n: int, theta: int, block_size: int
+) -> np.ndarray:
+    """The keyed root draw for ``theta`` samples, block by block."""
+    theta = int(theta)
+    block_size = int(block_size)
+    if theta < 1 or block_size < 1:
+        raise SamplingError(
+            f"theta and block_size must be positive, got theta={theta}, "
+            f"block_size={block_size}"
+        )
+    parts = []
+    for block, lo in enumerate(range(0, theta, block_size)):
+        span = min(lo + block_size, theta) - lo
+        parts.append(keyed_block_roots(entropy, n, block_size, block)[:span])
+    return np.concatenate(parts)
+
+
+def keyed_task_seed(
+    entropy: int, piece: int, block: int
+) -> np.random.SeedSequence:
+    """The sampling stream of task ``(piece, block)``."""
+    return np.random.SeedSequence(
+        (int(entropy), KEYED_TASK_TAG, int(piece), int(block))
+    )
+
+
 def stream_piece_blocks(
     piece_graphs,
     models,
     roots: np.ndarray,
-    rng,
+    entropy: int,
     *,
     backend: str | None,
     workers: int,
     executor: str | None = None,
+    block_size: int | None = None,
     skip=None,
     pool=None,
 ):
     """Yield every (piece, root block) result in task order, as sampled.
 
-    The streaming face of the runtime — and the out-of-core writer's
+    The streaming face of the runtime — and every store fill's
     contract: tuples ``(piece, block_index, ptr, nodes)`` are yielded
     the moment the head-of-line task finishes, with a bounded in-flight
     window (2x ``workers``) so only O(workers) block results ever sit
-    in RAM, however large theta is.  The task list, block sizes, and
-    child rng streams are identical to :func:`sample_piece_blocks`
-    (piece-major, one spawned seed per task), so collecting this stream
-    reproduces it bit-for-bit.
+    in RAM, however large theta is.  The task list is piece-major and
+    each task samples from :func:`keyed_task_seed`; ``block_size``
+    defaults to ``task_block_size(theta)`` (an incremental lineage pins
+    the value of its first generation instead).
 
     ``skip`` is an optional ``(piece, block_index) -> bool`` predicate:
-    skipped tasks are neither sampled nor yielded, but still consume
-    their spawned seed — which is what lets a resumed shard store rerun
-    only its missing blocks and land on the same collection.
+    skipped tasks are neither sampled nor yielded, and — coordinate
+    keying — consume nothing, which is how a resumed or updated store
+    samples only its missing blocks and lands on the same collection.
 
     ``pool`` lends a pre-built executor (see :func:`make_pool`) — the
     warm-pool path: pending futures are still cancelled on exit, but
@@ -302,16 +375,10 @@ def stream_piece_blocks(
             f"{len(models)} models for {len(piece_graphs)} piece graphs"
         )
     theta = int(roots.size)
-    block = task_block_size(theta)
-    starts = list(range(0, theta, block))
+    block = task_block_size(theta) if block_size is None else int(block_size)
     todo = []
-    task_index = 0
-    seeds_needed = len(piece_graphs) * len(starts)
-    seeds = spawn_task_seeds(rng, seeds_needed)
     for j, (piece_graph, model) in enumerate(zip(piece_graphs, models)):
-        for b, start in enumerate(starts):
-            seed = seeds[task_index]
-            task_index += 1
+        for b, start in enumerate(range(0, theta, block)):
             if skip is not None and skip(j, b):
                 continue
             todo.append(
@@ -322,7 +389,7 @@ def stream_piece_blocks(
                         model,
                         backend,
                         roots[start : start + block],
-                        seed,
+                        keyed_task_seed(entropy, j, b),
                     ),
                 )
             )
@@ -375,49 +442,3 @@ def stream_piece_blocks(
             pool.shutdown(wait=True, cancel_futures=True)
         if slab_pool is not None:
             slab_pool.close()
-
-
-def sample_piece_blocks(
-    piece_graphs,
-    models,
-    roots: np.ndarray,
-    rng,
-    *,
-    backend: str | None,
-    workers: int,
-    executor: str | None = None,
-    pool=None,
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Draw every piece's RR sets for ``roots``, fanned out per block.
-
-    The task list is piece-major — piece 0's blocks, then piece 1's —
-    and each task owns a spawned child stream; per-piece CSR arrays are
-    reassembled by concatenating block results in task order.  Output
-    is a list of ``(ptr, nodes)`` pairs aligned with ``piece_graphs``,
-    identical for every ``workers`` value.  (This is
-    :func:`stream_piece_blocks`, collected — the in-RAM consumer;
-    ``pool`` lends a caller-owned executor exactly as there.)
-    """
-    theta = int(roots.size)
-    collected: list[list[tuple[np.ndarray, np.ndarray]]] = [
-        [] for _ in piece_graphs
-    ]
-    for j, _b, ptr, nodes in stream_piece_blocks(
-        piece_graphs,
-        models,
-        roots,
-        rng,
-        backend=backend,
-        workers=workers,
-        executor=executor,
-        pool=pool,
-    ):
-        collected[j].append((ptr, nodes))
-    merged: list[tuple[np.ndarray, np.ndarray]] = []
-    for chunk in collected:
-        sizes = np.concatenate([np.diff(ptr) for ptr, _ in chunk])
-        ptr = np.zeros(theta + 1, dtype=np.int64)
-        np.cumsum(sizes, out=ptr[1:])
-        nodes = np.concatenate([nodes for _, nodes in chunk])
-        merged.append((ptr, nodes))
-    return merged

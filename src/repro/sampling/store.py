@@ -12,7 +12,7 @@ implementations:
     Today's in-RAM arrays, bit-for-bit.  Zero overhead; the default.
 
 :class:`ShardStore`
-    Root-block shards spilled to disk.  ``sample_piece_blocks`` already
+    Root-block shards spilled to disk.  ``stream_piece_blocks`` already
     decomposes generation into per-(piece, root block) tasks, and those
     blocks are exactly the shards: each is written to ``shard_dir`` as a
     ``.npz`` the moment it is sampled (so peak RAM during generation is
@@ -152,14 +152,15 @@ def store_fingerprint(
     *,
     graph: str | None = None,
     pieces: str | None = None,
+    entropy: int | None = None,
 ) -> str:
     """Identity of one generation run, recorded in shard manifests.
 
     Two runs produce identical shards iff their graph, root draw,
-    per-piece diffusion models, and sampling backend agree — the
-    fingerprint captures exactly that, so resuming against a shard
-    directory from a *different* run fails loudly instead of silently
-    mixing samples.  The backend is recorded *canonical* (``None``
+    per-piece diffusion models, sampling backend and stream entropy
+    agree — the fingerprint captures exactly that, so resuming against
+    a shard directory from a *different* run fails loudly instead of
+    silently mixing samples.  The backend is recorded *canonical* (``None``
     means the ``REPRO_BACKEND`` default, and ``"native"`` records as
     ``"batch"`` — the two engines are bit-identical by contract, so
     their shard directories are interchangeable), while a directory
@@ -167,12 +168,14 @@ def store_fingerprint(
     non-equivalent one.
 
     ``graph``/``pieces`` are the content fingerprints of the topic
-    graph and the projected piece graphs.  The root draw depends only
-    on ``(seed, n)``, so without them a shard directory sampled from a
-    *different graph or campaign of the same size* would resume
-    cleanly and silently serve the wrong samples; generation always
-    passes both, while callers that only know the dimensions may omit
-    them (the segments are then absent and never compared).
+    graph and the projected piece graphs, and ``entropy`` keys every
+    task stream (:func:`repro.sampling.parallel.keyed_task_seed`).  The
+    root draw depends only on ``(entropy, n)``, so without the graph
+    segments a shard directory sampled from a *different graph or
+    campaign of the same size* would resume cleanly and silently serve
+    the wrong samples; generation always passes all three, while
+    callers that only know the dimensions may omit them (the segments
+    are then absent and never compared).
     """
     from repro.sampling.batch import canonical_backend
 
@@ -186,6 +189,8 @@ def store_fingerprint(
         fingerprint += f":graph={graph[:16]}"
     if pieces is not None:
         fingerprint += f":pieces={pieces[:16]}"
+    if entropy is not None:
+        fingerprint += f":entropy={int(entropy)}"
     return fingerprint
 
 
@@ -230,6 +235,7 @@ class SampleStore:
         self.block_size = 0
         self.num_blocks = 0
         self.finalized = False
+        self.fingerprint: str | None = None
 
     # -- write protocol -------------------------------------------------
 
@@ -252,6 +258,7 @@ class SampleStore:
         self.theta = int(theta)
         self.block_size = int(block_size)
         self.num_blocks = -(-self.theta // self.block_size)
+        self.fingerprint = fingerprint
 
     def has_block(self, piece: int, block: int) -> bool:
         """Is this shard already committed (resume support)?"""
@@ -417,8 +424,8 @@ class MemoryStore(SampleStore):
         self._rr_nodes: list[np.ndarray] = []
         self._idx_ptr: list[np.ndarray] = []
         self._idx_samples: list[np.ndarray] = []
-        # (piece, block) -> touch summary; kept outside _pending so it
-        # survives finalize() and serves later delta invalidations.
+        # (piece, block) -> touch summary, computed on first query (see
+        # block_touch) and kept across finalize() for later deltas.
         self._touch: dict[tuple[int, int], np.ndarray] = {}
 
     @classmethod
@@ -436,17 +443,19 @@ class MemoryStore(SampleStore):
 
     @classmethod
     def from_finalized_arrays(
-        cls, n, rr_ptr, rr_nodes, idx_ptr, idx_samples
+        cls, n, rr_ptr, rr_nodes, idx_ptr, idx_samples, *, block_size
     ) -> "MemoryStore":
         """Wrap a fully-built collection, inverted indexes included.
 
         The artifact-cache hit path: a cached sample artifact carries
         the finalized indexes, so reloading skips both sampling *and*
         the index build (the argsort is the expensive half at scale).
+        ``block_size`` restores the generation's (piece, block) geometry
+        so a later delta invalidates per block.
         """
         store = cls()
         theta = int(rr_ptr[0].size - 1)
-        store.begin(n, len(rr_ptr), max(theta, 1), max(theta, 1))
+        store.begin(n, len(rr_ptr), max(theta, 1), block_size)
         store.theta = theta
         store._pending = []
         store._rr_ptr = list(rr_ptr)
@@ -485,17 +494,27 @@ class MemoryStore(SampleStore):
         nodes = np.asarray(nodes, dtype=np.int64)
         self._check_block(piece, block, ptr, nodes)
         self._pending[piece][block] = (ptr, nodes)
-        self._touch[(piece, block)] = touch_summary(nodes)
 
     @property
     def supports_touch(self) -> bool:
         return True
 
     def block_touch(self, piece: int, block: int) -> np.ndarray | None:
-        # Wrapped pre-built arrays (from_arrays / from_finalized_arrays)
-        # never saw put_block, so their blocks read as summary-less and
-        # blocks_touching degrades to all-dirty — conservative, sound.
-        return self._touch.get((piece, block))
+        # Summaries are built on first query from the block's nodes and
+        # memoized: a collection that never sees a delta never pays.
+        key = (piece, block)
+        summary = self._touch.get(key)
+        if summary is None:
+            if self.finalized:
+                ptr = self._rr_ptr[piece]
+                lo, hi = self._block_span(block)
+                nodes = self._rr_nodes[piece][ptr[lo] : ptr[hi]]
+            elif block in self._pending[piece]:
+                nodes = self._pending[piece][block][1]
+            else:
+                return None
+            summary = self._touch[key] = touch_summary(nodes)
+        return summary
 
     def _materialize_pending(self) -> None:
         """Re-slice the finalized CSR back into per-block shards.
@@ -547,6 +566,8 @@ class MemoryStore(SampleStore):
             raise StoreError(
                 f"cannot shrink a store from theta={self.theta} to {theta}"
             )
+        if fingerprint is not None:
+            self.fingerprint = fingerprint
         if theta == self.theta:
             return
         self._materialize_pending()
@@ -723,7 +744,6 @@ class ShardStore(SampleStore):
             shard_dir = self._tmp.name
         self.shard_dir = str(shard_dir)
         os.makedirs(self.shard_dir, exist_ok=True)
-        self.fingerprint: str | None = None
         self._completed: set[tuple[int, int]] = set()
         self._cache: OrderedDict[
             tuple[int, int], tuple[np.ndarray, np.ndarray]
@@ -813,7 +833,6 @@ class ShardStore(SampleStore):
 
     def begin(self, n, num_pieces, theta, block_size, *, fingerprint=None):
         super().begin(n, num_pieces, theta, block_size, fingerprint=fingerprint)
-        self.fingerprint = fingerprint
         manifest = self._read_manifest()
         if manifest is None:
             self._completed = set()

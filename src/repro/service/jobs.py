@@ -130,10 +130,13 @@ class JobSpec:
         _check_positive_int("k", self.k)
         _check_positive_int("eval_theta", self.eval_theta, optional=True)
         if self.seed is not None and (
-            isinstance(self.seed, bool) or not isinstance(self.seed, int)
+            isinstance(self.seed, bool)
+            or not isinstance(self.seed, int)
+            or self.seed < 0
         ):
             raise ConfigError(
-                f"seed must be an integer or null, got {self.seed!r}"
+                f"seed must be a non-negative integer or null, got "
+                f"{self.seed!r}"
             )
         if self.scale is not None:
             if not isinstance(self.scale, (int, float)) or self.scale <= 0:

@@ -126,8 +126,9 @@ def _execute_update(session: Session, spec: JobSpec) -> tuple[dict, list]:
     """The incremental execution path of a ``delta``-carrying spec.
 
     Self-contained rather than stateful: the worker replays the base
-    campaign on the incremental tier (every completed stage a cache hit
-    when an artifact store is shared), then absorbs the composed delta
+    campaign as an incremental lineage (the same draw as the base job,
+    so every completed stage is a cache hit when an artifact store is
+    shared), then absorbs the composed delta
     through :meth:`~repro.api.Session.update` — regenerating only the
     delta-touched shards and re-solving warm.  The result payload gains
     an ``"incremental"`` block with the update's reuse accounting.

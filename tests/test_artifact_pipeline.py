@@ -22,6 +22,7 @@ import pytest
 from repro.api import Session
 from repro.artifacts import MemoryArtifactStore, resolve_artifact_store
 from repro.diffusion.adoption import AdoptionModel
+from repro.exceptions import ConfigError
 from repro.graph.generators import (
     build_topic_graph,
     preferential_attachment_digraph,
@@ -138,12 +139,9 @@ class TestWarmSessionRun:
         assert not b.stage_trace.sampled()
         np.testing.assert_array_equal(a.mrr.roots, b.mrr.roots)
         for j in range(a.num_pieces):
-            np.testing.assert_array_equal(
-                a.mrr._rr_ptr[j], b.mrr._rr_ptr[j]
-            )
-            np.testing.assert_array_equal(
-                a.mrr._rr_nodes[j], b.mrr._rr_nodes[j]
-            )
+            pairs = zip(a.mrr.store.rr_arrays(j), b.mrr.store.rr_arrays(j))
+            for x, y in pairs:
+                np.testing.assert_array_equal(x, y)
             pa, sa = a.mrr.index_arrays(j)
             pb, sb = b.mrr.index_arrays(j)
             np.testing.assert_array_equal(pa, pb)
@@ -204,13 +202,7 @@ class TestDiskTargetCaching:
         np.testing.assert_array_equal(a.mrr.roots, b.mrr.roots)
 
     def test_cross_format_disk_then_memory(self, world, tmp_path):
-        """A shards artifact serves a later in-RAM session (and back).
-
-        The in-RAM sessions use ``workers=1`` so they are on the same
-        (piece, root block) sampling stream the disk store always uses
-        — serial in-RAM draws are a different stream and different
-        artifacts (see ``test_serial_and_blocked_streams_do_not_alias``).
-        """
+        """A shards artifact serves a later in-RAM session (and back)."""
         cache = str(tmp_path / "artifacts")
         disk = _session(world, artifacts=cache, store="disk")
         disk.sample(THETA)
@@ -238,28 +230,25 @@ class TestDiskTargetCaching:
         assert disk.mrr.store.kind == "disk"
         np.testing.assert_array_equal(mem.mrr.roots, disk.mrr.roots)
 
-    def test_serial_and_blocked_streams_do_not_alias(self, world, tmp_path):
-        """Serial in-RAM draws and (piece, root block) draws are
-        different sampling streams: both are deterministic, but their RR
-        sets differ, so one must never be served from the other's
-        artifact.  Each stream still warms its own entry.  (Knobs are
-        pinned explicitly so the CI matrix env vars cannot flip them.)
+    def test_every_worker_count_shares_one_artifact(self, world, tmp_path):
+        """Inline and pooled draws are one stream: whichever runs first
+        warms the entry every other worker count is served from, with
+        identical samples.  (Knobs are pinned explicitly so the CI
+        matrix env vars cannot flip them.)
         """
         cache = str(tmp_path / "artifacts")
-        serial_rt = dict(workers="serial", store="memory")
-        blocked_rt = dict(workers=1, store="memory")
-        serial = _session(world, artifacts=cache, **serial_rt)
+        serial = _session(world, artifacts=cache, workers="serial")
         serial.sample(THETA)
-        blocked = _session(world, artifacts=cache, **blocked_rt)
-        blocked.sample(THETA)
-        assert blocked.stage_trace.sampled()  # miss: different stream
-        np.testing.assert_array_equal(serial.mrr.roots, blocked.mrr.roots)
-        serial_again = _session(world, artifacts=cache, **serial_rt)
-        serial_again.sample(THETA)
-        assert not serial_again.stage_trace.sampled()
-        blocked_again = _session(world, artifacts=cache, **blocked_rt)
-        blocked_again.sample(THETA)
-        assert not blocked_again.stage_trace.sampled()
+        assert serial.stage_trace.sampled()
+        for workers in (1, 2, None):
+            again = _session(world, artifacts=cache, workers=workers)
+            again.sample(THETA)
+            assert not again.stage_trace.sampled()
+            for j in range(serial.num_pieces):
+                for x, y in zip(
+                    serial.mrr.store.rr_arrays(j), again.mrr.store.rr_arrays(j)
+                ):
+                    np.testing.assert_array_equal(x, y)
 
 
 # ----------------------------------------------------------------------
@@ -333,11 +322,11 @@ class TestCacheEligibility:
     def test_bool_seed_is_not_an_int_seed(self, world, tmp_path):
         cache = str(tmp_path / "artifacts")
         graph, campaign = world
-        _, _, key = MRRCollection.generate_traced(
-            graph, campaign, THETA, seed=True,
-            runtime=Runtime(artifacts=cache),
-        )
-        assert key is None
+        with pytest.raises(ConfigError, match="seed"):
+            MRRCollection.generate_traced(
+                graph, campaign, THETA, seed=True,
+                runtime=Runtime(artifacts=cache),
+            )
 
 
 # ----------------------------------------------------------------------

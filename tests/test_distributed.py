@@ -368,14 +368,12 @@ class TestSpawnedGenerate:
         shard_dir = str(tmp_path / "shards")
         from repro.diffusion.projection import project_campaign
         from repro.sampling.mrr import resolve_models
-        from repro.sampling.parallel import spawn_task_seeds, task_block_size
-        from repro.utils.rng import as_generator
+        from repro.sampling.parallel import keyed_roots, task_block_size
 
-        rng = as_generator(21)
         piece_graphs = list(project_campaign(graph, campaign))
         models = resolve_models(None, campaign.num_pieces)
-        roots = rng.integers(0, graph.n, size=THETA)
-        fp = store_fingerprint(graph.n, roots, models, None)
+        roots = keyed_roots(21, graph.n, THETA, task_block_size(THETA))
+        fp = store_fingerprint(graph.n, roots, models, None, entropy=21)
         store = ShardStore(shard_dir)
         store.begin(
             graph.n,
@@ -385,7 +383,6 @@ class TestSpawnedGenerate:
             fingerprint=fp,
         )
         store.save_roots(roots)
-        entropy = int(rng.integers(0, 2**63 - 1))
         spec = dist.JobSpec(
             n=graph.n,
             theta=THETA,
@@ -394,7 +391,7 @@ class TestSpawnedGenerate:
             num_blocks=store.num_blocks,
             models=tuple(models),
             backend=None,
-            entropy=entropy,
+            entropy=21,
             fingerprint=fp,
             piece_graphs=piece_graphs,
         )
@@ -404,15 +401,8 @@ class TestSpawnedGenerate:
         store.rescan()
         store.finalize()
         got = MRRCollection.from_store(ShardStore.open(shard_dir))
-        # Same single entropy draw as spawn_task_seeds makes from an
-        # identically-positioned rng: the serial collection.
-        rng2 = as_generator(21)
-        roots2 = rng2.integers(0, graph.n, size=THETA)
-        np.testing.assert_array_equal(roots, roots2)
-        seeds = spawn_task_seeds(rng2, store.num_pieces * store.num_blocks)
-        assert [s.entropy for s in spec.task_seeds()] == [
-            s.entropy for s in seeds
-        ]
+        # The seed is the entropy: workers keyed by it reproduce the
+        # inline collection of the same seed.
         _assert_identical(serial_mrr, got)
 
 

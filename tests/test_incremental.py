@@ -39,12 +39,6 @@ from repro.incremental import (
     apply_delta,
     piece_dirty_heads,
 )
-from repro.incremental.sampler import (
-    incremental_fingerprint,
-    keyed_block_roots,
-    keyed_roots,
-    keyed_task_seed,
-)
 from repro.incremental.warm import (
     WarmGains,
     celf_assign,
@@ -52,6 +46,11 @@ from repro.incremental.warm import (
     staleness_bound,
 )
 from repro.runtime import Runtime
+from repro.sampling.parallel import (
+    keyed_block_roots,
+    keyed_roots,
+    keyed_task_seed,
+)
 from repro.sampling.store import ShardStore, store_fingerprint
 from repro.topics.distributions import Campaign, unit_piece
 
@@ -194,15 +193,13 @@ class TestKeyedSampler:
         }
         assert len(spawned) == 12
 
-    def test_fingerprint_is_scheme_tagged(self):
+    def test_fingerprint_carries_entropy(self):
         roots = np.zeros(10, dtype=np.int64)
         base = store_fingerprint(100, roots, ["ic"], "python")
-        keyed = incremental_fingerprint(
-            100, roots, ["ic"], "python", entropy=42
-        )
+        keyed = store_fingerprint(100, roots, ["ic"], "python", entropy=42)
         assert keyed.startswith(base)
-        assert "inc-entropy=42" in keyed
-        assert keyed != incremental_fingerprint(
+        assert keyed.endswith(":entropy=42")
+        assert keyed != store_fingerprint(
             100, roots, ["ic"], "python", entropy=43
         )
 

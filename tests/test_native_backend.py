@@ -394,7 +394,7 @@ class TestSharedSlabPool:
                     piece_graphs,
                     models,
                     roots,
-                    as_generator(17),
+                    17,
                     backend="batch",
                     workers=workers,
                     executor=executor,
@@ -482,7 +482,7 @@ class TestSessionWarmPool:
         assert runs
         extra = runs[0].extra
         assert extra["backend"] in ("python", "batch", "native")
-        assert extra["stream"] in ("serial", "blocked")
+        assert extra["entropy"] == 7  # an int seed is the entropy
         assert extra["task_block"] >= 1
         assert 1 <= extra["block_roots"] <= extra["task_block"]
         assert extra["block_n"] == graph.n

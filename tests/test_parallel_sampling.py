@@ -2,15 +2,15 @@
 
 The runtime's contracts, as the module states them:
 
-* the (piece, root block) task decomposition and the spawned child
+* the (piece, root block) task decomposition and the coordinate-keyed
   streams depend only on (theta, pieces, seed) — so for fixed seeds a
   ``workers=4`` pool reproduces ``workers=1`` bit-for-bit, for IC, LT
   and heterogeneous per-piece model lists, at every entry point that
   grew the knob;
 * a worker exception cancels the remaining tasks, shuts the pool down
   and re-raises — it can never hang the caller;
-* ``workers=None`` keeps the historical serial stream byte-for-byte,
-  and ``workers=0`` forces it even under a ``REPRO_WORKERS`` default.
+* ``workers=None`` / ``0`` / ``"serial"`` run the same tasks inline and
+  draw the same bytes as any pool.
 """
 
 from __future__ import annotations
@@ -74,8 +74,8 @@ def world():
 def _mrr_fingerprint(mrr: MRRCollection):
     return (
         mrr.roots.tolist(),
-        [mrr._rr_ptr[j].tolist() for j in range(mrr.num_pieces)],
-        [mrr._rr_nodes[j].tolist() for j in range(mrr.num_pieces)],
+        [mrr.store.rr_arrays(j)[0].tolist() for j in range(mrr.num_pieces)],
+        [mrr.store.rr_arrays(j)[1].tolist() for j in range(mrr.num_pieces)],
     )
 
 
@@ -156,18 +156,21 @@ class TestDeterministicFanOut:
         ]
         assert by_executor[0] == by_executor[1]
 
-    def test_serial_default_is_untouched(self, world, monkeypatch):
-        """workers=None (no env default) is the historical single-stream
-        draw, and workers=0 forces the same path explicitly."""
+    def test_serial_spellings_match_pooled_draw(self, world, monkeypatch):
+        """workers=None (no env default), 0 and "serial" run inline and
+        draw exactly what a pool draws."""
         monkeypatch.setattr(parallel, "DEFAULT_WORKERS", None)
         graph, campaign, pgs = world
-        legacy = MRRCollection.generate(
-            graph, campaign, theta=500, seed=79, piece_graphs=pgs
-        )
-        again = MRRCollection.generate(
-            graph, campaign, theta=500, seed=79, piece_graphs=pgs, workers=0
-        )
-        assert _mrr_fingerprint(legacy) == _mrr_fingerprint(again)
+        fingerprints = [
+            _mrr_fingerprint(
+                MRRCollection.generate(
+                    graph, campaign, theta=500, seed=79, piece_graphs=pgs,
+                    workers=workers,
+                )
+            )
+            for workers in (None, 0, "serial", 2)
+        ]
+        assert all(fp == fingerprints[0] for fp in fingerprints[1:])
 
     def test_adoption_utility_workers_reproduce_exactly(self, world):
         _, _, pgs = world

@@ -350,9 +350,7 @@ class TestLegacyBitIdentity:
         )
         assert np.array_equal(legacy.roots, new.roots)
         for j in range(legacy.num_pieces):
-            for a, b in zip(legacy._rr_ptr, new._rr_ptr):
-                assert np.array_equal(a, b)
-            for a, b in zip(legacy._rr_nodes, new._rr_nodes):
+            for a, b in zip(legacy.store.rr_arrays(j), new.store.rr_arrays(j)):
                 assert np.array_equal(a, b)
 
     def test_generate_runtime_matches_no_knobs_default(
@@ -365,8 +363,11 @@ class TestLegacyBitIdentity:
             small_random_graph, small_campaign, 150, seed=5,
             runtime=Runtime(),
         )
-        for a, b in zip(bare._rr_nodes, via_runtime._rr_nodes):
-            assert np.array_equal(a, b)
+        for j in range(bare.num_pieces):
+            for a, b in zip(
+                bare.store.rr_arrays(j), via_runtime.store.rr_arrays(j)
+            ):
+                assert np.array_equal(a, b)
 
     def test_ris_legacy_vs_runtime(self, piece_graph):
         with pytest.warns(DeprecationWarning):
@@ -454,27 +455,24 @@ class TestLegacyBitIdentity:
         # workers: the parallel runtime is engaged iff the resolved
         # width asks for it.
         calls = []
-        original = parallel_mod.sample_piece_blocks
+        original = parallel_mod.stream_piece_blocks
 
         def spy(*args, **kwargs):
             calls.append(kwargs.get("workers"))
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(parallel_mod, "sample_piece_blocks", spy)
-        # Pin the store: sample_piece_blocks is the *memory*-store
-        # fan-out (disk streams through stream_piece_blocks), so the
-        # spy must not depend on the REPRO_STORE matrix leg.
+        monkeypatch.setattr(parallel_mod, "stream_piece_blocks", spy)
+        pinned = Runtime(workers=2, store="memory", artifacts="off")
         MRRCollection.generate(
-            small_random_graph, small_campaign, 60, seed=1,
-            runtime=Runtime(workers=2, store="memory"),
+            small_random_graph, small_campaign, 60, seed=1, runtime=pinned,
         )
         assert calls == [2]
         with pytest.warns(DeprecationWarning):
             MRRCollection.generate(
                 small_random_graph, small_campaign, 60, seed=1,
-                runtime=Runtime(workers=2, store="memory"), workers=0,
+                runtime=pinned, workers=0,
             )
-        assert calls == [2]  # explicit serial kwarg beat the field
+        assert calls == [2, 1]  # explicit serial kwarg beat the field
 
     def test_no_warning_on_runtime_path(
         self, small_random_graph, small_campaign, recwarn

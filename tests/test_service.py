@@ -83,6 +83,7 @@ def test_spec_defaults_are_reproducible():
             "JSON-serialisable",
         ),
         ([1, 2], "JSON object"),
+        ({"dataset": "lastfm", "theta": 10, "seed": -1}, "non-negative"),
     ],
 )
 def test_spec_rejects_bad_payloads(payload, fragment):
@@ -326,6 +327,13 @@ def test_http_error_routes(service):
         service, "POST", "/v1/jobs", {**SPEC, "dataset": "nope"}
     )
     assert status == 400 and "unknown dataset" in body["error"]
+
+
+def test_http_rejects_negative_seed_at_submit(service):
+    status, body = _request(service, "POST", "/v1/jobs", {**SPEC, "seed": -1})
+    assert status == 400 and "seed" in body["error"]
+    status, metrics = _request(service, "GET", "/metrics")
+    assert metrics["jobs"]["submitted"] == 0  # never reached the queue
 
 
 def test_http_rejects_non_json_body(service):

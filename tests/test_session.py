@@ -59,8 +59,10 @@ class TestLegacyBitIdentity:
         assert np.array_equal(session.problem.pool, problem.pool)
         session.sample(300)
         assert np.array_equal(session.mrr.roots, mrr.roots)
-        for a, b in zip(session.mrr._rr_nodes, mrr._rr_nodes):
-            assert np.array_equal(a, b)
+        for j in range(mrr.num_pieces):
+            ours, legacy = session.mrr.store.rr_arrays(j), mrr.store.rr_arrays(j)
+            for a, b in zip(ours, legacy):
+                assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("method", ["bab", "bab-p"])
     def test_bab_matches_legacy(self, session, legacy_pipeline, method):

@@ -78,8 +78,8 @@ def _assert_collections_equal(a: MRRCollection, b: MRRCollection) -> None:
     assert (a.n, a.theta, a.num_pieces) == (b.n, b.theta, b.num_pieces)
     np.testing.assert_array_equal(a.roots, b.roots)
     for j in range(a.num_pieces):
-        np.testing.assert_array_equal(a._rr_ptr[j], b._rr_ptr[j])
-        np.testing.assert_array_equal(a._rr_nodes[j], b._rr_nodes[j])
+        for x, y in zip(a.store.rr_arrays(j), b.store.rr_arrays(j)):
+            np.testing.assert_array_equal(x, y)
         pa, sa = a.index_arrays(j)
         pb, sb = b.index_arrays(j)
         np.testing.assert_array_equal(pa, pb)
