@@ -17,6 +17,18 @@ experiments (Sec. VI-A), as soon as the relative gap falls within
 (1 − 1/e) guarantee of Theorem 2; with the progressive bound,
 (1 − 1/e − eps) per Theorem 3 — both with respect to the MRR-estimated
 objective.
+
+The heap is keyed on the bound with a monotone push counter as the
+deterministic tie-break, and ``incumbent=`` seeds the lower bound.  The
+promoter pool is fixed for the whole solve, so the solver builds one
+:class:`~repro.core.upper_bound.PoolIndex` up front: each piece's
+inverted-index slabs for the pool, gathered once, which every bound's
+initial scan, threshold sweep and commits then read as zero-copy views.
+It is resident only when the pool's slab bytes fit the store's gather
+budget (always in RAM); over budget every read streams through the
+collection as before.  Either way every ``SolverResult`` — plan,
+utility, upper bound and each diagnostics counter, ``tau_evaluations``
+included — is bit-identical to re-gathering per evaluation.
 """
 
 from __future__ import annotations
@@ -35,6 +47,7 @@ from repro.core.plan import AssignmentPlan
 from repro.core.problem import OIPAProblem
 from repro.core.progressive import compute_bound_progressive
 from repro.core.tangent import MajorantTable
+from repro.core.upper_bound import PoolIndex
 from repro.exceptions import BudgetExhaustedError, SolverError
 from repro.sampling.mrr import MRRCollection
 from repro.utils.timer import Timer
@@ -179,6 +192,7 @@ class BranchAndBoundSolver:
         self.table = MajorantTable(
             problem.adoption, problem.num_pieces, method=majorant
         )
+        self.index = PoolIndex(mrr, problem.pool)
 
     # ------------------------------------------------------------------
 
@@ -198,6 +212,7 @@ class BranchAndBoundSolver:
                 self.problem.k,
                 lazy=self.lazy,
                 base=base,
+                index=self.index,
             )
         return compute_bound_progressive(
             self.mrr,
@@ -208,6 +223,7 @@ class BranchAndBoundSolver:
             self.problem.k,
             epsilon=self.epsilon,
             base=base,
+            index=self.index,
         )
 
     def solve(self) -> SolverResult:

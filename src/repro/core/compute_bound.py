@@ -13,6 +13,14 @@ Both the literal rescanning greedy of Algorithm 2 and a lazy (CELF-style)
 variant are provided.  They select identical sets — laziness is sound for
 any submodular function — but the lazy variant performs far fewer ``tau``
 evaluations; the ablation benchmark measures the difference.
+
+Candidates are cells of an ``(l, |pool|)`` availability mask
+(:meth:`CandidateSpace.available`) scanned against a
+:class:`~repro.core.upper_bound.PoolIndex`: one vectorised pass per
+piece over the whole pool, with taken and excluded cells masked out and
+not counted as evaluations.  Flat cell order is piece-major, then pool
+order — the order of :meth:`CandidateSpace.pairs`, which every
+tie-break follows.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ import numpy as np
 from repro.core.coverage import CoverageState
 from repro.core.plan import AssignmentPlan
 from repro.core.tangent import MajorantTable
-from repro.core.upper_bound import TauState
+from repro.core.upper_bound import PoolIndex, TauState
 from repro.diffusion.adoption import AdoptionModel
 from repro.exceptions import SolverError
 from repro.sampling.mrr import MRRCollection
@@ -34,7 +42,6 @@ __all__ = [
     "BoundResult",
     "CandidateSpace",
     "compute_bound",
-    "evaluate_pair_gains",
 ]
 
 
@@ -64,17 +71,29 @@ class CandidateSpace:
             self.pool, self.num_pieces, self.excluded | {(int(vertex), int(piece))}
         )
 
-    def pairs(self, plan: AssignmentPlan) -> list[tuple[int, int]]:
-        """All selectable (vertex, piece) pairs given the current plan."""
-        out: list[tuple[int, int]] = []
+    def available(self, plan: AssignmentPlan) -> np.ndarray:
+        """``(l, |pool|)`` mask of the selectable cells given ``plan``.
+
+        Cell ``(j, p)`` is ``(pool[p], j)``; it is unavailable when the
+        plan already assigns that vertex to piece ``j`` or the pair was
+        excluded by branching.
+        """
+        pool = np.asarray(self.pool, dtype=np.int64)
+        mask = np.ones((self.num_pieces, pool.size), dtype=bool)
         for j in range(self.num_pieces):
-            taken = plan.seed_sets[j]
-            for v in self.pool:
-                v = int(v)
-                if v in taken or (v, j) in self.excluded:
-                    continue
-                out.append((v, j))
-        return out
+            for v in plan.seed_sets[j]:
+                mask[j, pool == v] = False
+        for v, j in self.excluded:
+            mask[j, pool == v] = False
+        return mask
+
+    def pairs(self, plan: AssignmentPlan) -> list[tuple[int, int]]:
+        """All selectable (vertex, piece) pairs, piece-major, pool order."""
+        pool = np.asarray(self.pool, dtype=np.int64).tolist()
+        pieces, positions = np.nonzero(self.available(plan))
+        return [
+            (pool[p], j) for j, p in zip(pieces.tolist(), positions.tolist())
+        ]
 
     def __len__(self) -> int:
         return self.num_pieces * len(self.pool) - len(self.excluded)
@@ -122,6 +141,7 @@ def compute_bound(
     *,
     lazy: bool = True,
     base: CoverageState | None = None,
+    index: PoolIndex | None = None,
 ) -> BoundResult:
     """Run Algorithm 2 for one search node.
 
@@ -146,25 +166,47 @@ def compute_bound(
         ``from_plan`` rebuild, so bounds are unchanged; only the
         reconstruction cost disappears.  The state is consumed (anchored
         by the tau evaluation) and must not be reused by the caller.
+    index:
+        The pool's slab index (:class:`~repro.core.upper_bound.PoolIndex`
+        over ``candidates.pool``).  The BAB driver builds one per solve;
+        a standalone call builds its own.  Bounds are identical either
+        way.
     """
+    tau, available, budget = _open_bound(
+        mrr, table, adoption, partial_plan, candidates, k, base, index
+    )
+    if lazy:
+        picks = _greedy_lazy(tau, available, budget)
+    else:
+        picks = _greedy_plain(tau, available, budget)
+    return _bound_result(tau, partial_plan, picks)
+
+
+def _open_bound(mrr, table, adoption, partial_plan, candidates, k, base, index):
+    """Shared prologue of both bounds: ``(tau, available, budget)``."""
     if partial_plan.size > k:
         raise SolverError(
             f"partial plan already uses {partial_plan.size} > k = {k}"
         )
+    if index is None:
+        index = PoolIndex(mrr, candidates.pool)
+    elif not np.array_equal(index.pool, candidates.pool):
+        raise SolverError("pool index and candidate space disagree on the pool")
     if base is None:
         base = CoverageState.from_plan(mrr, partial_plan)
-    tau = TauState(mrr, table, base, adoption)
-    budget = k - partial_plan.size
-    pairs = candidates.pairs(partial_plan)
-    if lazy:
-        picks = _greedy_lazy(tau, pairs, budget)
-    else:
-        picks = _greedy_plain(tau, pairs, budget)
-    plan = partial_plan
+    tau = TauState(mrr, table, base, adoption, index=index)
+    return tau, candidates.available(partial_plan), k - partial_plan.size
+
+
+def _bound_result(
+    tau: TauState, partial_plan: AssignmentPlan, picks: list[tuple[int, int]]
+) -> BoundResult:
+    """Package a finished greedy: the plan is built once from ``picks``."""
+    seed_sets = [set(s) for s in partial_plan.seed_sets]
     for v, j in picks:
-        plan = plan.with_assignment(v, j)
+        seed_sets[j].add(v)
     return BoundResult(
-        plan=plan,
+        plan=AssignmentPlan(seed_sets),
         lower=tau.utility(),
         upper=tau.value,
         first_pick=picks[0] if picks else None,
@@ -173,87 +215,67 @@ def compute_bound(
     )
 
 
-def evaluate_pair_gains(
-    tau: TauState, pairs: list[tuple[int, int]]
-) -> np.ndarray:
-    """Marginal tau gains of every (vertex, piece) pair, kernel-batched.
-
-    Pairs are grouped by piece so each group costs one vectorized
-    :meth:`TauState.marginal_gains` call; the result aligns with
-    ``pairs``.  Evaluation accounting matches the scalar loop exactly
-    (one tau evaluation per pair).
-    """
-    gains = np.zeros(len(pairs), dtype=np.float64)
-    by_piece: dict[int, tuple[list[int], list[int]]] = {}
-    for pos, (v, j) in enumerate(pairs):
-        positions, vertices = by_piece.setdefault(j, ([], []))
-        positions.append(pos)
-        vertices.append(v)
-    for j, (positions, vertices) in by_piece.items():
-        gains[positions] = tau.marginal_gains(
-            np.asarray(vertices, dtype=np.int64), j
-        )
-    return gains
-
-
 def _greedy_plain(
-    tau: TauState, pairs: list[tuple[int, int]], budget: int
+    tau: TauState, available: np.ndarray, budget: int
 ) -> list[tuple[int, int]]:
     """Algorithm 2's literal loop: rescan every candidate per iteration.
 
-    The rescan itself runs through the batched coverage kernel — same
-    gains, same first-maximum tie-breaking, same evaluation count as the
-    per-candidate reference loop, one NumPy dispatch per piece instead
-    of one Python call per candidate.
+    The rescan is one vectorised pool scan per piece — same gains, same
+    first-maximum tie-breaking (flat cell order), same evaluation count
+    as the per-candidate reference loop.  Unavailable cells scan as
+    zero, so a positive maximum is always an available cell.
     """
+    pool = tau.index.pool
+    vertices = pool.tolist()
+    available = available.copy()
     picks: list[tuple[int, int]] = []
-    chosen: set[tuple[int, int]] = set()
     for _ in range(budget):
-        remaining = [pair for pair in pairs if pair not in chosen]
-        if not remaining:
+        if not available.any():
             break
-        gains = evaluate_pair_gains(tau, remaining)
+        gains = tau.pool_gains(available).ravel()
         best = int(np.argmax(gains))  # first maximum, like the scan loop
         if gains[best] <= 0.0:
             break
-        best_pair = remaining[best]
-        tau.add(best_pair[0], best_pair[1])
-        chosen.add(best_pair)
-        picks.append(best_pair)
+        j, pos = divmod(best, pool.size)
+        v = vertices[pos]
+        tau.add(v, j)
+        available[j] &= pool != v
+        picks.append((v, j))
     return picks
 
 
 def _greedy_lazy(
-    tau: TauState, pairs: list[tuple[int, int]], budget: int
+    tau: TauState, available: np.ndarray, budget: int
 ) -> list[tuple[int, int]]:
     """CELF lazy greedy: stale upper bounds re-evaluated on demand.
 
     Sound because ``tau`` is submodular: a candidate's cached gain can
     only shrink as the set grows, so an entry re-evaluated at the current
     set size that still tops the heap is the true argmax.  The initial
-    full scan — the dominant cost — is one batched kernel call; on-demand
-    re-evaluations reuse the same kernel so cached and fresh gains round
-    identically.
+    full scan — the dominant cost — is one vectorised pool scan per
+    piece; on-demand re-evaluations use the one-slab case of the same
+    kernel so cached and fresh gains round identically.  Heap ties break
+    on the flat cell index, i.e. piece-major pool order.
     """
-    heap: list[tuple[float, int, tuple[int, int], int]] = []
-    initial = evaluate_pair_gains(tau, pairs)
-    for idx, pair in enumerate(pairs):
-        gain = float(initial[idx])
-        if gain > 0.0:
-            heap.append((-gain, idx, pair, 0))
+    vertices = tau.index.pool.tolist()
+    size = len(vertices)
+    initial = tau.pool_gains(available).ravel()
+    cells = np.flatnonzero(initial > 0.0)
+    heap = [
+        (-gain, cell, 0)
+        for gain, cell in zip(initial[cells].tolist(), cells.tolist())
+    ]
     heapq.heapify(heap)
     picks: list[tuple[int, int]] = []
     while heap and len(picks) < budget:
-        neg_gain, idx, pair, evaluated_at = heapq.heappop(heap)
+        _, cell, evaluated_at = heapq.heappop(heap)
+        j, pos = divmod(cell, size)
+        pair = (vertices[pos], j)
         if evaluated_at == len(picks):
-            tau.add(pair[0], pair[1])
+            tau.add(*pair)
             picks.append(pair)
             continue
-        gain = float(
-            tau.marginal_gains(
-                np.asarray([pair[0]], dtype=np.int64), pair[1]
-            )[0]
-        )
+        gain = tau.marginal_gain(*pair)
         if gain > 0.0:
-            heapq.heappush(heap, (-gain, idx, pair, len(picks)))
+            heapq.heappush(heap, (-gain, cell, len(picks)))
     return picks

@@ -31,14 +31,14 @@ import numpy as np
 from repro.core.compute_bound import (
     BoundResult,
     CandidateSpace,
-    evaluate_pair_gains,
+    _bound_result,
+    _open_bound,
 )
 from repro.core.coverage import CoverageState
 from repro.core.plan import AssignmentPlan
 from repro.core.tangent import MajorantTable
-from repro.core.upper_bound import TauState
+from repro.core.upper_bound import PoolIndex
 from repro.diffusion.adoption import AdoptionModel
-from repro.exceptions import SolverError
 from repro.sampling.mrr import MRRCollection
 from repro.utils.validation import check_positive
 
@@ -57,62 +57,56 @@ def compute_bound_progressive(
     *,
     epsilon: float = 0.5,
     base: CoverageState | None = None,
+    index: PoolIndex | None = None,
 ) -> BoundResult:
     """Run Algorithm 3 for one search node.
 
     ``epsilon`` is the threshold-decay knob the experiments sweep in
     Fig. 3: larger values take bigger threshold steps (faster, coarser),
     degrading the guarantee to (1 − 1/e − eps).  ``base`` optionally
-    supplies a pre-built coverage of ``partial_plan`` (see
-    :func:`repro.core.compute_bound.compute_bound`); bounds are
-    identical either way.
+    supplies a pre-built coverage of ``partial_plan`` and ``index`` the
+    pool's slab index (see :func:`repro.core.compute_bound.compute_bound`);
+    bounds are identical either way.
     """
     check_positive("epsilon", epsilon)
-    if partial_plan.size > k:
-        raise SolverError(
-            f"partial plan already uses {partial_plan.size} > k = {k}"
-        )
-    if base is None:
-        base = CoverageState.from_plan(mrr, partial_plan)
-    tau = TauState(mrr, table, base, adoption)
-    budget = k - partial_plan.size
+    tau, available, budget = _open_bound(
+        mrr, table, adoption, partial_plan, candidates, k, base, index
+    )
 
     # Line 2: order candidates by individual gain delta_∅(v) — one
-    # batched kernel scan instead of a per-candidate loop.
-    pairs = candidates.pairs(partial_plan)
-    initial = evaluate_pair_gains(tau, pairs)
-    individual: list[tuple[float, tuple[int, int]]] = [
-        (float(gain), pair)
-        for gain, pair in zip(initial, pairs)
-        if gain > 0.0
-    ]
-    individual.sort(key=lambda item: -item[0])
+    # vectorised pool scan per piece, then a stable sort on -gain
+    # (ties keep piece-major pool order).  Only positive gains enter.
+    initial = tau.pool_gains(available).ravel()
+    order = np.argsort(-initial, kind="stable")
+    order = order[: np.count_nonzero(initial > 0.0)]
+    deltas = initial[order].tolist()
+    pieces, positions = np.divmod(order, tau.index.pool.size)
+    individual = list(
+        zip(tau.index.pool[positions].tolist(), pieces.tolist())
+    )
 
     picks: list[tuple[int, int]] = []
     if individual and budget > 0:
         # Lines 3-4: threshold starts at the largest individual gain.
-        max_inf = individual[0][0]
-        h = max_inf
+        h = deltas[0]
+        smallest = deltas[-1]
         chosen: set[tuple[int, int]] = set()
         # Lines 6-15: progressive threshold sweep.
         while len(picks) < budget:
             advanced = False
-            for delta_0, pair in individual:
+            for delta_0, pair in zip(deltas, individual):
                 if delta_0 < h:
                     # Lines 11-12: sorted order => everything further is
                     # below h too (submodularity: marginal <= individual).
                     break
                 if pair in chosen:
                     continue
-                # Same kernel as the initial scan, so cached individual
-                # gains and fresh re-evaluations round identically.
-                gain = float(
-                    tau.marginal_gains(
-                        np.asarray([pair[0]], dtype=np.int64), pair[1]
-                    )[0]
-                )
+                # The one-slab case of the initial scan's kernel, so
+                # cached individual gains and fresh re-evaluations
+                # round identically.
+                gain = tau.marginal_gain(*pair)
                 if gain >= h:
-                    tau.add(pair[0], pair[1])
+                    tau.add(*pair)
                     chosen.add(pair)
                     picks.append(pair)
                     advanced = True
@@ -128,17 +122,7 @@ def compute_bound_progressive(
             # Safety: once the threshold sinks below every remaining
             # individual gain and a full sweep added nothing, no further
             # sweep can add anything either.
-            if not advanced and h < min(g for g, _ in individual):
+            if not advanced and h < smallest:
                 break
 
-    plan = partial_plan
-    for v, j in picks:
-        plan = plan.with_assignment(v, j)
-    return BoundResult(
-        plan=plan,
-        lower=tau.utility(),
-        upper=tau.value,
-        first_pick=picks[0] if picks else None,
-        evaluations=tau.evaluations,
-        selected=len(picks),
-    )
+    return _bound_result(tau, partial_plan, picks)

@@ -21,6 +21,32 @@ O(theta) per-sample anchor array, and both count arrays are
 copy-on-write clones of the base's — the first :meth:`add` pays the one
 copy, while bound computations that never commit (pruned nodes) pay
 nothing.
+
+Every gain is one kernel: a slab's majorant gains, zeroed where the
+cell is already covered, summed left to right (``np.add.reduceat``, the
+reduction :func:`~repro.utils.frontier.segment_sums` applies per slab).
+:meth:`TauState.marginal_gain` is the one-slab case of the batched
+:meth:`TauState.marginal_gains` and :meth:`TauState.pool_gains`, so a
+cached scan gain and a later re-evaluation of the same cell round
+identically.  Only :meth:`TauState.add` sums its fresh subset pairwise,
+which is what ``tau.value`` has always accumulated.
+
+:class:`PoolIndex` is the branch-and-bound solver's per-solve slab
+cache.  The promoter pool is fixed for a whole solve, so the solver
+gathers each piece's inverted-index slabs for the pool once — the
+concatenated sample ids, per-pool-position slab starts and lengths, and
+a vertex→position map — and every bound's initial scan, threshold-sweep
+re-evaluation and commit reads a zero-copy view of it instead of
+re-validating and re-gathering one slab per call.  Budget rule: the
+index is resident only when the pool's slab bytes across all pieces
+(``8 * sum(deg)``, computed from the ``idx_ptr`` degrees in O(pool))
+fit the store's :attr:`~repro.sampling.store.SampleStore.gather_chunk_bytes`
+(always on the in-RAM store).  Over budget it holds nothing: scans
+stream through :meth:`MRRCollection.iter_index_slabs` and single slabs
+come from :meth:`MRRCollection.samples_containing`, exactly as without
+an index, so a disk store's ``max_resident_bytes`` contract holds.  The
+choice is made once per solve; the arithmetic is the same code either
+way, so results are bit-identical.
 """
 
 from __future__ import annotations
@@ -33,8 +59,92 @@ from repro.diffusion.adoption import AdoptionModel
 from repro.exceptions import SolverError
 from repro.sampling.mrr import MRRCollection
 from repro.utils.frontier import segment_sums
+from repro.utils.validation import check_index_array
 
-__all__ = ["TauState"]
+__all__ = ["PoolIndex", "TauState"]
+
+_FIRST = np.zeros(1, dtype=np.int64)  # reduceat start of a one-slab sum
+
+
+class PoolIndex:
+    """One solve's promoter-pool inverted-index slabs, gathered once.
+
+    ``pool`` is the candidate vertex array (pool order is scan order).
+    When :attr:`resident`, piece ``j``'s slabs are one concatenated
+    read-only sample-id array with per-position ``deg`` and bounds;
+    otherwise nothing is held and every read goes to the collection
+    (see the module docstring for the budget rule).
+    """
+
+    __slots__ = (
+        "mrr",
+        "pool",
+        "resident",
+        "_position",
+        "_samples",
+        "_deg",
+        "_start",
+        "_stop",
+    )
+
+    def __init__(self, mrr: MRRCollection, pool) -> None:
+        pool = np.asarray(pool, dtype=np.int64)
+        check_index_array("vertex", pool, mrr.n, exc=SolverError)
+        self.mrr = mrr
+        self.pool = pool
+        budget = mrr.store.gather_chunk_bytes
+        if budget is None:
+            self.resident = True
+        else:
+            slab_bytes = 0
+            for j in range(mrr.num_pieces):
+                ptr = mrr.store.idx_ptr(j)
+                slab_bytes += 8 * int((ptr[pool + 1] - ptr[pool]).sum())
+            self.resident = slab_bytes <= budget
+        self._position: dict[int, int] = {}
+        self._samples: list[np.ndarray] = []
+        self._deg: list[np.ndarray] = []
+        self._start: list[list[int]] = []
+        self._stop: list[list[int]] = []
+        if not self.resident:
+            return
+        for pos, v in enumerate(pool.tolist()):
+            self._position.setdefault(v, pos)
+        for j in range(mrr.num_pieces):
+            # Within budget, the chunked gather is a single chunk.
+            samples, deg = mrr.gather_index_slabs(j, pool, exc=SolverError)
+            samples.setflags(write=False)
+            self._samples.append(samples)
+            self._deg.append(deg)
+            stop = np.cumsum(deg)
+            self._start.append((stop - deg).tolist())
+            self._stop.append(stop.tolist())
+
+    def slab(self, piece: int, vertex: int) -> np.ndarray:
+        """Sample ids whose ``piece`` RR set contains ``vertex``.
+
+        A zero-copy view for a pool vertex of a resident index; any
+        other request reads (and validates) through the collection.
+        """
+        pos = self._position.get(vertex)
+        if pos is None or not (0 <= piece < len(self._start)):
+            return self.mrr.samples_containing(piece, vertex)
+        return self._samples[piece][
+            self._start[piece][pos] : self._stop[piece][pos]
+        ]
+
+    def slabs(self, piece: int):
+        """Every pool vertex's ``piece`` slab, as ``(samples, deg, lo, hi)``.
+
+        The chunk protocol of :meth:`MRRCollection.iter_index_slabs`: one
+        chunk when resident, the store-budgeted chunks otherwise.
+        """
+        if self.resident:
+            yield self._samples[piece], self._deg[piece], 0, self.pool.size
+        else:
+            yield from self.mrr.iter_index_slabs(
+                piece, self.pool, exc=SolverError
+            )
 
 
 class TauState:
@@ -62,6 +172,7 @@ class TauState:
         "scale",
         "evaluations",
         "_value",
+        "index",
     )
 
     def __init__(
@@ -70,15 +181,19 @@ class TauState:
         table: MajorantTable,
         base_coverage: CoverageState,
         adoption: AdoptionModel,
+        index: PoolIndex | None = None,
     ) -> None:
         if table.num_pieces != mrr.num_pieces:
             raise SolverError(
                 f"majorant table built for l={table.num_pieces} but the MRR "
                 f"collection has {mrr.num_pieces} pieces"
             )
+        if index is not None and index.mrr is not mrr:
+            raise SolverError("pool index was built on another collection")
         self.mrr = mrr
         self.table = table
         self.adoption = adoption
+        self.index = index
         # Copy-on-write clones of the base's packed cell set and counts:
         # O(l) here, and greedy growth only duplicates what it touches —
         # the base coverage is never written through the share.  The
@@ -125,20 +240,42 @@ class TauState:
         """The *actual* AU estimate of the tracked coverage (Eq. 6)."""
         return self.mrr.estimate_from_counts(self.counts, self.adoption)
 
+    def _slab(self, piece: int, vertex: int) -> np.ndarray:
+        if self.index is not None:
+            return self.index.slab(piece, vertex)
+        return self.mrr.samples_containing(piece, vertex)
+
+    def _slab_values(self, piece: int, samples: np.ndarray) -> np.ndarray:
+        """Majorant gains of ``samples``' cells, zero where covered."""
+        fresh = ~self.bits.test(piece, samples)
+        return np.where(
+            fresh,
+            self.table.gains[self.base_counts[samples], self.counts[samples]],
+            0.0,
+        )
+
+    def _scan(self, piece: int, chunks, size: int) -> np.ndarray:
+        gains = np.zeros(size, dtype=np.float64)
+        for samples, deg, lo, hi in chunks:
+            if samples.size:
+                gains[lo:hi] = segment_sums(
+                    self._slab_values(piece, samples), deg
+                )
+        return self.scale * gains
+
     def marginal_gain(self, vertex: int, piece: int) -> float:
         """``tau`` gain of adding ``(vertex, piece)`` — no mutation.
 
-        Each call is one tau evaluation (Theorem 4's unit of work).
+        Each call is one tau evaluation (Theorem 4's unit of work).  The
+        one-slab case of :meth:`marginal_gains`: bit-identical to
+        ``marginal_gains([vertex], piece)[0]``.
         """
         self.evaluations += 1
-        samples = self.mrr.samples_containing(piece, vertex)
+        samples = self._slab(piece, vertex)
         if samples.size == 0:
             return 0.0
-        fresh = samples[~self.bits.test(piece, samples)]
-        if fresh.size == 0:
-            return 0.0
-        gains = self.table.gains[self.base_counts[fresh], self.counts[fresh]]
-        return float(self.scale * gains.sum())
+        vals = self._slab_values(piece, samples)
+        return float(self.scale * np.add.reduceat(vals, _FIRST)[0])
 
     def marginal_gains(self, vertices, piece: int) -> np.ndarray:
         """``tau`` gains of every ``(v, piece)`` candidate — no mutation.
@@ -154,26 +291,30 @@ class TauState:
         identical for every chunking.
         """
         vertices = np.asarray(vertices, dtype=np.int64)
-        gains = np.zeros(vertices.size, dtype=np.float64)
         self.evaluations += int(vertices.size)
-        base_counts, counts = self.base_counts, self.counts
-        for samples, deg, lo, hi in self.mrr.iter_index_slabs(
-            piece, vertices, exc=SolverError
-        ):
-            if samples.size == 0:
-                continue
-            fresh = ~self.bits.test(piece, samples)
-            vals = np.where(
-                fresh,
-                self.table.gains[base_counts[samples], counts[samples]],
-                0.0,
-            )
-            gains[lo:hi] = segment_sums(vals, deg)
-        return self.scale * gains
+        chunks = self.mrr.iter_index_slabs(piece, vertices, exc=SolverError)
+        return self._scan(piece, chunks, vertices.size)
+
+    def pool_gains(self, available: np.ndarray) -> np.ndarray:
+        """Gains of every (piece, pool position) cell of the index.
+
+        ``available`` is an ``(l, |pool|)`` bool mask; the result has
+        its shape, with unavailable cells zero.  One scan per piece
+        with any available cell; only available cells count as tau
+        evaluations.
+        """
+        gains = np.zeros(available.shape, dtype=np.float64)
+        for j in range(available.shape[0]):
+            mask = available[j]
+            if mask.any():
+                gains[j] = self._scan(j, self.index.slabs(j), mask.size)
+                gains[j, ~mask] = 0.0
+        self.evaluations += int(np.count_nonzero(available))
+        return gains
 
     def add(self, vertex: int, piece: int) -> float:
         """Commit ``(vertex, piece)``; return the realised ``tau`` gain."""
-        samples = self.mrr.samples_containing(piece, vertex)
+        samples = self._slab(piece, vertex)
         if samples.size == 0:
             return 0.0
         fresh = samples[~self.bits.test(piece, samples)]

@@ -70,21 +70,45 @@ def test_lazy_and_plain_same_incumbent(instance):
     )
 
 
-def test_progressive_epsilon_affects_work(instance):
-    problem, mrr = instance
-    fine = BranchAndBoundSolver(
-        problem, mrr, bound="progressive", epsilon=0.05, gap_tolerance=0.0
-    ).solve()
-    coarse = BranchAndBoundSolver(
-        problem, mrr, bound="progressive", epsilon=0.9, gap_tolerance=0.0
-    ).solve()
-    per_bound_fine = fine.diagnostics.tau_evaluations / max(
-        fine.diagnostics.bounds_computed, 1
-    )
-    per_bound_coarse = coarse.diagnostics.tau_evaluations / max(
-        coarse.diagnostics.bounds_computed, 1
-    )
-    assert per_bound_coarse <= per_bound_fine
+def test_progressive_epsilon_affects_work():
+    """Coarser threshold decay costs fewer tau evaluations per bound.
+
+    A heuristic, not a theorem, per instance: one draw can make
+    eps=0.9 dearer than eps=0.05 on a single pool.  So per-bound
+    evaluations are averaged over several seeded instances, large
+    enough (k=6) for the threshold sweep, not the initial scan, to
+    carry the difference.
+    """
+
+    def per_bound(problem, mrr, epsilon):
+        diag = BranchAndBoundSolver(
+            problem,
+            mrr,
+            bound="progressive",
+            epsilon=epsilon,
+            gap_tolerance=0.0,
+            max_nodes=40,
+        ).solve().diagnostics
+        return diag.tau_evaluations / max(diag.bounds_computed, 1)
+
+    fine, coarse = [], []
+    for s in range(0, 60, 10):
+        src, dst = preferential_attachment_digraph(70, 2, seed=61 + s)
+        graph = build_topic_graph(
+            70, src, dst, 3, topics_per_edge=1.5, prob_mean=0.25, seed=62 + s
+        )
+        campaign = Campaign.sample_unit(2, 3, seed=63 + s)
+        problem = OIPAProblem(
+            graph,
+            campaign,
+            AdoptionModel.from_ratio(0.3),
+            k=6,
+            pool=np.arange(0, 70, 5),
+        )
+        mrr = MRRCollection.generate(graph, campaign, theta=1200, seed=64 + s)
+        fine.append(per_bound(problem, mrr, 0.05))
+        coarse.append(per_bound(problem, mrr, 0.9))
+    assert np.mean(coarse) < np.mean(fine)
 
 
 def test_gap_zero_explores_more_than_huge_gap(instance):
