@@ -15,13 +15,11 @@ Three extension studies DESIGN.md commits to:
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from conftest import write_artifact
 
 from repro.core.bab import solve_bab, solve_bab_progressive
 from repro.core.local_search import local_search
-from repro.core.problem import OIPAProblem
 from repro.diffusion.projection import project_campaign
 from repro.diffusion.threshold import LinearThresholdSampler, normalize_lt_weights
 from repro.experiments.runner import prepare_instance

@@ -25,9 +25,9 @@ sample store) lives on one frozen :class:`repro.runtime.Runtime`:
 >>> rt = Runtime(workers="auto", store="memory")
 >>> session = Session.from_dataset("lastfm", scale=0.1, seed=1, runtime=rt)
 
-The primitives remain available for hand-wired pipelines; their
-per-call execution kwargs are deprecated in favour of ``runtime=`` and
-produce bit-identical results either way.
+The primitives remain available for hand-wired pipelines; each takes
+the same ``runtime=`` (plus a per-call ``seed=``) and no other
+execution setting.
 """
 
 from repro.exceptions import (

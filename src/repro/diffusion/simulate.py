@@ -149,10 +149,6 @@ def simulate_piece_spread(
     rounds: int = 100,
     seed=None,
     runtime=None,
-    backend: str | None = None,
-    model: str | None = None,
-    workers=None,
-    executor: str | None = None,
     pool=None,
 ) -> float:
     """Monte-Carlo estimate of the classical influence spread sigma_im(S).
@@ -161,9 +157,8 @@ def simulate_piece_spread(
     cascade trials.  Execution policy (cascade backend, diffusion model,
     the parallel Monte-Carlo runtime) lives on one
     :class:`repro.runtime.Runtime` passed as ``runtime=`` and resolved
-    with the centralized order (explicit kwarg > Runtime field >
-    ``REPRO_*`` env > default); the per-call execution kwargs are
-    deprecated equivalents kept for backward compatibility.  LT graphs
+    with the centralized order (Runtime field > ``REPRO_*`` env >
+    default; a per-call ``seed`` beats ``Runtime.seed``).  LT graphs
     should be weight-normalised first.  Estimates are identical for
     every worker count; serial is the default.  Callers evaluating many
     spreads may pass a pre-built ``pool``
@@ -178,15 +173,7 @@ def simulate_piece_spread(
         spawn_task_seeds,
     )
 
-    rt = resolve_runtime(
-        runtime,
-        backend=backend,
-        model=model,
-        workers=workers,
-        executor=executor,
-        seed=seed,
-        caller="simulate_piece_spread",
-    )
+    rt = resolve_runtime(runtime, seed=seed)
     rounds = check_positive_int("rounds", rounds)
     model = rt.single_model()
     if model == "lt":
@@ -256,10 +243,6 @@ def simulate_adoption_utility(
     seed=None,
     return_std: bool = False,
     runtime=None,
-    backend: str | None = None,
-    model=None,
-    workers=None,
-    executor: str | None = None,
 ):
     """Monte-Carlo estimate of the adoption utility sigma(S-bar) (Eq. 2).
 
@@ -290,11 +273,9 @@ def simulate_adoption_utility(
         (fixed-size chunks of rounds on a thread/process pool with
         spawned child streams, merged in chunk order — estimates are
         identical for every worker count; serial is the default).
-        Resolved with the centralized order (explicit kwarg > Runtime
-        field > ``REPRO_*`` env > default).
-    backend, model, workers, executor:
-        Deprecated per-call equivalents of the ``runtime`` fields, kept
-        for backward compatibility.
+        Resolved with the centralized order (Runtime field >
+        ``REPRO_*`` env > default; a per-call ``seed`` beats
+        ``Runtime.seed``).
     """
     from repro.runtime import resolve_runtime
     from repro.sampling.batch import check_lt_feasible
@@ -305,15 +286,7 @@ def simulate_adoption_utility(
         spawn_task_seeds,
     )
 
-    rt = resolve_runtime(
-        runtime,
-        backend=backend,
-        model=model,
-        workers=workers,
-        executor=executor,
-        seed=seed,
-        caller="simulate_adoption_utility",
-    )
+    rt = resolve_runtime(runtime, seed=seed)
     if len(piece_graphs) != len(plan_seed_sets):
         raise ParameterError(
             f"{len(plan_seed_sets)} seed sets for {len(piece_graphs)} pieces"

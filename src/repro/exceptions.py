@@ -73,11 +73,12 @@ class ConfigError(ParameterError):
     """An environment/configuration knob holds an illegal value.
 
     Raised when ``REPRO_BACKEND`` / ``REPRO_WORKERS`` / ``REPRO_STORE``
-    (or their per-call counterparts) cannot be parsed — at the entry
-    point that resolves the knob, with a message naming the variable and
-    its legal values, instead of surfacing later as an obscure failure
-    inside pool or kernel setup.  Subclasses :class:`ParameterError` so
-    existing ``except ParameterError`` handling keeps working.
+    (or their :class:`~repro.runtime.Runtime` counterparts) cannot be
+    parsed — at the entry point that resolves the knob, with a message
+    naming the variable and its legal values, instead of surfacing
+    later as an obscure failure inside pool or kernel setup.
+    Subclasses :class:`ParameterError` so existing
+    ``except ParameterError`` handling keeps working.
     """
 
 

@@ -29,6 +29,7 @@ from repro.experiments.figures import (
     headline_claims,
     table3_datasets,
 )
+from repro.runtime import Runtime
 from repro.utils.tables import format_table
 
 __all__ = ["main", "build_parser"]
@@ -186,16 +187,19 @@ def main(argv: list[str] | None = None) -> int:
         overrides["datasets"] = tuple(args.datasets)
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    if args.executor is not None:
-        overrides["executor"] = args.executor
     if args.model is not None:
         overrides["model"] = (
             args.model[0] if len(args.model) == 1 else tuple(args.model)
         )
+    # Execution flags land on the profile's one Runtime (a flag beats
+    # the profile-supplied field it names).
+    flags = {}
+    if args.workers is not None:
+        flags["workers"] = args.workers
+    if args.executor is not None:
+        flags["executor"] = args.executor
     if args.store is not None:
-        overrides["store"] = args.store
+        flags["store"] = args.store
     if args.shard_dir is not None or args.max_resident_mb is not None:
         # The store may also resolve to disk via the profile or the
         # REPRO_STORE env default, so only the explicit contradiction
@@ -206,13 +210,13 @@ def main(argv: list[str] | None = None) -> int:
                 "--shard-dir / --max-resident-mb require the disk store"
             )
         if args.shard_dir is not None:
-            overrides["shard_dir"] = args.shard_dir
+            flags["shard_dir"] = args.shard_dir
         if args.max_resident_mb is not None:
-            overrides["max_resident_bytes"] = (
-                args.max_resident_mb * 1024 * 1024
-            )
+            flags["max_resident_bytes"] = args.max_resident_mb * 1024 * 1024
     if args.artifact_dir is not None:
-        overrides["artifacts"] = args.artifact_dir
+        flags["artifacts"] = args.artifact_dir
+    if flags:
+        overrides["runtime"] = (profile.runtime or Runtime()).replace(**flags)
     if overrides:
         profile = profile.with_overrides(**overrides)
 

@@ -70,65 +70,18 @@ class ExperimentProfile:
     eval_theta: int | None = None  # defaults to theta
     theta_multiplier: dict[str, float] = field(default_factory=dict)
     seed: int = 2019  # ICDE year; fixed for reproducibility
-    #: Sampling-runtime fan-out (``repro.sampling.parallel``): ``None``
-    #: runs the (piece, root block) tasks inline, ``"auto"``/int fan
-    #: them out on a pool.  Collections are identical for every worker
-    #: count, so figures stay reproducible.
-    workers: int | str | None = None
     #: Per-piece diffusion models: ``None`` (IC everywhere), one name,
     #: or a sequence cycled across the pieces of each cell — the
     #: mixed-model multiplex workload (``--model ic lt`` gives IC/LT
     #: alternating pieces at every ``l`` of a sweep).  LT pieces are
     #: weight-normalised by the runner before sampling.
     model: str | tuple[str, ...] | None = None
-    #: Sample-store layer (``repro.sampling.store``): ``None`` defers to
-    #: the ``REPRO_STORE`` env default, ``"memory"`` pins in-RAM arrays,
-    #: ``"disk"`` spills root-block shards under ``shard_dir`` (a temp
-    #: directory when unset) with resident sample memory bounded by
-    #: ``max_resident_bytes``.
-    store: str | None = None
-    shard_dir: str | None = None
-    max_resident_bytes: int | None = None
-    #: Pool flavour for the parallel runtime (``"thread"``/``"process"``).
-    executor: str | None = None
-    #: Content-addressed artifact cache (``repro.artifacts``): ``None``
-    #: defers to ``REPRO_ARTIFACTS``, ``"memory"`` caches in-process, a
-    #: path caches on disk so sweep cells sharing a (graph, campaign,
-    #: theta) reuse one sampled collection across the solver/k axes —
-    #: and across harness invocations.
-    artifacts: str | None = None
     #: One :class:`repro.runtime.Runtime` carrying the whole execution
-    #: policy.  The per-knob fields above remain as declarative/CLI
-    #: overlays: any that are set override the corresponding ``runtime``
-    #: field (see :meth:`resolved_runtime`).  ``model`` stays separate
-    #: because the harness cycles it per cell (:meth:`models_for`).
+    #: policy of every cell — sampling backend, worker pool + executor,
+    #: sample store + shard directory + memory budget, artifact cache —
+    #: (``None`` = all defaults).  ``model`` stays separate because the
+    #: harness cycles it per cell (:meth:`models_for`).
     runtime: Runtime | None = None
-
-    def resolved_runtime(self) -> Runtime:
-        """The profile's execution policy as one :class:`Runtime`.
-
-        Starts from the ``runtime`` field (or an all-defaults
-        :class:`Runtime`) and overlays the legacy per-knob profile
-        fields — the CLI flags keep feeding those, so ``--workers`` and
-        friends override a profile-supplied runtime the same way an
-        explicit kwarg overrides a ``Runtime`` field everywhere else.
-        The per-cell diffusion models are *not* folded in here; the
-        runner attaches :meth:`models_for`'s cycled tuple per cell.
-        """
-        base = self.runtime if self.runtime is not None else Runtime()
-        overlays = {
-            name: getattr(self, name)
-            for name in (
-                "workers",
-                "executor",
-                "store",
-                "shard_dir",
-                "max_resident_bytes",
-                "artifacts",
-            )
-            if getattr(self, name) is not None
-        }
-        return base.replace(**overlays) if overlays else base
 
     def scale_for(self, dataset: str) -> float | None:
         """Scale override for ``dataset`` (None = registry default)."""

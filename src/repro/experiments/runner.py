@@ -29,6 +29,7 @@ from repro.diffusion.threshold import normalize_lt_weights
 from repro.exceptions import ExperimentError
 from repro.experiments.config import ExperimentProfile
 from repro.im.baselines import im_baseline, tim_baseline
+from repro.runtime import Runtime
 from repro.sampling.mrr import MRRCollection
 from repro.topics.distributions import Campaign
 from repro.utils.rng import spawn_generators
@@ -138,7 +139,7 @@ def prepare_instance(
     opt_theta, eval_theta = profile.theta_for(dataset)
     # One Runtime for the cell; the optimisation and evaluation
     # collections only differ in their (role-keyed) shard directory.
-    cell_rt = profile.resolved_runtime()
+    cell_rt = profile.runtime or Runtime()
     if models is not None:
         cell_rt = cell_rt.replace(model=models)
     # The sampling seeds are *integers* drawn from the cell's spawned

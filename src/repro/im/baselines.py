@@ -81,21 +81,17 @@ def im_baseline(
     theta: int | None = None,
     seed=None,
     runtime=None,
-    backend: str | None = None,
 ) -> BaselineResult:
     """The ``IM`` baseline: topic-blind seed set, best single piece.
 
     ``theta`` controls the flattened-graph RR sample count for seed
     selection (defaults to the evaluation collection's theta);
     ``runtime`` (a :class:`repro.runtime.Runtime`) selects the RR
-    sampling engine — the per-call ``backend`` kwarg is the deprecated
-    equivalent.
+    sampling engine.
     """
     from repro.runtime import resolve_runtime
 
-    rt = resolve_runtime(
-        runtime, backend=backend, seed=seed, caller="im_baseline"
-    )
+    rt = resolve_runtime(runtime, seed=seed)
     theta = mrr.theta if theta is None else theta
     # Flat-graph RR sampling is timed separately (the paper excludes
     # sampling time from every method's reported run time).

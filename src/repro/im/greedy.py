@@ -31,10 +31,6 @@ def celf_greedy_im(
     rounds: int = 200,
     seed=None,
     runtime=None,
-    backend: str | None = None,
-    model: str | None = None,
-    workers=None,
-    executor: str | None = None,
 ) -> tuple[list[int], float]:
     """Select ``k`` seeds by CELF lazy greedy over simulated spread.
 
@@ -43,9 +39,8 @@ def celf_greedy_im(
     reduce comparison noise.  Execution policy (cascade kernel backend,
     diffusion model, the parallel Monte-Carlo runtime) lives on one
     :class:`repro.runtime.Runtime` passed as ``runtime=`` and resolved
-    with the centralized order (explicit kwarg > Runtime field >
-    ``REPRO_*`` env > default); the per-call execution kwargs are
-    deprecated equivalents kept for backward compatibility.  Under IC
+    with the centralized order (Runtime field > ``REPRO_*`` env >
+    default; a per-call ``seed`` beats ``Runtime.seed``).  Under IC
     the backend choice never changes the selected seeds (identical rng
     streams); under LT the masks can differ at last-ulp rounding (see
     :func:`repro.diffusion.threshold.simulate_lt_cascade`), and LT
@@ -66,15 +61,7 @@ def celf_greedy_im(
 
     # Entry validation: every execution knob must fail here (ConfigError)
     # instead of being silently ignored on whichever path is taken.
-    rt = resolve_runtime(
-        runtime,
-        backend=backend,
-        model=model,
-        workers=workers,
-        executor=executor,
-        seed=seed,
-        caller="celf_greedy_im",
-    )
+    rt = resolve_runtime(runtime, seed=seed)
     check_positive_int("k", k)
     check_positive_int("rounds", rounds)
     model = rt.single_model()

@@ -102,13 +102,6 @@ def ris_influence_maximization(
     pool: np.ndarray | None = None,
     seed=None,
     runtime=None,
-    backend: str | None = None,
-    model: str | None = None,
-    workers=None,
-    executor: str | None = None,
-    store=None,
-    shard_dir: str | None = None,
-    max_resident_bytes: int | None = None,
 ) -> tuple[list[int], float]:
     """End-to-end RIS IM on a homogeneous influence graph.
 
@@ -120,10 +113,9 @@ def ris_influence_maximization(
     Execution policy (sampling backend, diffusion model, parallel
     runtime, sample store) lives on one :class:`repro.runtime.Runtime`
     passed as ``runtime=`` and resolved with the centralized order
-    (explicit kwarg > Runtime field > ``REPRO_*`` env > default); the
-    per-call execution kwargs are deprecated equivalents kept for
-    backward compatibility with bit-identical seed sets.  Under LT the
-    graph should be weight-normalised first
+    (Runtime field > ``REPRO_*`` env > default; a per-call ``seed``
+    beats ``Runtime.seed``).  Under LT the graph should be
+    weight-normalised first
     (:func:`repro.diffusion.threshold.normalize_lt_weights`).  The RR
     sets come from the same coordinate-keyed stream as every MRR
     collection, so seed sets are identical for every worker count,
@@ -138,18 +130,7 @@ def ris_influence_maximization(
         task_block_size,
     )
 
-    rt = resolve_runtime(
-        runtime,
-        backend=backend,
-        model=model,
-        workers=workers,
-        executor=executor,
-        store=store,
-        shard_dir=shard_dir,
-        max_resident_bytes=max_resident_bytes,
-        seed=seed,
-        caller="ris_influence_maximization",
-    )
+    rt = resolve_runtime(runtime, seed=seed)
     check_positive_int("k", k)
     check_positive_int("theta", theta)
     if pool is None:

@@ -19,12 +19,10 @@ module is the single execution surface that replaces that scatter:
     The one resolution order, applied the same way by every entry
     point::
 
-        explicit kwarg  >  Runtime field  >  REPRO_* env  >  default
+        Runtime field  >  REPRO_* env  >  default
 
-    Explicit per-call execution kwargs remain supported for backward
-    compatibility but are deprecated: when an entry point passes its
-    ``caller`` name, any non-``None`` legacy knob emits a
-    :class:`DeprecationWarning` pointing at the ``runtime=`` spelling.
+    A per-call ``seed=`` is the only execution value an entry point
+    takes beside ``runtime=``; it beats ``Runtime.seed``.
 
 Environment overrides (``REPRO_BACKEND``, ``REPRO_WORKERS``,
 ``REPRO_EXECUTOR``, ``REPRO_STORE``) are parsed here, once, at import —
@@ -38,7 +36,6 @@ existing override points.
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -440,9 +437,9 @@ class Runtime(_ShardDirKeying):
         """A copy with selected fields replaced (re-validated)."""
         return replace(self, **changes)
 
-    def resolve(self, **explicit) -> "ResolvedRuntime":
+    def resolve(self, *, seed=None) -> "ResolvedRuntime":
         """Resolve this runtime (see :func:`resolve_runtime`)."""
-        return resolve_runtime(self, **explicit)
+        return resolve_runtime(self, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -556,17 +553,6 @@ class ResolvedRuntime(_ShardDirKeying):
 #: The all-defaults runtime every entry point falls back on.
 _DEFAULT_RUNTIME = Runtime()
 
-#: The seven legacy execution kwargs, in resolution order.
-_LEGACY_KNOBS = (
-    "backend",
-    "model",
-    "workers",
-    "executor",
-    "store",
-    "shard_dir",
-    "max_resident_bytes",
-)
-
 
 def as_runtime(runtime) -> Runtime:
     """Coerce ``None`` / :class:`Runtime` into a :class:`Runtime`."""
@@ -579,75 +565,28 @@ def as_runtime(runtime) -> Runtime:
     )
 
 
-def resolve_runtime(
-    runtime=None,
-    *,
-    backend=None,
-    model=None,
-    workers=None,
-    executor=None,
-    store=None,
-    shard_dir=None,
-    max_resident_bytes=None,
-    artifacts=None,
-    seed=None,
-    caller: str | None = None,
-    stacklevel: int = 3,
-) -> ResolvedRuntime:
+def resolve_runtime(runtime=None, *, seed=None) -> ResolvedRuntime:
     """Apply the centralized resolution order and validate every knob.
 
     ``runtime`` is a :class:`Runtime`, a :class:`ResolvedRuntime`
-    (idempotent pass-through plus overrides), or ``None``.  Each
-    explicit kwarg, when not ``None``, wins over the corresponding
-    runtime field; unset knobs fall through to the ``REPRO_*`` env
-    layer and finally the library default.  Every knob — including ones
-    a given entry point never exercises — is validated here, raising
-    :class:`ConfigError`, so a bad ``executor`` string — or a seed
-    outside ``None`` / non-negative int / ``Generator`` /
-    ``SeedSequence`` — fails at entry even on an inline path that would
-    never touch it.
-
-    When ``caller`` is given, any non-``None`` legacy kwarg emits a
-    :class:`DeprecationWarning` naming the new ``runtime=`` spelling;
-    internal code always goes through ``runtime=`` and never warns.
+    (idempotent pass-through), or ``None``.  Each unset field falls
+    through to the ``REPRO_*`` env layer and finally the library
+    default; a per-call ``seed``, when not ``None``, beats
+    ``Runtime.seed``.  Every knob — including ones a given entry point
+    never exercises — is validated here, raising :class:`ConfigError`,
+    so a bad ``executor`` string — or a seed outside ``None`` /
+    non-negative int / ``Generator`` / ``SeedSequence`` — fails at
+    entry even on an inline path that would never touch it.
     """
     base = as_runtime(runtime)
-    if caller is not None:
-        legacy = [
-            name
-            for name, value in zip(
-                _LEGACY_KNOBS,
-                (backend, model, workers, executor, store, shard_dir,
-                 max_resident_bytes),
-            )
-            if value is not None
-        ]
-        if legacy:
-            warnings.warn(
-                f"{caller}: the per-call execution kwargs "
-                f"({', '.join(legacy)}) are deprecated; pass "
-                f"runtime=Runtime({', '.join(f'{k}=...' for k in legacy)}) "
-                "instead",
-                DeprecationWarning,
-                stacklevel=stacklevel,
-            )
-    # Explicit kwarg > Runtime field; env > default is applied by the
-    # check_*/resolve_* helpers of the owning modules (their module
-    # globals re-export the env defaults parsed above).
+    # env > default is applied by the check_*/resolve_* helpers of the
+    # owning modules (their module globals re-export the env defaults
+    # parsed above).
     from repro.sampling.batch import check_backend
     from repro.sampling.parallel import check_executor, resolve_workers
     from repro.sampling.store import SampleStore, check_store
 
-    backend = backend if backend is not None else base.backend
-    model = model if model is not None else base.model
-    workers = workers if workers is not None else base.workers
-    executor = executor if executor is not None else base.executor
-    store = store if store is not None else base.store
-    shard_dir = shard_dir if shard_dir is not None else base.shard_dir
-    if max_resident_bytes is None:
-        max_resident_bytes = base.max_resident_bytes
-    if artifacts is None:
-        artifacts = getattr(base, "artifacts", None)
+    artifacts = base.artifacts
     if artifacts is None:
         # Module global, read at call time so tests can monkeypatch the
         # env layer off without touching os.environ.
@@ -657,16 +596,17 @@ def resolve_runtime(
     # let the REPRO_ARTIFACTS default leak back in when a resolved
     # runtime is re-resolved downstream.
     artifacts = _check_artifacts_field(artifacts)
+    store = base.store
     if not isinstance(store, SampleStore):
         store = check_store(_check_store_field(store))
     return ResolvedRuntime(
-        backend=check_backend(backend),
-        model=_check_model_field(model),
-        workers=resolve_workers(workers) or 0,
-        executor=check_executor(executor),
+        backend=check_backend(base.backend),
+        model=_check_model_field(base.model),
+        workers=resolve_workers(base.workers) or 0,
+        executor=check_executor(base.executor),
         store=store,
-        shard_dir=None if shard_dir is None else os.fspath(shard_dir),
-        max_resident_bytes=_check_max_resident(max_resident_bytes),
+        shard_dir=base.shard_dir,
+        max_resident_bytes=_check_max_resident(base.max_resident_bytes),
         artifacts=artifacts,
         seed=_check_seed(seed if seed is not None else base.seed),
     )

@@ -49,7 +49,6 @@ def generate_adaptive(
     max_theta: int | None = None,
     seed=None,
     runtime=None,
-    backend: str | None = None,
 ) -> tuple[MRRCollection, dict]:
     """Grow an MRR collection until the probe estimate stabilises.
 
@@ -59,8 +58,7 @@ def generate_adaptive(
     (b) the Hoeffding worst-case count (or ``max_theta``) is reached.
     ``runtime`` (a :class:`repro.runtime.Runtime`) carries the execution
     policy — backend, models, workers, store — for every generated
-    collection; the per-call ``backend`` kwarg is the deprecated
-    equivalent.  A configured ``shard_dir`` is split into per-attempt
+    collection.  A configured ``shard_dir`` is split into per-attempt
     subdirectories so the doubling collections never collide.
 
     Returns the final collection and a diagnostics dict with the
@@ -69,9 +67,7 @@ def generate_adaptive(
     """
     from repro.runtime import resolve_runtime
 
-    rt = resolve_runtime(
-        runtime, backend=backend, seed=seed, caller="generate_adaptive"
-    )
+    rt = resolve_runtime(runtime, seed=seed)
     seed = rt.seed  # per-call seed > Runtime seeding policy
     if not isinstance(seed, int):
         # The doubling loop keys its per-attempt child streams by an

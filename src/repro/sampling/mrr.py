@@ -142,13 +142,6 @@ class MRRCollection:
         seed=None,
         piece_graphs: Sequence[PieceGraph] | None = None,
         runtime=None,
-        backend: str | None = None,
-        model=None,
-        workers=None,
-        executor: str | None = None,
-        store=None,
-        shard_dir: str | None = None,
-        max_resident_bytes: int | None = None,
     ) -> "MRRCollection":
         """Generate ``theta`` MRR samples for ``campaign`` on ``graph``.
 
@@ -163,11 +156,9 @@ class MRRCollection:
         and the sample-store layer (``store``/``shard_dir``/
         ``max_resident_bytes``) — lives on one
         :class:`repro.runtime.Runtime` passed as ``runtime=`` and is
-        resolved with the centralized order (explicit kwarg > Runtime
-        field > ``REPRO_*`` env > default).  The remaining per-call
-        execution kwargs are deprecated equivalents kept for backward
-        compatibility; results are bit-identical between the two
-        spellings.  LT pieces should be weight-normalised first
+        resolved with the centralized order (Runtime field >
+        ``REPRO_*`` env > default; a per-call ``seed`` beats
+        ``Runtime.seed``).  LT pieces should be weight-normalised first
         (:func:`repro.diffusion.threshold.normalize_lt_weights`).
 
         Every generation draws the one coordinate-keyed stream of
@@ -190,14 +181,6 @@ class MRRCollection:
             seed=seed,
             piece_graphs=piece_graphs,
             runtime=runtime,
-            backend=backend,
-            model=model,
-            workers=workers,
-            executor=executor,
-            store=store,
-            shard_dir=shard_dir,
-            max_resident_bytes=max_resident_bytes,
-            _stacklevel=4,
         )
         return collection
 
@@ -211,15 +194,7 @@ class MRRCollection:
         seed=None,
         piece_graphs: Sequence[PieceGraph] | None = None,
         runtime=None,
-        backend: str | None = None,
-        model=None,
-        workers=None,
-        executor: str | None = None,
-        store=None,
-        shard_dir: str | None = None,
-        max_resident_bytes: int | None = None,
         pool=None,
-        _stacklevel: int = 3,
     ) -> tuple["MRRCollection", list[tuple[str, str]], ArtifactKey | None]:
         """:meth:`generate` plus its pipeline trace and artifact key.
 
@@ -248,19 +223,7 @@ class MRRCollection:
             task_block_size,
         )
 
-        rt = resolve_runtime(
-            runtime,
-            backend=backend,
-            model=model,
-            workers=workers,
-            executor=executor,
-            store=store,
-            shard_dir=shard_dir,
-            max_resident_bytes=max_resident_bytes,
-            seed=seed,
-            caller="MRRCollection.generate",
-            stacklevel=_stacklevel,
-        )
+        rt = resolve_runtime(runtime, seed=seed)
         theta = check_positive_int("theta", theta)
         if graph.n == 0:
             raise SamplingError("cannot sample from an empty graph")

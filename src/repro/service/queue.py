@@ -235,9 +235,7 @@ class JobQueue:
             )
         self.job_ttl = None if job_ttl is None else float(job_ttl)
         base = as_runtime(runtime)
-        self.artifact_store = resolve_runtime(
-            base, caller="JobQueue"
-        ).artifact_store()
+        self.artifact_store = resolve_runtime(base).artifact_store()
         if self.artifact_store is not None:
             # dataclasses.replace works on Runtime and ResolvedRuntime
             # alike (Runtime.replace exists only on the former)

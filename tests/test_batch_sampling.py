@@ -40,6 +40,7 @@ from repro.sampling.batch import (
     simulate_cascade_batch,
 )
 from repro.sampling.mrr import MRRCollection
+from repro.runtime import Runtime
 from repro.sampling.rr import ReverseReachableSampler
 from repro.topics.distributions import Campaign, unit_piece
 from repro.utils.frontier import Int64Buffer, stable_unique
@@ -214,7 +215,8 @@ class TestDistributionalEquivalence:
         estimates = {}
         for backend in BACKENDS:
             mrr = MRRCollection.generate(
-                graph, campaign, theta=4000, seed=8, backend=backend
+                graph, campaign, theta=4000, seed=8,
+                runtime=Runtime(backend=backend),
             )
             estimates[backend] = mrr.estimate(plan, adoption)
         sim = simulate_adoption_utility(

@@ -15,6 +15,7 @@ from repro.experiments.config import (
     get_profile,
 )
 from repro.experiments.runner import prepare_instance, run_cell, run_methods
+from repro.runtime import Runtime
 
 #: A deliberately tiny profile so harness tests stay fast.
 TINY_PROFILE = ExperimentProfile(
@@ -173,9 +174,9 @@ class TestMixedModelAndStore:
 
     def test_prepare_instance_disk_store(self, tmp_path):
         disk_profile = TINY_PROFILE.with_overrides(
-            store="disk", shard_dir=str(tmp_path), workers=1
+            runtime=Runtime(store="disk", shard_dir=str(tmp_path), workers=1)
         )
-        mem_profile = TINY_PROFILE.with_overrides(workers=1)
+        mem_profile = TINY_PROFILE.with_overrides(runtime=Runtime(workers=1))
         disk = prepare_instance(
             "lastfm", disk_profile, k=3, num_pieces=2, beta_over_alpha=0.5
         )
@@ -216,6 +217,35 @@ class TestCli:
     def test_shard_dir_rejects_explicit_memory_store(self):
         with pytest.raises(SystemExit):
             main(["table3", "--store", "memory", "--shard-dir", "/tmp/x"])
+
+    def test_execution_flags_reach_profile_runtime(self, tmp_path, monkeypatch):
+        import repro.experiments.cli as cli
+
+        seen = []
+
+        class Report:
+            def render(self):
+                return ""
+
+        def capture(profile):
+            seen.append(profile)
+            return Report()
+
+        monkeypatch.setitem(cli._DRIVERS, "table3", capture)
+        shard_dir, artifact_dir = str(tmp_path / "s"), str(tmp_path / "a")
+        assert main([
+            "table3", "--workers", "1", "--store", "disk",
+            "--shard-dir", shard_dir, "--max-resident-mb", "64",
+            "--artifact-dir", artifact_dir,
+        ]) == 0
+        (profile,) = seen
+        assert profile.runtime == Runtime(
+            workers=1,
+            store="disk",
+            shard_dir=shard_dir,
+            max_resident_bytes=64 << 20,
+            artifacts=artifact_dir,
+        )
 
     def test_params_target_prints_table4(self, capsys):
         assert main(["params"]) == 0

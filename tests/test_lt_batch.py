@@ -48,6 +48,7 @@ from repro.graph.generators import (
     preferential_attachment_digraph,
 )
 from repro.im.ris import ris_influence_maximization
+from repro.runtime import Runtime
 from repro.sampling.batch import (
     BACKENDS,
     DEFAULT_MODEL,
@@ -273,12 +274,12 @@ class TestDistributionalEquivalence:
                 theta=4000,
                 seed=8,
                 piece_graphs=pgs,
-                backend=backend,
-                model="lt",
+                runtime=Runtime(backend=backend, model="lt"),
             )
             estimates[backend] = mrr.estimate(plan, adoption)
         sim = simulate_adoption_utility(
-            pgs, plan, adoption, rounds=400, seed=9, model="lt"
+            pgs, plan, adoption, rounds=400, seed=9,
+            runtime=Runtime(model="lt"),
         )
         assert estimates["batch"] == pytest.approx(
             estimates["python"], rel=0.1
@@ -314,7 +315,7 @@ class TestModelWiring:
     def test_piece_spread_lt_matches_exact_value(self):
         pg = project([(0, 1, {0: 0.4})], 2)
         spread = simulate_piece_spread(
-            pg, [0], rounds=4000, seed=1, model="lt"
+            pg, [0], rounds=4000, seed=1, runtime=Runtime(model="lt")
         )
         assert spread == pytest.approx(1.4, abs=0.03)
 
@@ -322,7 +323,7 @@ class TestModelWiring:
         edges = [(0, i, {0: 1.0}) for i in range(1, 6)]
         pg = project(edges, 6)
         seeds, spread = ris_influence_maximization(
-            pg, 1, theta=500, seed=1, model="lt"
+            pg, 1, theta=500, seed=1, runtime=Runtime(model="lt")
         )
         assert seeds == [0]
         assert spread == pytest.approx(6.0, abs=0.5)
@@ -344,14 +345,14 @@ class TestModelWiring:
             theta=300,
             seed=74,
             piece_graphs=pgs,
-            model=["ic", "lt"],
+            runtime=Runtime(model=["ic", "lt"]),
         )
         assert mrr.num_pieces == 2
         adoption = AdoptionModel(alpha=2.0, beta=1.0)
         est = mrr.estimate([[0, 3], [1]], adoption)
         sim = simulate_adoption_utility(
             pgs, [[0, 3], [1]], adoption, rounds=300, seed=75,
-            model=["ic", "lt"],
+            runtime=Runtime(model=["ic", "lt"]),
         )
         assert est == pytest.approx(sim, rel=0.3)
 
@@ -360,7 +361,8 @@ class TestModelWiring:
         adoption = AdoptionModel(alpha=2.0, beta=1.0)
         with pytest.raises(ParameterError):
             simulate_adoption_utility(
-                [pg, pg], [[0], [1]], adoption, rounds=2, model=["ic"]
+                [pg, pg], [[0], [1]], adoption, rounds=2,
+                runtime=Runtime(model=["ic"]),
             )
 
 
@@ -437,7 +439,8 @@ class TestFeasibilityValidation:
         with pytest.raises(ParameterError, match="normalise"):
             BatchLTSampler(pg)
         with pytest.raises(ParameterError, match="normalise"):
-            ris_influence_maximization(pg, 1, theta=10, seed=0, model="lt")
+            ris_influence_maximization(pg, 1, theta=10, seed=0,
+            runtime=Runtime(model="lt")),
         norm = normalize_lt_weights(pg)
         assert LinearThresholdSampler(norm).sample(2, as_generator(0)).size
         assert BatchLTSampler(norm).sample(2, as_generator(0)).size

@@ -472,7 +472,11 @@ class TestSessionWarmPool:
 
     def test_sample_stage_records_block_geometry(self, world):
         graph, campaign = world
-        session = Session(graph, campaign, k=3, seed=7)
+        # A *run* event is under test: an ambient REPRO_ARTIFACTS cache
+        # would serve the sample as a hit that carries no geometry.
+        session = Session(
+            graph, campaign, k=3, seed=7, runtime=Runtime(artifacts="off")
+        )
         session.sample(200)
         runs = [
             e

@@ -33,6 +33,7 @@ from repro.graph.generators import (
 )
 from repro.im.greedy import celf_greedy_im
 from repro.im.ris import ris_influence_maximization
+from repro.runtime import Runtime
 import repro.runtime as runtime_mod
 from repro.sampling import parallel
 from repro.sampling.mrr import MRRCollection
@@ -132,8 +133,7 @@ class TestDeterministicFanOut:
                 theta=700,
                 seed=77,
                 piece_graphs=pgs,
-                model=model,
-                workers=workers,
+                runtime=Runtime(model=model, workers=workers),
             )
             fingerprints.append(_mrr_fingerprint(mrr))
         assert fingerprints[0] == fingerprints[1]
@@ -148,8 +148,7 @@ class TestDeterministicFanOut:
                     theta=600,
                     seed=78,
                     piece_graphs=pgs,
-                    workers=2,
-                    executor=executor,
+                    runtime=Runtime(workers=2, executor=executor),
                 )
             )
             for executor in ("thread", "process")
@@ -165,7 +164,7 @@ class TestDeterministicFanOut:
             _mrr_fingerprint(
                 MRRCollection.generate(
                     graph, campaign, theta=500, seed=79, piece_graphs=pgs,
-                    workers=workers,
+                    runtime=Runtime(workers=workers),
                 )
             )
             for workers in (None, 0, "serial", 2)
@@ -185,9 +184,8 @@ class TestDeterministicFanOut:
                 adoption,
                 rounds=40,
                 seed=5,
-                model=["ic", "lt", "ic"],
+                runtime=Runtime(model=["ic", "lt", "ic"], workers=workers),
                 return_std=True,
-                workers=workers,
             )
             for workers in (1, 4)
         ]
@@ -197,7 +195,8 @@ class TestDeterministicFanOut:
         _, _, pgs = world
         values = {
             workers: simulate_piece_spread(
-                pgs[0], [0, 7], rounds=40, seed=6, workers=workers
+                pgs[0], [0, 7], rounds=40, seed=6,
+                runtime=Runtime(workers=workers),
             )
             for workers in (1, 4)
         }
@@ -207,7 +206,7 @@ class TestDeterministicFanOut:
         _, _, pgs = world
         outcomes = [
             ris_influence_maximization(
-                pgs[0], 4, 800, seed=9, workers=workers
+                pgs[0], 4, 800, seed=9, runtime=Runtime(workers=workers)
             )
             for workers in (1, 4)
         ]
@@ -218,7 +217,8 @@ class TestDeterministicFanOut:
         pool = np.arange(0, 400, 16, dtype=np.int64)
         outcomes = [
             celf_greedy_im(
-                pgs[0], 3, pool=pool, rounds=24, seed=13, workers=workers
+                pgs[0], 3, pool=pool, rounds=24, seed=13,
+                runtime=Runtime(workers=workers),
             )
             for workers in (1, 4)
         ]
@@ -258,8 +258,7 @@ class TestFailureHandling:
                 theta=600,
                 seed=80,
                 piece_graphs=pgs,
-                workers=4,
-                executor="thread",
+                runtime=Runtime(workers=4, executor="thread"),
             )
 
     def test_results_preserve_task_order(self):

@@ -89,38 +89,36 @@ PUBLIC_EXPORTS = [
 ]
 
 #: Parameter-name snapshots of the execution surface.  Every entry point
-#: carries ``runtime=`` plus the (deprecated) legacy execution kwargs;
-#: dropping or reordering a name breaks callers.
+#: takes its execution policy as ``runtime=`` (plus a per-call ``seed=``)
+#: and no other execution kwarg; dropping or reordering a name breaks
+#: callers.
 ENTRY_SIGNATURES = {
     "MRRCollection.generate": [
         "graph", "campaign", "theta", "seed", "piece_graphs", "runtime",
-        "backend", "model", "workers", "executor", "store", "shard_dir",
-        "max_resident_bytes",
+    ],
+    "MRRCollection.generate_traced": [
+        "graph", "campaign", "theta", "seed", "piece_graphs", "runtime",
+        "pool",
     ],
     "ris_influence_maximization": [
-        "piece_graph", "k", "theta", "pool", "seed", "runtime", "backend",
-        "model", "workers", "executor", "store", "shard_dir",
-        "max_resident_bytes",
+        "piece_graph", "k", "theta", "pool", "seed", "runtime",
     ],
     "celf_greedy_im": [
-        "piece_graph", "k", "pool", "rounds", "seed", "runtime", "backend",
-        "model", "workers", "executor",
+        "piece_graph", "k", "pool", "rounds", "seed", "runtime",
     ],
     "simulate_piece_spread": [
-        "piece_graph", "seeds", "rounds", "seed", "runtime", "backend",
-        "model", "workers", "executor", "pool",
+        "piece_graph", "seeds", "rounds", "seed", "runtime", "pool",
     ],
     "simulate_adoption_utility": [
         "piece_graphs", "plan_seed_sets", "adoption", "rounds", "seed",
-        "return_std", "runtime", "backend", "model", "workers", "executor",
+        "return_std", "runtime",
     ],
     "generate_adaptive": [
         "graph", "campaign", "adoption", "probe_plan", "epsilon", "delta",
-        "initial_theta", "max_theta", "seed", "runtime", "backend",
+        "initial_theta", "max_theta", "seed", "runtime",
     ],
-    "im_baseline": [
-        "problem", "mrr", "theta", "seed", "runtime", "backend",
-    ],
+    "im_baseline": ["problem", "mrr", "theta", "seed", "runtime"],
+    "resolve_runtime": ["runtime", "seed"],
     "Runtime": [
         "backend", "model", "workers", "executor", "store", "shard_dir",
         "max_resident_bytes", "artifacts", "seed",
@@ -147,12 +145,14 @@ def _entry(name: str):
 
     return {
         "MRRCollection.generate": repro.MRRCollection.generate,
+        "MRRCollection.generate_traced": repro.MRRCollection.generate_traced,
         "ris_influence_maximization": ris_influence_maximization,
         "celf_greedy_im": celf_greedy_im,
         "simulate_piece_spread": simulate_piece_spread,
         "simulate_adoption_utility": simulate_adoption_utility,
         "generate_adaptive": generate_adaptive,
         "im_baseline": repro.im_baseline,
+        "resolve_runtime": repro.resolve_runtime,
         "Runtime": repro.Runtime,
         "Session.__init__": repro.Session.__init__,
         "Session.solve": repro.Session.solve,

@@ -1,19 +1,21 @@
-"""Runtime config: precedence, validation, and legacy bit-identity.
+"""Runtime config: precedence, validation, and the runtime path.
 
 The contract under test (repro.runtime):
 
-* one resolution order everywhere — explicit kwarg > ``Runtime`` field
-  > ``REPRO_*`` env > library default;
+* one resolution order everywhere — ``Runtime`` field > ``REPRO_*``
+  env > library default, with a per-call ``seed=`` beating
+  ``Runtime.seed``;
 * every execution knob is validated at entry in *every* entry point
   (``ConfigError``), including knobs the taken path would historically
-  have ignored (e.g. ``executor`` on a serial run);
-* legacy per-call kwargs emit ``DeprecationWarning`` and produce
-  bit-identical results to the ``runtime=`` spelling;
+  have ignored (e.g. ``executor`` on a serial run), and ``runtime=``
+  accepts nothing but a ``Runtime`` (or ``None``);
+* the ``runtime=`` spelling matches the no-knobs default bit for bit;
 * the ``REPRO_*`` variables are parsed in exactly one module.
 """
 
 from __future__ import annotations
 
+import functools
 import pathlib
 import subprocess
 import sys
@@ -26,6 +28,7 @@ import repro.runtime as runtime_mod
 import repro.sampling.batch as batch_mod
 import repro.sampling.parallel as parallel_mod
 import repro.sampling.store as store_mod
+from repro.core.problem import OIPAProblem
 from repro.diffusion.adoption import AdoptionModel
 from repro.diffusion.projection import project_campaign
 from repro.diffusion.simulate import (
@@ -33,6 +36,7 @@ from repro.diffusion.simulate import (
     simulate_piece_spread,
 )
 from repro.exceptions import ConfigError
+from repro.im.baselines import im_baseline
 from repro.im.greedy import celf_greedy_im
 from repro.im.ris import ris_influence_maximization
 from repro.runtime import ResolvedRuntime, Runtime, resolve_runtime
@@ -56,6 +60,46 @@ def _no_ambient_artifact_cache(monkeypatch):
 @pytest.fixture()
 def piece_graph(small_random_graph, small_campaign):
     return project_campaign(small_random_graph, small_campaign)[0]
+
+
+def _im_baseline_call(graph, campaign, piece_graph):
+    adoption = AdoptionModel.from_ratio(0.5)
+    problem = OIPAProblem.with_random_pool(
+        graph, campaign, adoption, 2, seed=0
+    )
+    mrr = MRRCollection.generate(graph, campaign, 10, seed=0)
+    return functools.partial(im_baseline, problem, mrr, seed=0)
+
+
+#: Every entry point that takes ``runtime=``, wired to a tiny valid
+#: call (``seed=0``) so only the argument under test can fail.
+ENTRY_POINTS = {
+    "MRRCollection.generate": lambda g, c, pg: functools.partial(
+        MRRCollection.generate, g, c, 10, seed=0
+    ),
+    "MRRCollection.generate_traced": lambda g, c, pg: functools.partial(
+        MRRCollection.generate_traced, g, c, 10, seed=0
+    ),
+    "ris_influence_maximization": lambda g, c, pg: functools.partial(
+        ris_influence_maximization, pg, 2, 10, seed=0
+    ),
+    "celf_greedy_im": lambda g, c, pg: functools.partial(
+        celf_greedy_im, pg, 1, rounds=2, seed=0
+    ),
+    "simulate_piece_spread": lambda g, c, pg: functools.partial(
+        simulate_piece_spread, pg, [0], rounds=2, seed=0
+    ),
+    "simulate_adoption_utility": lambda g, c, pg: functools.partial(
+        simulate_adoption_utility,
+        [pg], [[0]], AdoptionModel.from_ratio(0.5), rounds=2, seed=0,
+    ),
+    "generate_adaptive": lambda g, c, pg: functools.partial(
+        generate_adaptive,
+        g, c, AdoptionModel.from_ratio(0.5), [[0]] * c.num_pieces,
+        initial_theta=10, max_theta=20, seed=0,
+    ),
+    "im_baseline": _im_baseline_call,
+}
 
 
 # --------------------------------------------------------------------------
@@ -154,15 +198,6 @@ class TestResolutionOrder:
         )
         assert (rt.backend, rt.workers, rt.store) == ("batch", 0, "memory")
 
-    def test_explicit_kwarg_beats_runtime_field(self):
-        base = Runtime(backend="batch", workers=4, executor="thread")
-        rt = resolve_runtime(
-            base, backend="python", workers=0, executor="process"
-        )
-        assert (rt.backend, rt.workers, rt.executor) == (
-            "python", 0, "process"
-        )
-
     def test_resolved_runtime_is_idempotent(self, monkeypatch):
         rt = resolve_runtime(Runtime(workers=0, backend="python"))
         # Flipping the env layer afterwards must not leak back in: a
@@ -245,39 +280,28 @@ class TestEntryValidation:
         ],
     )
     def test_every_entry_point_validates_at_entry(
-        self, small_random_graph, small_campaign, piece_graph, bad
+        self, small_random_graph, small_campaign, bad
     ):
-        adoption = AdoptionModel.from_ratio(0.5)
-        rt_bad = pytest.raises(ConfigError)
-        with rt_bad:
+        with pytest.raises(ConfigError):
             MRRCollection.generate(
                 small_random_graph, small_campaign, 10, seed=0,
                 runtime=Runtime(**bad),
             )
-        entry_points = [
-            lambda: ris_influence_maximization(
-                piece_graph, 2, 10, seed=0, **bad
-            ),
-        ]
-        if "store" not in bad:
-            # The simulators and CELF have no store knob; every other
-            # execution kwarg is shared across all entry points.
-            entry_points += [
-                lambda: simulate_piece_spread(
-                    piece_graph, [0], rounds=2, seed=0, **bad
-                ),
-                lambda: simulate_adoption_utility(
-                    [piece_graph], [[0]], adoption, rounds=2, seed=0, **bad
-                ),
-                lambda: celf_greedy_im(
-                    piece_graph, 1, rounds=2, seed=0, **bad
-                ),
-            ]
-        for call in entry_points:
-            with pytest.raises(ConfigError), pytest.warns(
-                DeprecationWarning
-            ):
-                call()
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize(
+        "bad",
+        [{"runtime": {"backend": "numba"}}, {"seed": -1}],
+        ids=["non-runtime", "negative-seed"],
+    )
+    def test_entry_point_rejects_non_runtime_and_bad_seed(
+        self, small_random_graph, small_campaign, piece_graph, entry, bad
+    ):
+        call = ENTRY_POINTS[entry](
+            small_random_graph, small_campaign, piece_graph
+        )
+        with pytest.raises(ConfigError):
+            call(**bad)
 
     def test_serial_path_no_longer_ignores_bad_executor(
         self, small_random_graph, small_campaign
@@ -331,28 +355,11 @@ class TestEntryValidation:
 
 
 # --------------------------------------------------------------------------
-# Legacy kwargs: deprecation + bit-identity with the runtime path
+# The runtime path: bit-identical to the no-knobs default, observable
 # --------------------------------------------------------------------------
 
 
 class TestLegacyBitIdentity:
-    def test_generate_legacy_vs_runtime(
-        self, small_random_graph, small_campaign
-    ):
-        with pytest.warns(DeprecationWarning, match="MRRCollection.generate"):
-            legacy = MRRCollection.generate(
-                small_random_graph, small_campaign, 200, seed=3,
-                backend="python", workers=2,
-            )
-        new = MRRCollection.generate(
-            small_random_graph, small_campaign, 200, seed=3,
-            runtime=Runtime(backend="python", workers=2),
-        )
-        assert np.array_equal(legacy.roots, new.roots)
-        for j in range(legacy.num_pieces):
-            for a, b in zip(legacy.store.rr_arrays(j), new.store.rr_arrays(j)):
-                assert np.array_equal(a, b)
-
     def test_generate_runtime_matches_no_knobs_default(
         self, small_random_graph, small_campaign
     ):
@@ -369,69 +376,6 @@ class TestLegacyBitIdentity:
             ):
                 assert np.array_equal(a, b)
 
-    def test_ris_legacy_vs_runtime(self, piece_graph):
-        with pytest.warns(DeprecationWarning):
-            seeds_legacy, spread_legacy = ris_influence_maximization(
-                piece_graph, 3, 300, seed=11, backend="batch", workers=2
-            )
-        seeds_new, spread_new = ris_influence_maximization(
-            piece_graph, 3, 300, seed=11,
-            runtime=Runtime(backend="batch", workers=2),
-        )
-        assert seeds_legacy == seeds_new
-        assert spread_legacy == spread_new
-
-    def test_celf_legacy_vs_runtime(self, piece_graph):
-        with pytest.warns(DeprecationWarning):
-            seeds_legacy, spread_legacy = celf_greedy_im(
-                piece_graph, 2, rounds=5, seed=4, backend="batch"
-            )
-        seeds_new, spread_new = celf_greedy_im(
-            piece_graph, 2, rounds=5, seed=4, runtime=Runtime(backend="batch")
-        )
-        assert seeds_legacy == seeds_new
-        assert spread_legacy == spread_new
-
-    def test_simulators_legacy_vs_runtime(self, piece_graph):
-        with pytest.warns(DeprecationWarning):
-            legacy = simulate_piece_spread(
-                piece_graph, [0, 1], rounds=8, seed=2, workers=2
-            )
-        new = simulate_piece_spread(
-            piece_graph, [0, 1], rounds=8, seed=2, runtime=Runtime(workers=2)
-        )
-        assert legacy == new
-        adoption = AdoptionModel.from_ratio(0.5)
-        with pytest.warns(DeprecationWarning):
-            legacy = simulate_adoption_utility(
-                [piece_graph], [[0]], adoption, rounds=8, seed=2,
-                backend="python",
-            )
-        new = simulate_adoption_utility(
-            [piece_graph], [[0]], adoption, rounds=8, seed=2,
-            runtime=Runtime(backend="python"),
-        )
-        assert legacy == new
-
-    def test_store_knob_legacy_vs_runtime(
-        self, small_random_graph, small_campaign, tmp_path
-    ):
-        with pytest.warns(DeprecationWarning):
-            legacy = MRRCollection.generate(
-                small_random_graph, small_campaign, 120, seed=9,
-                store="disk", shard_dir=str(tmp_path / "legacy"),
-            )
-        new = MRRCollection.generate(
-            small_random_graph, small_campaign, 120, seed=9,
-            runtime=Runtime(store="disk", shard_dir=str(tmp_path / "new")),
-        )
-        assert legacy.store.kind == new.store.kind == "disk"
-        for j in range(legacy.num_pieces):
-            a = legacy.index_arrays(j)
-            b = new.index_arrays(j)
-            assert np.array_equal(a[0], b[0])
-            assert np.array_equal(a[1], b[1])
-
     def test_runtime_store_and_workers_observable(
         self, small_random_graph, small_campaign, monkeypatch, tmp_path
     ):
@@ -443,15 +387,6 @@ class TestLegacyBitIdentity:
         )
         assert mrr.store.kind == "disk"
         assert any(shard_dir.glob("piece*.npz"))
-        # ...and an explicit kwarg overrides the Runtime field back to
-        # memory (precedence, observable end to end).
-        with pytest.warns(DeprecationWarning):
-            mem = MRRCollection.generate(
-                small_random_graph, small_campaign, 60, seed=1,
-                store="memory",
-                runtime=Runtime(store="disk"),
-            )
-        assert mem.store.kind == "memory"
         # workers: the parallel runtime is engaged iff the resolved
         # width asks for it.
         calls = []
@@ -467,12 +402,6 @@ class TestLegacyBitIdentity:
             small_random_graph, small_campaign, 60, seed=1, runtime=pinned,
         )
         assert calls == [2]
-        with pytest.warns(DeprecationWarning):
-            MRRCollection.generate(
-                small_random_graph, small_campaign, 60, seed=1,
-                runtime=pinned, workers=0,
-            )
-        assert calls == [2, 1]  # explicit serial kwarg beat the field
 
     def test_no_warning_on_runtime_path(
         self, small_random_graph, small_campaign, recwarn

@@ -50,7 +50,7 @@ from repro.sampling.store import (
     resolve_store,
 )
 from repro.topics.distributions import Campaign
-from repro.runtime import parse_env_choice, parse_env_workers
+from repro.runtime import Runtime, parse_env_choice, parse_env_workers
 
 THETA = 800
 
@@ -70,7 +70,8 @@ def mem_mrr(world):
     graph, campaign = world
     # workers=1 pins the block decomposition the disk store always uses.
     return MRRCollection.generate(
-        graph, campaign, THETA, seed=21, workers=1, store="memory"
+        graph, campaign, THETA, seed=21,
+        runtime=Runtime(workers=1, store="memory"),
     )
 
 
@@ -114,7 +115,8 @@ class TestKnobs:
             resolve_store("memory", shard_dir="/tmp/nope")
         with pytest.raises(ConfigError):
             MRRCollection.generate(
-                graph, campaign, 50, seed=1, store="memory", shard_dir="x"
+                graph, campaign, 50, seed=1,
+                runtime=Runtime(store="memory", shard_dir="x"),
             )
         with pytest.raises(ConfigError):
             ShardStore(max_resident_bytes=0)
@@ -186,7 +188,7 @@ class TestStoreEquivalence:
         graph, campaign = world
         disk = MRRCollection.generate(
             graph, campaign, THETA, seed=21,
-            store="disk", shard_dir=str(tmp_path / "shards"),
+            runtime=Runtime(store="disk", shard_dir=str(tmp_path / "shards")),
         )
         # This test counts *file* reads across budget tiers; the segment
         # LRU would serve the repeat gathers from RAM, so pin it off.
@@ -229,8 +231,7 @@ class TestStoreEquivalence:
             campaign,
             THETA,
             seed=21,
-            store="disk",
-            shard_dir=str(tmp_path / "shards"),
+            runtime=Runtime(store="disk", shard_dir=str(tmp_path / "shards")),
         )
         _assert_collections_equal(mem_mrr, disk)
 
@@ -241,9 +242,9 @@ class TestStoreEquivalence:
             campaign,
             THETA,
             seed=21,
-            workers=2,
-            store="disk",
-            shard_dir=str(tmp_path / "shards"),
+            runtime=Runtime(
+                workers=2, store="disk", shard_dir=str(tmp_path / "shards"),
+            ),
         )
         _assert_collections_equal(mem_mrr, disk)
 
@@ -252,15 +253,16 @@ class TestStoreEquivalence:
         must land on the identical collection."""
         graph, campaign = world
         streamed = MRRCollection.generate(
-            graph, campaign, THETA, seed=21, store=MemoryStore()
+            graph, campaign, THETA, seed=21,
+            runtime=Runtime(store=MemoryStore()),
         )
         _assert_collections_equal(mem_mrr, streamed)
 
     def test_estimates_and_queries_identical(self, world, mem_mrr, tmp_path):
         graph, campaign = world
         disk = MRRCollection.generate(
-            graph, campaign, THETA, seed=21, store="disk",
-            shard_dir=str(tmp_path / "shards"),
+            graph, campaign, THETA, seed=21,
+            runtime=Runtime(store="disk", shard_dir=str(tmp_path / "shards")),
         )
         adoption = AdoptionModel(alpha=2.0, beta=1.0)
         plan = [[1, 5], [2], [9, 11]]
@@ -296,9 +298,10 @@ class TestStoreEquivalence:
             campaign,
             THETA,
             seed=21,
-            store="disk",
-            shard_dir=str(tmp_path / "shards"),
-            max_resident_bytes=ceiling,
+            runtime=Runtime(
+                store="disk", shard_dir=str(tmp_path / "shards"),
+                max_resident_bytes=ceiling,
+            ),
         )
         store = disk.store
         payload = sum(
@@ -336,9 +339,10 @@ class TestStoreEquivalence:
             campaign,
             THETA,
             seed=21,
-            store="disk",
-            shard_dir=str(tmp_path / "shards"),
-            max_resident_bytes=1,
+            runtime=Runtime(
+                store="disk", shard_dir=str(tmp_path / "shards"),
+                max_resident_bytes=1,
+            ),
         )
         pool = np.arange(graph.n, dtype=np.int64)
         chunks = list(disk.iter_index_slabs(0, pool))
@@ -373,7 +377,8 @@ class TestShardRoundTrip:
         graph, campaign = world
         shard_dir = str(tmp_path / "shards")
         MRRCollection.generate(
-            graph, campaign, THETA, seed=21, store="disk", shard_dir=shard_dir
+            graph, campaign, THETA, seed=21,
+            runtime=Runtime(store="disk", shard_dir=shard_dir),
         )
         reloaded = MRRCollection.from_store(ShardStore.open(shard_dir))
         _assert_collections_equal(mem_mrr, reloaded)
@@ -382,7 +387,8 @@ class TestShardRoundTrip:
         graph, campaign = world
         shard_dir = str(tmp_path / "shards")
         first = MRRCollection.generate(
-            graph, campaign, THETA, seed=21, store="disk", shard_dir=shard_dir
+            graph, campaign, THETA, seed=21,
+            runtime=Runtime(store="disk", shard_dir=shard_dir),
         )
 
         def bomb(*args, **kwargs):
@@ -392,7 +398,8 @@ class TestShardRoundTrip:
 
         monkeypatch.setattr(parallel, "stream_piece_blocks", bomb)
         again = MRRCollection.generate(
-            graph, campaign, THETA, seed=21, store="disk", shard_dir=shard_dir
+            graph, campaign, THETA, seed=21,
+            runtime=Runtime(store="disk", shard_dir=shard_dir),
         )
         _assert_collections_equal(first, again)
 
@@ -404,7 +411,8 @@ class TestShardRoundTrip:
         graph, campaign = world
         shard_dir = str(tmp_path / "shards")
         MRRCollection.generate(
-            graph, campaign, THETA, seed=21, store="disk", shard_dir=shard_dir
+            graph, campaign, THETA, seed=21,
+            runtime=Runtime(store="disk", shard_dir=shard_dir),
         )
         src, dst = preferential_attachment_digraph(80, 3, seed=77)
         other_graph = build_topic_graph(
@@ -413,7 +421,7 @@ class TestShardRoundTrip:
         with pytest.raises(StoreError) as err:
             MRRCollection.generate(
                 other_graph, campaign, THETA, seed=21,
-                store="disk", shard_dir=shard_dir,
+                runtime=Runtime(store="disk", shard_dir=shard_dir),
             )
         # the error names both identities: the resident and the expected
         message = str(err.value)
@@ -426,13 +434,14 @@ class TestShardRoundTrip:
         graph, campaign = world
         shard_dir = str(tmp_path / "shards")
         MRRCollection.generate(
-            graph, campaign, THETA, seed=21, store="disk", shard_dir=shard_dir
+            graph, campaign, THETA, seed=21,
+            runtime=Runtime(store="disk", shard_dir=shard_dir),
         )
         other_campaign = Campaign.sample_unit(3, 4, seed=99)
         with pytest.raises(StoreError, match="different collection"):
             MRRCollection.generate(
                 graph, other_campaign, THETA, seed=21,
-                store="disk", shard_dir=shard_dir,
+                runtime=Runtime(store="disk", shard_dir=shard_dir),
             )
 
     def test_open_requires_manifest_and_index(self, tmp_path, world):
@@ -441,7 +450,8 @@ class TestShardRoundTrip:
             ShardStore.open(str(tmp_path / "empty"))
         shard_dir = str(tmp_path / "shards")
         MRRCollection.generate(
-            graph, campaign, THETA, seed=21, store="disk", shard_dir=shard_dir
+            graph, campaign, THETA, seed=21,
+            runtime=Runtime(store="disk", shard_dir=shard_dir),
         )
         os.remove(os.path.join(shard_dir, "piece001.idx.bin"))
         with pytest.raises(StoreError):
@@ -456,13 +466,17 @@ class TestShardRoundTrip:
         graph, campaign = world
         shard_dir = str(tmp_path / "shards")
         MRRCollection.generate(
-            graph, campaign, THETA, seed=21, store="disk",
-            shard_dir=shard_dir, backend="python",
+            graph, campaign, THETA, seed=21,
+            runtime=Runtime(
+                store="disk", shard_dir=shard_dir, backend="python",
+            ),
         )
         with pytest.raises(StoreError, match="different collection"):
             MRRCollection.generate(
-                graph, campaign, THETA, seed=21, store="disk",
-                shard_dir=shard_dir, backend="batch",
+                graph, campaign, THETA, seed=21,
+                runtime=Runtime(
+                    store="disk", shard_dir=shard_dir, backend="batch",
+                ),
             )
         assert (
             f"backend={batch.canonical_backend(None)}"
@@ -473,7 +487,8 @@ class TestShardRoundTrip:
         graph, campaign = world
         shard_dir = str(tmp_path / "shards")
         MRRCollection.generate(
-            graph, campaign, THETA, seed=21, store="disk", shard_dir=shard_dir
+            graph, campaign, THETA, seed=21,
+            runtime=Runtime(store="disk", shard_dir=shard_dir),
         )
         with pytest.raises(StoreError, match="different collection"):
             MRRCollection.generate(
@@ -481,8 +496,7 @@ class TestShardRoundTrip:
                 campaign,
                 THETA,
                 seed=99,  # different roots -> different fingerprint
-                store="disk",
-                shard_dir=shard_dir,
+                runtime=Runtime(store="disk", shard_dir=shard_dir),
             )
         with pytest.raises(StoreError, match="different collection"):
             MRRCollection.generate(
@@ -490,8 +504,7 @@ class TestShardRoundTrip:
                 campaign,
                 THETA // 2,
                 seed=21,
-                store="disk",
-                shard_dir=shard_dir,
+                runtime=Runtime(store="disk", shard_dir=shard_dir),
             )
 
 
@@ -516,7 +529,8 @@ class TestResume:
         graph, campaign = world
         shard_dir = str(tmp_path / "shards")
         first = MRRCollection.generate(
-            graph, campaign, THETA, seed=21, store="disk", shard_dir=shard_dir
+            graph, campaign, THETA, seed=21,
+            runtime=Runtime(store="disk", shard_dir=shard_dir),
         )
         num_blocks = first.store.num_blocks
         dropped = [(0, num_blocks - 1), (2, 0)]
@@ -528,7 +542,8 @@ class TestResume:
                 )
             )
         resumed = MRRCollection.generate(
-            graph, campaign, THETA, seed=21, store="disk", shard_dir=shard_dir
+            graph, campaign, THETA, seed=21,
+            runtime=Runtime(store="disk", shard_dir=shard_dir),
         )
         _assert_collections_equal(mem_mrr, resumed)
 
@@ -540,12 +555,14 @@ class TestResume:
         graph, campaign = world
         shard_dir = str(tmp_path / "shards")
         MRRCollection.generate(
-            graph, campaign, THETA, seed=21, store="disk", shard_dir=shard_dir
+            graph, campaign, THETA, seed=21,
+            runtime=Runtime(store="disk", shard_dir=shard_dir),
         )
         _deface_manifest(shard_dir, drop=[])  # keep all blocks listed
         os.remove(os.path.join(shard_dir, "piece001_block00000.npz"))
         resumed = MRRCollection.generate(
-            graph, campaign, THETA, seed=21, store="disk", shard_dir=shard_dir
+            graph, campaign, THETA, seed=21,
+            runtime=Runtime(store="disk", shard_dir=shard_dir),
         )
         _assert_collections_equal(mem_mrr, resumed)
 
@@ -555,7 +572,8 @@ class TestCorruption:
         graph, campaign = world
         shard_dir = str(tmp_path / "shards")
         MRRCollection.generate(
-            graph, campaign, THETA, seed=21, store="disk", shard_dir=shard_dir
+            graph, campaign, THETA, seed=21,
+            runtime=Runtime(store="disk", shard_dir=shard_dir),
         )
         _deface_manifest(shard_dir, drop=[])
         victim = os.path.join(shard_dir, "piece000_block00000.npz")
@@ -567,15 +585,15 @@ class TestCorruption:
                 campaign,
                 THETA,
                 seed=21,
-                store="disk",
-                shard_dir=shard_dir,
+                runtime=Runtime(store="disk", shard_dir=shard_dir),
             )
 
     def test_corrupted_shard_fails_on_read(self, world, tmp_path):
         graph, campaign = world
         shard_dir = str(tmp_path / "shards")
         MRRCollection.generate(
-            graph, campaign, THETA, seed=21, store="disk", shard_dir=shard_dir
+            graph, campaign, THETA, seed=21,
+            runtime=Runtime(store="disk", shard_dir=shard_dir),
         )
         store = ShardStore.open(shard_dir)
         mrr = MRRCollection.from_store(store)
