@@ -161,8 +161,6 @@ def test_small_delta_update_beats_full_resample(world, tmp_path, artifact_dir):
         f"update         {t_update:8.2f} s\n"
         f"speedup        {speedup:8.2f} x (gate >= {GATE}x)",
     )
-    session.close()
-    cold.close()
     assert speedup >= GATE, (
         f"update speedup {speedup:.2f}x < {GATE}x "
         f"(full {t_cold:.2f}s, update {t_update:.2f}s, "

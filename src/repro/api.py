@@ -56,7 +56,6 @@ from repro.im.greedy import celf_greedy_im
 from repro.pipeline import PipelineTrace
 from repro.runtime import Runtime, as_runtime, resolve_runtime
 from repro.sampling.mrr import MRRCollection, resolve_models
-from repro.sampling.parallel import check_executor, make_pool
 from repro.topics.distributions import Campaign
 
 __all__ = [
@@ -223,10 +222,6 @@ class Session:
         self._eval_seed = None  # the draw the eval collection used
         self._trace = PipelineTrace()
         self._mrr_key: ArtifactKey | None = None  # sample-stage artifact
-        #: (executor kind, width, executor) — the warm sampling pool,
-        #: built on first parallel sample() and reused across
-        #: collections; see :meth:`close`.
-        self._pool: tuple[str, int, object] | None = None
         #: Incremental-lineage state (set by :meth:`sample_incremental`).
         self._inc = None
         #: The last celf-mrr run's WarmGains record (warm re-solves).
@@ -371,72 +366,6 @@ class Session:
             parts.append(f"run{uuid.uuid4().hex[:12]}")
         return rt.with_shard_subdir("-".join(parts))
 
-    def _sampling_pool(self, rt):
-        """The warm worker pool for ``rt``'s parallel runtime, or ``None``.
-
-        Built on the first parallel sample and reused by every later
-        collection (opt and eval alike) instead of respawning workers
-        per call — the pool construction cost, and for process pools
-        the interpreter + import warm-up, is paid once per session.  A
-        held pool is replaced when the runtime asks for a different
-        executor kind or width, or when a previous failure broke or
-        shut it down; :meth:`close` (or the context manager) releases
-        it.  Serial runtimes (``workers`` 0/1) never build one, and
-        ``executor="spawned"`` over a disk store never borrows one —
-        the distributed driver (:mod:`repro.sampling.dist`) owns its
-        worker processes outright; in-RAM spawned targets degrade to
-        the bit-identical process pool.
-        """
-        width = rt.pool_width
-        if width is None or width <= 1:
-            return None
-        kind = check_executor(rt.executor)
-        if kind == "spawned":
-            from repro.sampling.store import SampleStore
-
-            if rt.store == "disk" or isinstance(rt.store, SampleStore):
-                return None
-            kind = "process"
-        if self._pool is not None:
-            held_kind, held_width, held = self._pool
-            dead = (
-                getattr(held, "_broken", False)
-                or getattr(held, "_shutdown", False)
-                or getattr(held, "_shutdown_thread", False)
-            )
-            if held_kind == kind and held_width == width and not dead:
-                return held
-            self._close_pool()
-        held = make_pool(width, executor=kind)
-        if held is not None:
-            self._pool = (kind, width, held)
-        return held
-
-    def _close_pool(self) -> None:
-        """Shut down the held warm pool, if any (idempotent)."""
-        if self._pool is None:
-            return
-        _kind, _width, held = self._pool
-        self._pool = None
-        held.shutdown(wait=True, cancel_futures=True)
-
-    def close(self) -> None:
-        """Release session resources: the warm sampling pool.
-
-        Idempotent; the session remains usable afterwards (the next
-        parallel sample simply builds a fresh pool).  ``Session`` is
-        also a context manager — ``with Session(...) as s:`` closes on
-        exit even when the block raises.
-        """
-        self._close_pool()
-
-    def __enter__(self) -> "Session":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.close()
-        return False
-
     def _generate(self, rt, theta: int, detail: str):
         """Generate one collection under ``rt`` and trace its stages.
 
@@ -446,20 +375,13 @@ class Session:
         key)``.
         """
         start = time.perf_counter()
-        try:
-            result = MRRCollection.generate_traced(
-                self.graph,
-                self.campaign,
-                theta,
-                piece_graphs=self.piece_graphs,
-                runtime=rt,
-                pool=self._sampling_pool(rt),
-            )
-        except BaseException:
-            # a failed generation may leave the pool with cancelled or
-            # broken workers — release it so the next call starts clean
-            self._close_pool()
-            raise
+        result = MRRCollection.generate_traced(
+            self.graph,
+            self.campaign,
+            theta,
+            piece_graphs=self.piece_graphs,
+            runtime=rt,
+        )
         self._record_events(result[1], detail, time.perf_counter() - start)
         return result
 

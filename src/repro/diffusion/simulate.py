@@ -191,7 +191,6 @@ def simulate_piece_spread(
                 for (start, stop), s in zip(chunks, task_seeds)
             ],
             pool_width,
-            executor=rt.executor,
             pool=pool,
         )
         return sum(totals) / rounds
@@ -270,7 +269,7 @@ def simulate_adoption_utility(
         — cascade backend, per-piece diffusion model(s) (``"ic"`` /
         ``"lt"``, scalar or a per-piece sequence for heterogeneous
         multiplex campaigns), and the parallel Monte-Carlo runtime
-        (fixed-size chunks of rounds on a thread/process pool with
+        (fixed-size chunks of rounds on a thread pool with
         spawned child streams, merged in chunk order — estimates are
         identical for every worker count; serial is the default).
         Resolved with the centralized order (Runtime field >
@@ -318,7 +317,6 @@ def simulate_adoption_utility(
                 for (start, stop), s in zip(chunks, task_seeds)
             ],
             pool_width,
-            executor=rt.executor,
         )
         per_round = np.concatenate(slices)
     else:

@@ -29,7 +29,7 @@ from repro.experiments.figures import (
     headline_claims,
     table3_datasets,
 )
-from repro.runtime import Runtime
+from repro.runtime import EXECUTORS, Runtime
 from repro.utils.tables import format_table
 
 __all__ = ["main", "build_parser"]
@@ -103,9 +103,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--executor",
         default=None,
-        choices=["thread", "process", "spawned"],
-        help="pool flavour for the parallel runtime; 'spawned' runs "
-        "disk-store generation as cooperating worker processes "
+        choices=list(EXECUTORS),
+        help="parallel runtime: 'thread' pools in-process; 'spawned' "
+        "runs disk-store generation as cooperating worker processes "
         "(default: thread)",
     )
     parser.add_argument(

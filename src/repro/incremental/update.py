@@ -370,25 +370,20 @@ def update_session(
                 if store.has_block(j, b)
             )
             resampled = total_new - kept
-            try:
-                collection = generate_keyed(
-                    new_graph.n,
-                    piece_graphs,
-                    models,
-                    roots,
-                    state.entropy,
-                    backend=rt.backend,
-                    workers=rt.pool_width or 1,
-                    executor=rt.executor,
-                    store=store,
-                    block_size=state.block_size,
-                    graph_fingerprint=new_fp,
-                    pieces_fingerprint=pieces_fp,
-                    pool=session._sampling_pool(rt),
-                )
-            except BaseException:
-                session._close_pool()
-                raise
+            collection = generate_keyed(
+                new_graph.n,
+                piece_graphs,
+                models,
+                roots,
+                state.entropy,
+                backend=rt.backend,
+                workers=rt.pool_width or 1,
+                executor=rt.executor,
+                store=store,
+                block_size=state.block_size,
+                graph_fingerprint=new_fp,
+                pieces_fingerprint=pieces_fp,
+            )
             if state.hosted:
                 publish_collection(art_store, key, collection)
             from repro.pipeline import TraceEvent

@@ -74,7 +74,7 @@ __all__ = [
 
 BACKENDS = ("python", "batch", "native")
 MODELS = ("ic", "lt")
-EXECUTORS = ("thread", "process", "spawned")
+EXECUTORS = ("thread", "spawned")
 STORES = ("memory", "disk")
 
 DEFAULT_MODEL = "ic"
@@ -376,14 +376,15 @@ class Runtime(_ShardDirKeying):
         inline) like every other field.  Every width draws the same
         samples.
     executor:
-        Pool flavour — ``"thread"`` (default), ``"process"``, or
-        ``"spawned"``.  ``"spawned"`` is the distributed runtime: disk
-        generations are filled by N *independent* worker processes
-        cooperating through work-leases next to the shard directory
-        (launched by the coordinator, or started by hand with
-        ``python -m repro.sampling.worker`` on machines sharing the
-        filesystem — see DISTRIBUTED.md); entry points without a
-        shard-store rendezvous degrade to a process pool.  ``None``
+        ``"thread"`` (default) or ``"spawned"``.  Every in-process
+        fan-out runs on a thread pool.  ``"spawned"`` is the
+        distributed runtime: disk generations are filled by N
+        *independent* worker processes cooperating through work-leases
+        next to the shard directory (launched by the coordinator, or
+        started by hand with ``python -m repro.sampling.worker`` on
+        machines sharing the filesystem — see DISTRIBUTED.md); in-RAM
+        stores, CELF and the forward simulators have no shard-store
+        rendezvous and run on the bit-identical thread pool.  ``None``
         defers to ``REPRO_EXECUTOR`` (else ``"thread"``).
     store:
         Sample-store layer — ``"memory"`` (default), ``"disk"``, or a
@@ -436,10 +437,6 @@ class Runtime(_ShardDirKeying):
     def replace(self, **changes) -> "Runtime":
         """A copy with selected fields replaced (re-validated)."""
         return replace(self, **changes)
-
-    def resolve(self, *, seed=None) -> "ResolvedRuntime":
-        """Resolve this runtime (see :func:`resolve_runtime`)."""
-        return resolve_runtime(self, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -504,9 +501,9 @@ class ResolvedRuntime(_ShardDirKeying):
         Only knobs that can change *results* participate: ``backend``
         (kernel engine), ``model`` (diffusion semantics), and ``seed``
         (the draw).  ``workers``/``executor`` are excluded because the
-        parallel runtime is bit-identical across pool sizes and pool
-        flavours — ``"spawned"`` (the distributed topology) folds in
-        with thread/process pools for the same reason: the
+        parallel runtime is bit-identical across pool sizes and
+        executors — ``"spawned"`` (the distributed topology) folds in
+        with the thread pool for the same reason: the
         worker-count-independent task decomposition pins identical
         outputs for every topology — and
         ``store``/``shard_dir``/``max_resident_bytes``

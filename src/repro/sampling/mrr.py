@@ -194,7 +194,6 @@ class MRRCollection:
         seed=None,
         piece_graphs: Sequence[PieceGraph] | None = None,
         runtime=None,
-        pool=None,
     ) -> tuple["MRRCollection", list[tuple[str, str]], ArtifactKey | None]:
         """:meth:`generate` plus its pipeline trace and artifact key.
 
@@ -209,10 +208,6 @@ class MRRCollection:
         :class:`~repro.pipeline.TraceEvent` whose ``extra`` reports the
         stream entropy and the effective block geometry (the per-task
         root block and the adaptive kernel block).
-
-        ``pool`` lends a caller-owned executor to the sampling tasks
-        (the Session's warm pool); ownership and shutdown stay with the
-        caller.
         """
         from repro.pipeline import TraceEvent
         from repro.runtime import resolve_runtime
@@ -331,7 +326,6 @@ class MRRCollection:
                 block_size=block_size,
                 graph_fingerprint=graph_fp,
                 pieces_fingerprint=pieces_fp,
-                pool=pool,
             )
             if cacheable:
                 publish_collection(art_store, key, collection)
@@ -711,7 +705,6 @@ def generate_keyed(
     block_size: int,
     graph_fingerprint: str | None = None,
     pieces_fingerprint: str | None = None,
-    pool=None,
 ) -> MRRCollection:
     """Fill ``store`` with keyed (piece, root block) shards; the collection.
 
@@ -724,11 +717,14 @@ def generate_keyed(
     O(workers x block) instead of O(theta), and a finalized shard
     directory reloads without sampling at all.
 
-    ``executor="spawned"`` with an on-disk :class:`ShardStore` routes
-    the fill through :mod:`repro.sampling.dist`: independent worker
-    processes claim task leases and stream shards into the directory
-    while this process polls for completion — the same keyed streams,
-    so the same bytes.
+    This is the one place ``executor`` is read.  ``"spawned"`` with an
+    on-disk :class:`ShardStore` routes the fill through
+    :mod:`repro.sampling.dist`: independent worker processes claim task
+    leases and stream shards into the directory while this process
+    polls for completion — the same keyed streams, so the same bytes.
+    Every other fill — ``"thread"``, or ``"spawned"`` on an in-RAM
+    store — runs on :func:`~repro.sampling.parallel.stream_piece_blocks`
+    (a thread pool when ``workers > 1``).
 
     A store already begun under this exact fingerprint is a mid-update
     in-RAM store (``retarget`` / ``invalidate_blocks`` ran first) and
@@ -781,10 +777,8 @@ def generate_keyed(
                 entropy,
                 backend=backend,
                 workers=workers,
-                executor=executor,
                 block_size=block_size,
                 skip=store.has_block,
-                pool=pool,
             ):
                 store.put_block(piece, block, ptr, nodes)
         store.finalize()

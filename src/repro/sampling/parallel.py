@@ -4,8 +4,8 @@ MRR generation is embarrassingly parallel twice over: each piece's RR
 sets are independent given the shared roots, and within a piece every
 block of roots is independent too.  This module turns that structure
 into an explicit task decomposition — one task per (piece, root block)
-— executed inline or on a thread or process pool, with three contracts
-that make the parallelism invisible to everything downstream:
+— executed inline or on a thread pool, with three contracts that make
+the parallelism invisible to everything downstream:
 
 * **Coordinate-keyed streams.**  One integer *entropy* per collection
   (:func:`resolve_entropy`: the seed itself, or one draw from the
@@ -20,10 +20,12 @@ that make the parallelism invisible to everything downstream:
 
   Both are pure functions of ``(entropy, coordinates)``, never of the
   worker count, the executor, the store or theta, so every topology
-  produces the same bytes, a resumed store samples only its missing
-  blocks, raising theta *appends* blocks bit-identical to a cold draw
-  at the larger theta, and a delta-invalidated shard regenerates its
-  exact stream in isolation (:mod:`repro.incremental`).
+  (inline, a thread pool, or the spawned workers of
+  :mod:`repro.sampling.dist`) produces the same bytes, a resumed store
+  samples only its missing blocks, raising theta *appends* blocks
+  bit-identical to a cold draw at the larger theta, and a
+  delta-invalidated shard regenerates its exact stream in isolation
+  (:mod:`repro.incremental`).
 * **Deterministic merge.**  Results are committed in task order
   regardless of completion order.
 * **Clean failure.**  A worker exception cancels the remaining tasks,
@@ -33,8 +35,12 @@ that make the parallelism invisible to everything downstream:
 ``workers=None`` / ``0`` / ``"serial"`` (and ``1``) run the tasks
 inline; the ``REPRO_WORKERS`` environment variable overrides the
 ``None`` default (``"auto"``, an integer, or ``"serial"``) so CI can
-run the whole suite under a pool.  Monte-Carlo forward simulation keeps
-its own spawned per-round streams (:func:`spawn_task_seeds`).
+run the whole suite under a pool.  Every in-process pool is a
+:class:`~concurrent.futures.ThreadPoolExecutor`; the only multi-process
+topology is ``executor="spawned"`` (:mod:`repro.sampling.dist`), whose
+workers load the job once instead of receiving it with every task.
+Monte-Carlo forward simulation keeps its own spawned per-round streams
+(:func:`spawn_task_seeds`).
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from __future__ import annotations
 import os
 import threading
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -164,34 +170,27 @@ def spawn_task_seeds(rng, count: int) -> list[np.random.SeedSequence]:
     return root.spawn(count)
 
 
-def make_pool(workers, *, executor: str | None = None):
-    """A pool sized for ``workers``, or ``None`` when inline is right.
+def make_pool(workers):
+    """A thread pool sized for ``workers``, or ``None`` when inline is right.
 
     For callers that issue many ``parallel_map`` rounds (e.g. one per
     CELF marginal-spread evaluation): build the pool once, pass it via
     ``parallel_map(..., pool=...)``, and shut it down in a ``finally``
     — instead of paying pool construction per round.
 
-    ``executor="spawned"`` — the distributed topology — builds a
-    process pool here: only disk-store *generation* has the shard-dir
+    Every in-process fan-out runs on threads, whatever the runtime's
+    ``executor``: only disk-store *generation* has the shard-dir
     rendezvous the independent-worker runtime needs
-    (:mod:`repro.sampling.dist`); every other fan-out degrades to the
-    equivalent (bit-identical) process pool.
+    (:mod:`repro.sampling.dist`), so ``executor="spawned"`` elsewhere
+    runs here, on the bit-identical thread pool.
     """
     width = resolve_workers(workers)
     if width is None or width <= 1:
         return None
-    pool_cls = (
-        ThreadPoolExecutor
-        if check_executor(executor) == "thread"
-        else ProcessPoolExecutor
-    )
-    return pool_cls(max_workers=width)
+    return ThreadPoolExecutor(max_workers=width)
 
 
-def parallel_map(
-    fn, items, workers: int, *, executor: str | None = None, pool=None
-):
+def parallel_map(fn, items, workers: int, *, pool=None):
     """Apply ``fn`` over ``items`` on a pool; results in item order.
 
     ``workers <= 1`` (or a single item) runs inline — same results, no
@@ -202,13 +201,12 @@ def parallel_map(
     ownership, and shutdown, stay with the caller.
     """
     items = list(items)
-    executor = check_executor(executor)
     if pool is not None:
         return _drain(pool, fn, items)
     width = min(int(workers), len(items))
     if width <= 1:
         return [fn(item) for item in items]
-    with make_pool(width, executor=executor) as owned:
+    with make_pool(width) as owned:
         return _drain(owned, fn, items)
 
 
@@ -229,9 +227,8 @@ def _drain(pool, fn, items):
 #: piece.  Each worker thread keeps one sampler per (model, backend)
 #: and reuses it whenever the next task targets the *same* piece-graph
 #: object — with piece-major task submission a thread sees runs of
-#: same-piece tasks, so most rebuilds vanish.  Process workers unpickle
-#: a fresh graph per task and therefore always rebuild, but the
-#: one-entry-per-kind cache keeps at most one stale sampler pinned.
+#: same-piece tasks, so most rebuilds vanish, and the one-entry-per-kind
+#: cache keeps at most one stale sampler pinned.
 _task_local = threading.local()
 
 
@@ -256,28 +253,11 @@ def _cached_sampler(piece_graph, model: str, backend):
 def _sample_task(args):
     """One (piece, root block) unit: sample with the task's own stream.
 
-    Module-level (not a closure) so the process executor can pickle it;
-    imports are deferred to dodge the sampling <-> diffusion cycle.
-
-    With a 6th element — a shared-memory slot spec from
-    :class:`repro.sampling.shm.SharedSlabPool` — the CSR pair is
-    written into the slot and only a token crosses the result queue;
-    the tagged ``("arr", ptr, nodes)`` form is the per-task fallback
-    when the block does not fit (or shm is unavailable in the worker).
+    Imports are deferred to dodge the sampling <-> diffusion cycle.
     """
-    piece_graph, model, backend, roots, seed = args[:5]
+    piece_graph, model, backend, roots, seed = args
     sampler = _cached_sampler(piece_graph, model, backend)
-    ptr, nodes = sampler.sample_many(roots, as_generator(seed))
-    if len(args) > 5:
-        from repro.sampling.shm import write_block
-
-        token = write_block(args[5], ptr, nodes)
-        if token is not None:
-            return token
-        return ("arr", ptr, nodes)
-    return ptr, nodes
-
-
+    return sampler.sample_many(roots, as_generator(seed))
 
 
 def resolve_entropy(seed) -> int:
@@ -341,10 +321,8 @@ def stream_piece_blocks(
     *,
     backend: str | None,
     workers: int,
-    executor: str | None = None,
     block_size: int | None = None,
     skip=None,
-    pool=None,
 ):
     """Yield every (piece, root block) result in task order, as sampled.
 
@@ -362,13 +340,8 @@ def stream_piece_blocks(
     keying — consume nothing, which is how a resumed or updated store
     samples only its missing blocks and lands on the same collection.
 
-    ``pool`` lends a pre-built executor (see :func:`make_pool`) — the
-    warm-pool path: pending futures are still cancelled on exit, but
-    shutdown stays with the caller.  On a process pool, block results
-    travel through a :class:`repro.sampling.shm.SharedSlabPool` sized
-    to the in-flight window instead of being pickled, with a per-task
-    pickled fallback (see :mod:`repro.sampling.shm`) — the transport
-    never changes the bytes, only how they cross the process boundary.
+    ``workers > 1`` runs the tasks on a thread pool built here and shut
+    down on exit, pending futures cancelled.
     """
     if len(piece_graphs) != len(models):
         raise SamplingError(
@@ -399,19 +372,9 @@ def stream_piece_blocks(
             ptr, nodes = _sample_task(args)
             yield j, b, ptr, nodes
         return
-    owned = pool is None
-    if owned:
-        pool = make_pool(width, executor=executor)
-    slab_pool = None
-    if isinstance(pool, ProcessPoolExecutor):
-        from repro.sampling import shm as _shm
-
-        slab_pool = _shm.SharedSlabPool.create(
-            2 * width, _shm.slab_slot_bytes(block)
-        )
+    pool = make_pool(width)
     pending: deque = deque()
     iterator = iter(todo)
-    submit_index = 0
     try:
         while True:
             while len(pending) < 2 * width:
@@ -419,26 +382,13 @@ def stream_piece_blocks(
                 if item is None:
                     break
                 coords, args = item
-                if slab_pool is not None:
-                    args = args + (slab_pool.slot_spec(submit_index),)
-                submit_index += 1
                 pending.append((coords, pool.submit(_sample_task, args)))
             if not pending:
                 break
             (j, b), future = pending.popleft()
-            result = future.result()
-            if slab_pool is not None:
-                if result[0] == "shm":
-                    ptr, nodes = slab_pool.read(result)
-                else:  # ("arr", ptr, nodes) — the pickled fallback
-                    _, ptr, nodes = result
-            else:
-                ptr, nodes = result
+            ptr, nodes = future.result()
             yield j, b, ptr, nodes
     finally:
         for _, future in pending:
             future.cancel()
-        if owned:
-            pool.shutdown(wait=True, cancel_futures=True)
-        if slab_pool is not None:
-            slab_pool.close()
+        pool.shutdown(wait=True, cancel_futures=True)

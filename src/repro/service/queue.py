@@ -80,26 +80,23 @@ def execute_spec(spec: JobSpec, *, runtime=None) -> tuple[dict, list]:
         seed=spec.seed,
         runtime=runtime,
     )
-    # the context manager releases the session's warm sampling pool
-    # even when the solver raises (the failure is recorded on the job)
-    with session:
-        if spec.delta is not None:
-            return _execute_update(session, spec)
-        if spec.evaluate:
-            result = session.run(
-                spec.method,
-                theta=spec.theta,
-                eval_theta=spec.eval_theta,
-                **spec.options,
-            )
-        else:
-            session.stage_trace.record("plan", "run", "problem")
-            result = session.solve(
-                spec.method,
-                theta=spec.theta,
-                evaluate=False,
-                **spec.options,
-            )
+    if spec.delta is not None:
+        return _execute_update(session, spec)
+    if spec.evaluate:
+        result = session.run(
+            spec.method,
+            theta=spec.theta,
+            eval_theta=spec.eval_theta,
+            **spec.options,
+        )
+    else:
+        session.stage_trace.record("plan", "run", "problem")
+        result = session.solve(
+            spec.method,
+            theta=spec.theta,
+            evaluate=False,
+            **spec.options,
+        )
     payload = {
         "method": result.method,
         "seed_sets": [sorted(int(v) for v in s) for s in result.seed_sets],

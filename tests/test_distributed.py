@@ -254,11 +254,11 @@ class TestSpawnedGenerate:
         _assert_identical(serial_mrr, spawned)
         assert not os.path.exists(os.path.join(shard_dir, dist.DIST_DIR))
 
-    def test_spawned_memory_target_degrades_to_process_pool(
+    def test_spawned_memory_target_degrades_to_thread_pool(
         self, world, serial_mrr
     ):
-        """No shard dir to rendezvous on: spawned degrades to the
-        bit-identical process pool."""
+        """No shard dir to rendezvous on: spawned runs on the
+        bit-identical thread pool."""
         graph, campaign = world
         got = MRRCollection.generate(
             graph,

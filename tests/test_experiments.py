@@ -213,6 +213,8 @@ class TestCli:
             parser.parse_args(["table3", "--model", "sir"])
         with pytest.raises(SystemExit):
             parser.parse_args(["table3", "--store", "s3"])
+        with pytest.raises(SystemExit):
+            parser.parse_args(["table3", "--executor", "process"])
 
     def test_shard_dir_rejects_explicit_memory_store(self):
         with pytest.raises(SystemExit):
@@ -234,13 +236,14 @@ class TestCli:
         monkeypatch.setitem(cli._DRIVERS, "table3", capture)
         shard_dir, artifact_dir = str(tmp_path / "s"), str(tmp_path / "a")
         assert main([
-            "table3", "--workers", "1", "--store", "disk",
-            "--shard-dir", shard_dir, "--max-resident-mb", "64",
-            "--artifact-dir", artifact_dir,
+            "table3", "--workers", "1", "--executor", "spawned",
+            "--store", "disk", "--shard-dir", shard_dir,
+            "--max-resident-mb", "64", "--artifact-dir", artifact_dir,
         ]) == 0
         (profile,) = seen
         assert profile.runtime == Runtime(
             workers=1,
+            executor="spawned",
             store="disk",
             shard_dir=shard_dir,
             max_resident_bytes=64 << 20,

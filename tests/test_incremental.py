@@ -255,8 +255,6 @@ class TestThetaAppend:
         cold_result = cold.solve("celf-mrr")
         assert update.plan == cold_result.plan
         assert update.estimate == pytest.approx(cold_result.estimate)
-        grown.close()
-        cold.close()
 
     def test_append_only_samples_new_and_tail_shards(
         self, small_random_graph, small_campaign
@@ -320,8 +318,7 @@ class TestDeltaInvalidation:
         )
         session = make_session(graph, campaign, runtime=runtime)
         session.sample_incremental(1024)
-        yield session
-        session.close()
+        return session
 
     def test_update_regenerates_exactly_touched_shards(self, big_session):
         session = big_session
@@ -365,7 +362,6 @@ class TestDeltaInvalidation:
         assert collection_digest(session.mrr) == collection_digest(cold_mrr)
         cold_result = cold.solve("celf-mrr")
         assert update.plan == cold_result.plan
-        cold.close()
 
     def test_update_requires_a_lineage(self, session):
         with pytest.raises(SolverError, match="sample_incremental"):
@@ -413,8 +409,6 @@ class TestHostedUpdate:
         mrr = fresh.sample_incremental(800)
         assert fresh.stage_trace.actions("sample") == ["hit"]
         assert collection_digest(mrr) == collection_digest(session.mrr)
-        fresh.close()
-        session.close()
 
 
 # -- warm-started solving --------------------------------------------------
@@ -520,11 +514,8 @@ class TestServiceUpdates:
             k=BASE_SPEC["k"],
             seed=BASE_SPEC.get("seed", 0),
         )
-        with probe:
-            graph = probe.graph
-            dst = next(
-                d for d in range(1, graph.n) if not graph.has_edge(0, d)
-            )
+        graph = probe.graph
+        dst = next(d for d in range(1, graph.n) if not graph.has_edge(0, d))
         return 0, dst
 
     def test_update_job_runs_the_incremental_path(self, tmp_path):

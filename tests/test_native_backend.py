@@ -1,4 +1,4 @@
-"""The compiled kernel tier: fallback, bit-identity, and transport.
+"""The compiled kernel tier: fallback and bit-identity.
 
 ``backend="native"`` is a *perf* tier, never a semantics tier: with
 Numba absent it resolves to ``"batch"`` (one warning per process), and
@@ -10,11 +10,8 @@ exercises both sides of every dispatch on a machine with no compiler:
 ``repro.native.COMPILED`` is monkeypatched, exactly as the module
 documents.
 
-Also covered here: the shared-memory slab transport for process-pool
-sample blocks (roundtrip, overflow fallback, kill-switch), the
-Session's warm worker pool (reuse, replacement, exception-safe
-shutdown, context manager), and the block-geometry extras the sample
-stage reports into the pipeline trace.
+Also covered here: the block-geometry extras the sample stage reports
+into the pipeline trace.
 """
 
 from __future__ import annotations
@@ -39,7 +36,6 @@ from repro.graph.generators import (
 )
 from repro.native import kernels as nk
 from repro.runtime import Runtime, resolve_runtime
-from repro.sampling import shm
 from repro.sampling.batch import (
     BatchLTSampler,
     BatchRRSampler,
@@ -320,156 +316,11 @@ class TestKernelsMatchNumpy:
 
 
 # ----------------------------------------------------------------------
-# shared-memory slab transport
+# sample-stage trace extras
 # ----------------------------------------------------------------------
 
 
-class TestSharedSlabPool:
-    def test_roundtrip(self):
-        pool = shm.SharedSlabPool.create(4, 1 << 16)
-        if pool is None:
-            pytest.skip("shared memory unusable on this platform")
-        try:
-            ptr = np.array([0, 3, 5], dtype=np.int64)
-            nodes = np.array([7, 8, 9, 1, 2], dtype=np.int64)
-            token = shm.write_block(pool.slot_spec(2), ptr, nodes)
-            assert token is not None and token[0] == "shm"
-            got_ptr, got_nodes = pool.read(token)
-            assert np.array_equal(got_ptr, ptr)
-            assert np.array_equal(got_nodes, nodes)
-        finally:
-            pool.close()
-
-    def test_slot_assignment_is_round_robin(self):
-        pool = shm.SharedSlabPool.create(3, 1 << 12)
-        if pool is None:
-            pytest.skip("shared memory unusable on this platform")
-        try:
-            names = [pool.slot_spec(i)[0] for i in range(6)]
-            assert names[:3] == names[3:]
-            assert len(set(names[:3])) == 3
-        finally:
-            pool.close()
-
-    def test_oversized_block_falls_back(self):
-        pool = shm.SharedSlabPool.create(2, 1 << 10)
-        if pool is None:
-            pytest.skip("shared memory unusable on this platform")
-        try:
-            big = np.arange(1 << 10, dtype=np.int64)
-            assert (
-                shm.write_block(
-                    pool.slot_spec(0), big[:2], big
-                )
-                is None
-            )
-        finally:
-            pool.close()
-
-    def test_kill_switch_disables_creation(self, monkeypatch):
-        monkeypatch.setattr(shm, "SHM_ENABLED", False)
-        assert shm.SharedSlabPool.create(4, 1 << 16) is None
-
-    def test_close_is_idempotent(self):
-        pool = shm.SharedSlabPool.create(2, 1 << 12)
-        if pool is None:
-            pytest.skip("shared memory unusable on this platform")
-        pool.close()
-        pool.close()
-
-    def test_process_pool_stream_matches_serial(self, world):
-        """Process workers + shm transport reproduce the serial block
-        stream bit-for-bit (the transport moves bytes, never draws)."""
-        from repro.sampling.parallel import stream_piece_blocks
-
-        graph, campaign = world
-        piece_graphs = project_campaign(graph, campaign)
-        models = ("ic",) * len(piece_graphs)
-        roots = as_generator(3).integers(0, graph.n, size=300)
-
-        def collect(workers, executor):
-            return [
-                (j, b, ptr.tobytes(), nodes.tobytes())
-                for j, b, ptr, nodes in stream_piece_blocks(
-                    piece_graphs,
-                    models,
-                    roots,
-                    17,
-                    backend="batch",
-                    workers=workers,
-                    executor=executor,
-                )
-            ]
-
-        serial = collect(1, "thread")
-        process = collect(2, "process")
-        assert serial == process
-
-
-# ----------------------------------------------------------------------
-# Session warm pool + trace extras
-# ----------------------------------------------------------------------
-
-
-@pytest.fixture
-def session_runtime():
-    return Runtime(workers=2, executor="thread")
-
-
-class TestSessionWarmPool:
-    def test_pool_reused_across_collections(self, world, session_runtime):
-        graph, campaign = world
-        with Session(
-            graph, campaign, k=3, seed=7, runtime=session_runtime
-        ) as session:
-            session.sample(200)
-            first = session._pool
-            assert first is not None
-            session.sample_evaluation(200)
-            assert session._pool is first
-        assert session._pool is None
-
-    def test_serial_runtime_builds_no_pool(self, world):
-        graph, campaign = world
-        session = Session(
-            graph, campaign, k=3, seed=7, runtime=Runtime(workers=0)
-        )
-        session.sample(200)
-        assert session._pool is None
-
-    def test_close_is_idempotent_and_session_survives(
-        self, world, session_runtime
-    ):
-        graph, campaign = world
-        session = Session(
-            graph, campaign, k=3, seed=7, runtime=session_runtime
-        )
-        session.sample(200)
-        session.close()
-        assert session._pool is None
-        session.close()
-        session.sample(200)  # a fresh pool is built transparently
-        assert session._pool is not None
-        session.close()
-
-    def test_failed_generation_releases_the_pool(
-        self, world, session_runtime, monkeypatch
-    ):
-        graph, campaign = world
-        session = Session(
-            graph, campaign, k=3, seed=7, runtime=session_runtime
-        )
-        session.sample(200)
-        assert session._pool is not None
-
-        def boom(*args, **kwargs):
-            raise RuntimeError("sampling exploded")
-
-        monkeypatch.setattr(MRRCollection, "generate_traced", boom)
-        with pytest.raises(RuntimeError, match="exploded"):
-            session.sample(200)
-        assert session._pool is None
-
+class TestSampleStageTraceExtras:
     def test_sample_stage_records_block_geometry(self, world):
         graph, campaign = world
         # A *run* event is under test: an ambient REPRO_ARTIFACTS cache

@@ -38,6 +38,7 @@ import repro.runtime as runtime_mod
 from repro.sampling import parallel
 from repro.sampling.mrr import MRRCollection
 from repro.sampling.parallel import (
+    check_executor,
     parallel_map,
     resolve_workers,
     round_chunks,
@@ -105,7 +106,9 @@ class TestKnobResolution:
 
     def test_invalid_executor_rejected(self):
         with pytest.raises(ParameterError):
-            parallel_map(abs, [1], 2, executor="fiber")
+            check_executor("fiber")
+        with pytest.raises(ParameterError, match="process"):
+            check_executor("process")
 
     def test_task_decomposition_is_worker_independent(self):
         # Pure functions of theta / rounds — nothing about the pool.
@@ -137,23 +140,6 @@ class TestDeterministicFanOut:
             )
             fingerprints.append(_mrr_fingerprint(mrr))
         assert fingerprints[0] == fingerprints[1]
-
-    def test_generate_process_executor_matches_threads(self, world):
-        graph, campaign, pgs = world
-        by_executor = [
-            _mrr_fingerprint(
-                MRRCollection.generate(
-                    graph,
-                    campaign,
-                    theta=600,
-                    seed=78,
-                    piece_graphs=pgs,
-                    runtime=Runtime(workers=2, executor=executor),
-                )
-            )
-            for executor in ("thread", "process")
-        ]
-        assert by_executor[0] == by_executor[1]
 
     def test_serial_spellings_match_pooled_draw(self, world, monkeypatch):
         """workers=None (no env default), 0 and "serial" run inline and
@@ -234,11 +220,8 @@ class TestFailureHandling:
                 raise ValueError("task 7 exploded")
             return item
 
-        # executor pinned: these are the *thread*-pool drain semantics
-        # (closures and active_count don't translate to process pools,
-        # which the REPRO_EXECUTOR matrix leg would otherwise select).
         with pytest.raises(ValueError, match="task 7 exploded"):
-            parallel_map(boom, list(range(16)), 4, executor="thread")
+            parallel_map(boom, list(range(16)), 4)
         # The with-block joined the pool: no orphaned workers linger.
         assert threading.active_count() <= baseline + 1
 
@@ -249,8 +232,9 @@ class TestFailureHandling:
             raise RuntimeError("sampler crashed in a worker")
 
         monkeypatch.setattr(parallel, "_sample_task", failing_task)
-        # Thread pool pinned: the monkeypatched task only exists in
-        # this process, so process/spawned executors would never see it.
+        # Thread executor pinned: the monkeypatched task only exists in
+        # this process, so spawned workers (the REPRO_EXECUTOR=spawned
+        # disk-store leg) would never see it.
         with pytest.raises(RuntimeError, match="crashed in a worker"):
             MRRCollection.generate(
                 graph,
@@ -268,9 +252,9 @@ class TestFailureHandling:
             time.sleep(0.001 * ((7 - item) % 5))
             return item * item
 
-        assert parallel_map(
-            jittered, list(range(12)), 4, executor="thread"
-        ) == [i * i for i in range(12)]
+        assert parallel_map(jittered, list(range(12)), 4) == [
+            i * i for i in range(12)
+        ]
 
     def test_reusable_pool_survives_errors_and_reuse(self):
         """A caller-owned pool (make_pool) serves many rounds, stays
@@ -278,9 +262,7 @@ class TestFailureHandling:
         from repro.sampling.parallel import make_pool
 
         assert make_pool(1) is None  # inline path needs no pool
-        # Thread pool pinned: the boom/abs closures below cannot cross
-        # a process boundary.
-        pool = make_pool(3, executor="thread")
+        pool = make_pool(3)
         try:
             first = parallel_map(abs, [-3, -1, -2], 3, pool=pool)
             assert first == [3, 1, 2]

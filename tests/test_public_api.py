@@ -98,7 +98,6 @@ ENTRY_SIGNATURES = {
     ],
     "MRRCollection.generate_traced": [
         "graph", "campaign", "theta", "seed", "piece_graphs", "runtime",
-        "pool",
     ],
     "ris_influence_maximization": [
         "piece_graph", "k", "theta", "pool", "seed", "runtime",

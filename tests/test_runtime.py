@@ -127,6 +127,7 @@ class TestRuntimeConstruction:
             {"workers": 2.5},
             {"workers": True},
             {"executor": "fork"},
+            {"executor": "process"},
             {"store": "s3"},
             {"max_resident_bytes": 0},
             {"max_resident_bytes": "lots"},
@@ -141,7 +142,7 @@ class TestRuntimeConstruction:
             backend="python",
             model=["ic", "lt"],
             workers="auto",
-            executor="process",
+            executor="spawned",
             store="disk",
             shard_dir=tmp_path,
             max_resident_bytes=1 << 20,
@@ -244,6 +245,24 @@ class TestResolutionOrder:
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "ok"
 
+    def test_removed_executor_fails_at_import(self):
+        # REPRO_EXECUTOR is parsed once, at import: the retired
+        # "process" value must fail there, naming the variable.
+        result = subprocess.run(
+            [sys.executable, "-c", "import repro"],
+            env={
+                "PYTHONPATH": str(
+                    pathlib.Path(repro.__file__).parents[1]
+                ),
+                "REPRO_EXECUTOR": "process",
+            },
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode != 0
+        assert "ConfigError" in result.stderr
+        assert "REPRO_EXECUTOR" in result.stderr
+
     def test_exactly_one_env_resolution_path(self):
         """No per-module REPRO_* parsing outside repro.runtime."""
         package_root = pathlib.Path(repro.__file__).parent
@@ -303,17 +322,6 @@ class TestEntryValidation:
         with pytest.raises(ConfigError):
             call(**bad)
 
-    def test_serial_path_no_longer_ignores_bad_executor(
-        self, small_random_graph, small_campaign
-    ):
-        # Historically only celf_greedy_im checked executor; a serial
-        # generate silently accepted garbage.  Now it fails at entry.
-        with pytest.raises(ConfigError):
-            MRRCollection.generate(
-                small_random_graph, small_campaign, 10, seed=0,
-                runtime=Runtime(executor="fork"),
-            )
-
     def test_single_graph_entries_reject_model_sequences(self, piece_graph):
         # Regression: a per-piece model list on a single-graph entry
         # point must fail at entry as ConfigError, not surface as a
@@ -340,18 +348,6 @@ class TestEntryValidation:
         assert Runtime().with_shard_subdir("x").shard_dir is None
         resolved = resolve_runtime(rt).with_shard_subdir("y")
         assert resolved.shard_dir == str(tmp_path / "y")
-
-    def test_adaptive_and_baseline_validate(
-        self, small_random_graph, small_campaign
-    ):
-        adoption = AdoptionModel.from_ratio(0.5)
-        probe = [[0] for _ in range(small_campaign.num_pieces)]
-        with pytest.raises(ConfigError):
-            generate_adaptive(
-                small_random_graph, small_campaign, adoption, probe,
-                initial_theta=10, max_theta=20, seed=0,
-                runtime=Runtime(backend="numba"),
-            )
 
 
 # --------------------------------------------------------------------------

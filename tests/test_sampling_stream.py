@@ -44,7 +44,7 @@ def reference(small_random_graph, small_campaign):
     )
 
 
-@pytest.mark.parametrize("executor", ["thread", "process"])
+@pytest.mark.parametrize("executor", ["thread", "spawned"])
 @pytest.mark.parametrize("workers", [None, 1, 2])
 @pytest.mark.parametrize("store", ["memory", "disk"])
 def test_every_entry_point_draws_one_stream(
@@ -63,14 +63,14 @@ def test_every_entry_point_draws_one_stream(
         small_random_graph, small_campaign, THETA, seed=SEED,
         runtime=runtime("generate"),
     )
-    with Session(
+    session = Session(
         small_random_graph, small_campaign, k=3, seed=SEED,
         runtime=runtime("session"),
-    ) as session:
-        sampled = session.sample(THETA)
-        assert collection_digest(sampled) == reference
-        lineage = session.sample_incremental(THETA)
-        assert collection_digest(lineage) == reference
+    )
+    sampled = session.sample(THETA)
+    assert collection_digest(sampled) == reference
+    lineage = session.sample_incremental(THETA)
+    assert collection_digest(lineage) == reference
     assert generated.store.kind == sampled.store.kind == lineage.store.kind
     assert collection_digest(generated) == reference
 
