@@ -76,7 +76,7 @@ def celf_greedy_im(
     pool_width = rt.pool_width
     # One pool for the whole CELF run: spread() is called O(|pool| + k)
     # times, so per-evaluation pool construction would dwarf the gain.
-    eval_pool = make_pool(pool_width) if pool_width is not None else None
+    eval_pool = make_pool(pool_width)
 
     def spread(seeds: list[int]) -> float:
         if not seeds:

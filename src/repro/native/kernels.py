@@ -62,7 +62,7 @@ def rr_expand_level(
     engine gathers them (frontier order, then slab slot order),
     consuming one pre-drawn uniform per edge, and appends each (vertex,
     root slot) pair the first time its stamp cell is fresh — the
-    sequential equivalent of ``hit``/``fresh``/``stable_unique``.
+    sequential equivalent of ``hit``/``fresh``/``first_occurrence``.
     ``next_v``/``next_r`` must hold at least ``draws.size`` entries;
     returns how many were written.
     """

@@ -579,7 +579,7 @@ def resolve_runtime(runtime=None, *, seed=None) -> ResolvedRuntime:
     # env > default is applied by the check_*/resolve_* helpers of the
     # owning modules (their module globals re-export the env defaults
     # parsed above).
-    from repro.sampling.batch import check_backend
+    from repro.sampling.batch import check_backend, check_model
     from repro.sampling.parallel import check_executor, resolve_workers
     from repro.sampling.store import SampleStore, check_store
 
@@ -596,9 +596,12 @@ def resolve_runtime(runtime=None, *, seed=None) -> ResolvedRuntime:
     store = base.store
     if not isinstance(store, SampleStore):
         store = check_store(_check_store_field(store))
+    model = _check_model_field(base.model)
+    if model is None:
+        check_model(None)  # the default layer fails at entry too
     return ResolvedRuntime(
         backend=check_backend(base.backend),
-        model=_check_model_field(base.model),
+        model=model,
         workers=resolve_workers(base.workers) or 0,
         executor=check_executor(base.executor),
         store=store,

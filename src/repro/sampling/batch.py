@@ -18,6 +18,11 @@ module replaces those loops with slab-level vectorized kernels:
   kernel over ``out_ptr``, shared with
   :func:`repro.diffusion.simulate.simulate_cascade`.
 
+Levels are many and tiny, so the cost is per-level fixed work and
+the hot path is sort-free: O(f) first-occurrence dedup over the stamp
+array, radix-keyed grouping by root slot, and one never-re-zeroed
+stamp array per thread (:class:`_StampScratch`).
+
 Seed-stability contract: both kernels flip exactly the same coins as
 their reference counterparts, just in a different order, so estimates
 agree *in distribution* for any block size.  Where the draw order can
@@ -31,6 +36,8 @@ roots' draws, which is where the speed comes from).
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from repro import native as _native
@@ -40,9 +47,10 @@ from repro.native import kernels as _nk
 from repro.runtime import BACKENDS, DEFAULT_BACKEND, DEFAULT_MODEL, MODELS
 from repro.utils.frontier import (
     Int64Buffer,
+    first_occurrence,
     frontier_edge_slots,
     segment_sums,
-    stable_unique,
+    stable_key_order,
 )
 from repro.utils.validation import check_index_array
 
@@ -69,9 +77,9 @@ __all__ = [
 # re-exported here; this module's globals are the layer check_backend /
 # check_model consult, keeping the historical monkeypatch points.
 
-# Scratch budgets for the per-sampler (block x n) stamp array.  The
-# baseline budget (2^21 int64 cells = 16 MB) is what a sampler gets when
-# the batch size is unknown; when `sample_many` sees the actual root
+# Scratch budgets for the (block x n) stamp array.  The baseline
+# budget (2^21 int64 cells = 16 MB) is what a sampler gets when the
+# batch size is unknown; when `sample_many` sees the actual root
 # count the budget adapts — enough cells for every root at once when
 # that is cheap, up to a hard ceiling (2^23 cells = 64 MB) so huge
 # graphs fall back to narrow blocks instead of exhausting memory.
@@ -91,8 +99,9 @@ def adaptive_block_size(n: int, num_roots: int) -> int:
     budget grows from the 16 MB baseline toward whatever covers the
     whole batch in one pass, hard-ceilinged at 64 MB of stamp cells, and
     the resulting block is clamped to ``[1, min(num_roots, 4096)]``.
-    Replaces the flat 16 MB cap that left theta-scale batches crawling
-    through 2-root blocks on large graphs.
+    The ceiling also bounds each thread's shared stamp array.  Replaces
+    the flat 16 MB cap that left theta-scale batches crawling through
+    2-root blocks on large graphs.
     """
     n = max(int(n), 1)
     num_roots = max(int(num_roots), 1)
@@ -137,7 +146,7 @@ def canonical_backend(backend: str | None) -> str:
 def check_model(model: str | None) -> str:
     """Normalise a diffusion-model choice; ``None`` means the default."""
     if model is None:
-        return DEFAULT_MODEL
+        model = DEFAULT_MODEL
     if model not in MODELS:
         raise ConfigError(
             f"model must be one of {MODELS}, got {model!r}"
@@ -164,37 +173,48 @@ def check_lt_feasible(piece_graph: PieceGraph) -> None:
         )
 
 
-class _BlockedSampler:
-    """Block/stamp scratch management shared by both batch engines.
+class _StampScratch(threading.local):
+    """One thread's ``(root slot, vertex)`` stamp array and its stamp.
 
-    ``block_size=None`` (the default) sizes blocks adaptively per
-    ``sample_many`` call via :func:`adaptive_block_size` — the stamp
-    array is (re)allocated only when the chosen block changes.  An
-    explicit ``block_size`` pins the block (the stream-equality tests
-    rely on ``block_size=1`` staying bit-compatible with the reference
-    loops).
+    Shared by every batch sampler the thread runs; it only grows and is
+    never re-zeroed, since stamps only increase.
     """
 
-    __slots__ = ("_graph", "_block", "_auto", "_mark", "_stamp")
+    def __init__(self) -> None:
+        self.mark = np.zeros(0, dtype=np.int64)
+        self.stamp = 0
+
+    def cells(self, size: int) -> np.ndarray:
+        """The stamp array, grown to at least ``size`` cells."""
+        if size > self.mark.size:
+            self.mark = np.zeros(size, dtype=np.int64)
+        return self.mark
+
+
+_SCRATCH = _StampScratch()
+
+
+class _BlockedSampler:
+    """Block sizing and the block driver shared by the batch engines.
+
+    ``block_size=None`` (the default) sizes blocks adaptively per
+    ``sample_many`` call via :func:`adaptive_block_size`.  An explicit
+    ``block_size`` pins the block (the stream-equality tests rely on
+    ``block_size=1`` staying bit-compatible with the reference loops).
+    The stamp array is the calling thread's :class:`_StampScratch`, so
+    a sampler owns no scratch and costs nothing to build.
+    """
+
+    __slots__ = ("_graph", "_block", "_auto")
 
     def __init__(
         self, piece_graph: PieceGraph, *, block_size: int | None = None
     ) -> None:
-        n = piece_graph.n
         self._graph = piece_graph
         self._auto = block_size is None
-        if self._auto:
-            self._block = 0
-            self._mark = np.zeros(0, dtype=np.int64)
-        else:
-            block_size = int(block_size)
-            if block_size < 1:
-                raise ParameterError(
-                    f"block_size must be >= 1, got {block_size}"
-                )
-            self._block = block_size
-            self._mark = np.zeros(block_size * max(n, 1), dtype=np.int64)
-        self._stamp = 0
+        self._block = 0 if self._auto else int(block_size)
+        if not self._auto and self._block < 1:
+            raise ParameterError(f"block_size must be >= 1, got {block_size}")
 
     @property
     def graph(self) -> PieceGraph:
@@ -205,18 +225,6 @@ class _BlockedSampler:
     def block_size(self) -> int:
         """Roots sharing one kernel pass (0 = adaptive, not yet sized)."""
         return self._block
-
-    def _ensure_scratch(self, num_roots: int) -> np.ndarray:
-        """The stamp array, sized for this batch (adaptive mode only)."""
-        if self._auto:
-            block = adaptive_block_size(self._graph.n, num_roots)
-            if block != self._block:
-                self._block = block
-                self._mark = np.zeros(
-                    block * max(self._graph.n, 1), dtype=np.int64
-                )
-                self._stamp = 0
-        return self._mark
 
     # -- the engine hooks ------------------------------------------------
     #
@@ -254,11 +262,14 @@ class _BlockedSampler:
         if len(found_v) > 1:
             block_v = np.concatenate(found_v)
             block_r = np.concatenate(found_r)
-            order = np.argsort(block_r, kind="stable")
-            block_v, block_r = block_v[order], block_r[order]
+            block_v = block_v[stable_key_order(block_r, b)]
         else:
             block_v, block_r = found_v[0], found_r[0]
         return block_v, np.bincount(block_r, minlength=b)
+
+    def sample(self, root: int, rng) -> np.ndarray:
+        """Draw one RR set for ``root`` (a single-root block)."""
+        return self.sample_many(np.asarray([root], dtype=np.int64), rng)[1]
 
     def sample_many(self, roots, rng) -> tuple[np.ndarray, np.ndarray]:
         """Draw RR sets for every root; return them CSR-flattened.
@@ -275,14 +286,17 @@ class _BlockedSampler:
                 f"roots must be one-dimensional, got shape {roots.shape}"
             )
         check_index_array("root", roots, n, exc=SamplingError)
-        mark = self._ensure_scratch(roots.size)
+        if self._auto:
+            self._block = adaptive_block_size(n, roots.size)
+        block, scratch = self._block, _SCRATCH
+        mark = scratch.cells(block * max(n, 1))
         sizes = np.zeros(roots.size, dtype=np.int64)
         out = Int64Buffer(2 * roots.size + 16)
-        for start in range(0, roots.size, self._block):
-            block_roots = roots[start : start + self._block]
+        for start in range(0, roots.size, block):
+            block_roots = roots[start : start + block]
             b = block_roots.size
-            self._stamp += 1
-            stamp = self._stamp
+            scratch.stamp += 1
+            stamp = scratch.stamp
             slots = np.arange(b, dtype=np.int64)
             mark[slots * n + block_roots] = stamp
             level_v, level_r = block_roots, slots
@@ -326,13 +340,6 @@ class BatchRRSampler(_BlockedSampler):
 
     __slots__ = ()
 
-    def sample(self, root: int, rng) -> np.ndarray:
-        """Draw one RR set for ``root`` (a single-root block)."""
-        _, nodes = self.sample_many(
-            np.asarray([root], dtype=np.int64), rng
-        )
-        return nodes
-
     def _prepare_level(self, level_v, level_r):
         edge_idx, deg = frontier_edge_slots(self._graph.in_ptr, level_v)
         return edge_idx.size, (edge_idx, deg, level_r)
@@ -349,7 +356,7 @@ class BatchRRSampler(_BlockedSampler):
         fresh = mark[key] != stamp
         if not fresh.any():
             return _EMPTY, _EMPTY
-        key = stable_unique(key[fresh])
+        key = first_occurrence(key[fresh], mark)
         mark[key] = stamp
         next_r = key // n
         next_v = key - next_r * n
@@ -369,15 +376,11 @@ def simulate_cascade_batch(
     """
     n = piece_graph.n
     active = np.zeros(n, dtype=bool)
-    frontier_seeds: list[int] = []
-    for s in seeds:
-        s = int(s)
-        if not (0 <= s < n):
-            raise ParameterError(f"seed {s} outside [0, {n})")
-        if not active[s]:
-            active[s] = True
-            frontier_seeds.append(s)
-    frontier = np.asarray(frontier_seeds, dtype=np.int64)
+    position = np.empty(n, dtype=np.int64)  # first_occurrence scratch
+    frontier = np.fromiter(map(int, seeds), dtype=np.int64)
+    check_index_array("seed", frontier, n, exc=ParameterError)
+    frontier = first_occurrence(frontier, position)
+    active[frontier] = True
     out_ptr = piece_graph.out_ptr
     out_dst = piece_graph.out_dst
     out_prob = piece_graph.out_prob
@@ -388,7 +391,7 @@ def simulate_cascade_batch(
         draws = rng.random(edge_idx.size)
         hit = draws < out_prob[edge_idx]
         targets = out_dst[edge_idx[hit]]
-        fresh = stable_unique(targets[~active[targets]])
+        fresh = first_occurrence(targets[~active[targets]], position)
         active[fresh] = True
         frontier = fresh
     return active
@@ -426,13 +429,6 @@ class BatchLTSampler(_BlockedSampler):
         check_lt_feasible(piece_graph)
         super().__init__(piece_graph, block_size=block_size)
 
-    def sample(self, root: int, rng) -> np.ndarray:
-        """Draw one LT RR set for ``root`` (a single-walk block)."""
-        _, nodes = self.sample_many(
-            np.asarray([root], dtype=np.int64), rng
-        )
-        return nodes
-
     def _prepare_level(self, cur_v, cur_r):
         in_ptr = self._graph.in_ptr
         deg = in_ptr[cur_v + 1] - in_ptr[cur_v]
@@ -465,8 +461,7 @@ class BatchLTSampler(_BlockedSampler):
         fresh = mark[key] != stamp  # walked into a cycle: stop
         if not fresh.all():
             nxt, nxt_r, key = nxt[fresh], nxt_r[fresh], key[fresh]
-        if nxt.size:
-            mark[key] = stamp
+        mark[key] = stamp
         return nxt, nxt_r
 
 
@@ -493,12 +488,12 @@ class NativeRRSampler(_NativeScatter, BatchRRSampler):
     Same block driver, stamp scratch, and — crucially — draw stream as
     :class:`BatchRRSampler`: the driver still draws one uniform per
     reverse-slab edge of the frontier, in the same order.  The per-level
-    mask/gather/dedupe NumPy chain and the per-block stable argsort are
+    mask/gather/dedupe NumPy chain and the per-block stable sort are
     replaced by :func:`repro.native.kernels.rr_expand_level` and
     :func:`~repro.native.kernels.scatter_by_root`, which replicate them
-    exactly (first-occurrence dedupe == ``stable_unique``; counting
-    scatter == stable argsort), so output is bit-for-bit the batch
-    engine's whether or not Numba actually compiled the loops.
+    exactly (sequential first-stamp dedupe == ``first_occurrence``;
+    counting scatter == stable key order), so output is bit-for-bit the
+    batch engine's whether or not Numba actually compiled the loops.
     """
 
     __slots__ = ()
@@ -580,16 +575,12 @@ def simulate_lt_cascade_batch(
         check_lt_feasible(piece_graph)
     thresholds = rng.random(n)
     active = np.zeros(n, dtype=bool)
+    position = np.empty(n, dtype=np.int64)  # first_occurrence scratch
     pressure = np.zeros(n, dtype=np.float64)
-    frontier_seeds: list[int] = []
-    for s in seeds:
-        s = int(s)
-        if not (0 <= s < n):
-            raise ParameterError(f"seed {s} outside [0, {n})")
-        if not active[s]:
-            active[s] = True
-            frontier_seeds.append(s)
-    frontier = np.asarray(frontier_seeds, dtype=np.int64)
+    frontier = np.fromiter(map(int, seeds), dtype=np.int64)
+    check_index_array("seed", frontier, n, exc=ParameterError)
+    frontier = first_occurrence(frontier, position)
+    active[frontier] = True
     out_ptr = piece_graph.out_ptr
     out_dst = piece_graph.out_dst
     out_prob = piece_graph.out_prob
@@ -601,7 +592,7 @@ def simulate_lt_cascade_batch(
         inactive = ~active[targets]
         hit = targets[inactive]
         np.add.at(pressure, hit, out_prob[edge_idx[inactive]])
-        candidates = stable_unique(hit)
+        candidates = first_occurrence(hit, position)
         fresh = candidates[pressure[candidates] >= thresholds[candidates]]
         active[fresh] = True
         frontier = fresh

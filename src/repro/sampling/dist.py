@@ -261,10 +261,10 @@ def fill_store_distributed(
     # weights, bad backend), and a spawned worker hitting one can only
     # die with an exit code — the coordinator must raise the real
     # error instead.
-    from repro.sampling.parallel import _cached_sampler
+    from repro.sampling.parallel import _task_sampler
 
     for piece_graph, model in zip(piece_graphs, models):
-        _cached_sampler(piece_graph, model, backend)
+        _task_sampler(piece_graph, model, backend)
     spec = JobSpec(
         n=store.n,
         theta=int(roots.size),

@@ -46,7 +46,6 @@ Monte-Carlo forward simulation keeps its own spawned per-round streams
 from __future__ import annotations
 
 import os
-import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
@@ -126,7 +125,7 @@ def resolve_workers(workers) -> int | None:
 def check_executor(executor: str | None) -> str:
     """Normalise an executor choice; ``None`` means the default."""
     if executor is None:
-        return DEFAULT_EXECUTOR
+        executor = DEFAULT_EXECUTOR
     if executor not in EXECUTORS:
         raise ConfigError(
             f"executor must be one of {EXECUTORS}, got {executor!r}"
@@ -173,6 +172,8 @@ def spawn_task_seeds(rng, count: int) -> list[np.random.SeedSequence]:
 def make_pool(workers):
     """A thread pool sized for ``workers``, or ``None`` when inline is right.
 
+    ``None`` means inline: it does not fall back to ``REPRO_WORKERS``.
+
     For callers that issue many ``parallel_map`` rounds (e.g. one per
     CELF marginal-spread evaluation): build the pool once, pass it via
     ``parallel_map(..., pool=...)``, and shut it down in a ``finally``
@@ -184,7 +185,7 @@ def make_pool(workers):
     (:mod:`repro.sampling.dist`), so ``executor="spawned"`` elsewhere
     runs here, on the bit-identical thread pool.
     """
-    width = resolve_workers(workers)
+    width = None if workers is None else resolve_workers(workers)
     if width is None or width <= 1:
         return None
     return ThreadPoolExecutor(max_workers=width)
@@ -221,42 +222,23 @@ def _drain(pool, fn, items):
         raise
 
 
-#: Per-thread sampler reuse across tasks: a sampler's stamp scratch can
-#: reach tens of MB under the adaptive block heuristic, so rebuilding it
-#: per (piece, block) task would re-zero that scratch ~32 times per
-#: piece.  Each worker thread keeps one sampler per (model, backend)
-#: and reuses it whenever the next task targets the *same* piece-graph
-#: object — with piece-major task submission a thread sees runs of
-#: same-piece tasks, so most rebuilds vanish, and the one-entry-per-kind
-#: cache keeps at most one stale sampler pinned.
-_task_local = threading.local()
-
-
-def _cached_sampler(piece_graph, model: str, backend):
-    from repro.diffusion.threshold import LinearThresholdSampler
-    from repro.sampling.rr import ReverseReachableSampler
-
-    cache = getattr(_task_local, "samplers", None)
-    if cache is None:
-        cache = _task_local.samplers = {}
-    key = (model, backend)
-    sampler = cache.get(key)
-    if sampler is None or sampler.graph is not piece_graph:
-        if model == "lt":
-            sampler = LinearThresholdSampler(piece_graph, backend=backend)
-        else:
-            sampler = ReverseReachableSampler(piece_graph, backend=backend)
-        cache[key] = sampler
-    return sampler
-
-
-def _sample_task(args):
-    """One (piece, root block) unit: sample with the task's own stream.
+def _task_sampler(piece_graph, model: str, backend):
+    """One task's sampler; cheap, as the stamp scratch is per thread.
 
     Imports are deferred to dodge the sampling <-> diffusion cycle.
     """
+    from repro.diffusion.threshold import LinearThresholdSampler
+    from repro.sampling.rr import ReverseReachableSampler
+
+    if model == "lt":
+        return LinearThresholdSampler(piece_graph, backend=backend)
+    return ReverseReachableSampler(piece_graph, backend=backend)
+
+
+def _sample_task(args):
+    """One (piece, root block) unit: sample with the task's own stream."""
     piece_graph, model, backend, roots, seed = args
-    sampler = _cached_sampler(piece_graph, model, backend)
+    sampler = _task_sampler(piece_graph, model, backend)
     return sampler.sample_many(roots, as_generator(seed))
 
 

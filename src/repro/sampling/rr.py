@@ -62,11 +62,11 @@ class ReverseReachableSampler:
         self._graph = piece_graph
         self._backend = check_backend(backend)
         # Engine cache keyed by engine class: per-call backend overrides
-        # can alternate batch/native without rebuilding scratch arrays.
+        # can alternate batch/native without rebuilding engines.
         self._batch: dict[type, BatchRRSampler] = {}
         # Scalar-path scratch is allocated on first use: a batch-backend
         # sampler that only ever calls sample_many never pays the
-        # 16n-byte mark/queue arrays on top of the engine's own stamps.
+        # 16n-byte mark/queue arrays on top of the engines' stamps.
         self._mark: np.ndarray | None = None
         self._stamp = 0
         self._queue: np.ndarray | None = None

@@ -49,7 +49,7 @@ from repro.exceptions import ConfigError, StoreBusyError, StoreError
 from repro.native import kernels as _nk
 from repro.runtime import DEFAULT_STORE, STORES
 from repro.sampling.touch import summary_may_touch, touch_summary
-from repro.utils.frontier import frontier_edge_slots
+from repro.utils.frontier import frontier_edge_slots, stable_key_order
 
 __all__ = [
     "DEFAULT_MAX_RESIDENT_BYTES",
@@ -111,7 +111,7 @@ _EMPTY_I64 = np.zeros(0, dtype=np.int64)
 def check_store(store: str | None) -> str:
     """Normalise a store choice; ``None`` means the (env) default."""
     if store is None:
-        return DEFAULT_STORE
+        store = DEFAULT_STORE
     if store not in STORES:
         raise ConfigError(f"store must be one of {STORES}, got {store!r}")
     return store
@@ -606,7 +606,7 @@ class MemoryStore(SampleStore):
 
         With the compiled tier live the CSR transpose runs as one
         counting-scatter kernel (``repro.native.kernels.invert_index``)
-        instead of the repeat + stable-argsort chain; both constructions
+        instead of the radix-keyed stable sort; both constructions
         produce the identical index, so this path is taken whenever the
         kernel is compiled, independent of the backend knob.
         """
@@ -621,12 +621,8 @@ class MemoryStore(SampleStore):
                 sample_of_slot = np.repeat(
                     np.arange(ptr.size - 1, dtype=np.int64), np.diff(ptr)
                 )
-                order = np.argsort(nodes, kind="stable")
-                sorted_nodes = nodes[order]
-                idx_samples = sample_of_slot[order]
-                if sorted_nodes.size:
-                    counts = np.bincount(sorted_nodes, minlength=self.n)
-                    np.cumsum(counts, out=idx_ptr[1:])
+                idx_samples = sample_of_slot[stable_key_order(nodes, self.n)]
+                np.cumsum(np.bincount(nodes, minlength=self.n), out=idx_ptr[1:])
             self._idx_ptr.append(idx_ptr)
             self._idx_samples.append(idx_samples)
 
@@ -1112,13 +1108,14 @@ class ShardStore(SampleStore):
         sorted by vertex, and appended to ``idx.bin``.  Because shards
         are visited in root order and every sort is stable, each
         vertex's slab lists sample ids in increasing order: exactly the
-        index :class:`MemoryStore` builds with one global argsort.
+        index :class:`MemoryStore` builds with one global stable sort.
 
-        With the compiled tier live, both stable sorts (per-shard
-        bucket scatter and final per-bucket sort) run as the
-        counting-sort kernel ``repro.native.kernels.sort_pairs_by_vertex``
-        — O(pairs + n) and identical output, so the shard files are
-        byte-for-byte the same either way.
+        Both stable sorts (per-shard bucket scatter and final
+        per-bucket sort) are radix-keyed (``stable_key_order``), or with
+        the compiled tier live the counting-sort kernel
+        ``repro.native.kernels.sort_pairs_by_vertex`` — O(pairs + n)
+        and identical output, so the shard files are byte-for-byte the
+        same either way.
         """
         use_native = _native.compiled()
         sizes = np.empty(self.theta, dtype=np.int64)
@@ -1133,7 +1130,7 @@ class ShardStore(SampleStore):
         np.cumsum(counts, out=idx_ptr[1:])
 
         # 32 bytes/entry budget: a bucket's (vertex, sample) columns
-        # plus its argsort scratch stay within max_resident_bytes.
+        # plus its sort scratch stay within max_resident_bytes.
         bucket_entries = max(self.max_resident_bytes // 32, 4096)
         bounds = _chunk_bounds(idx_ptr[1:], bucket_entries)
         bucket_v = [
@@ -1156,7 +1153,7 @@ class ShardStore(SampleStore):
                     ss = np.empty(nodes.size, dtype=np.int64)
                     _nk.sort_pairs_by_vertex(nodes, samples, self.n, sv, ss)
                 else:
-                    order = np.argsort(nodes, kind="stable")
+                    order = stable_key_order(nodes, self.n)
                     sv, ss = nodes[order], samples[order]
                 cuts = np.searchsorted(sv, bounds)
                 for i in range(len(bounds) - 1):
@@ -1183,7 +1180,7 @@ class ShardStore(SampleStore):
                         _nk.sort_pairs_by_vertex(v, s, self.n, sv, ss)
                         ss.tofile(out)
                     else:
-                        s[np.argsort(v, kind="stable")].tofile(out)
+                        s[stable_key_order(v, self.n)].tofile(out)
             os.replace(tmp, self._idx_bin_path(piece))
         finally:
             for fh in bucket_v + bucket_s:

@@ -13,7 +13,7 @@ careful about two contracts:
   order as the per-vertex reference loops;
 * deduplication preserves first-occurrence order, so discovery order —
   and with it rng-stream equality against the reference kernels — is
-  maintained across levels.
+  maintained across levels (:func:`first_occurrence`, O(f), no sort).
 
 :class:`Int64Buffer` is the amortized-doubling append buffer used to
 accumulate CSR node arrays without materialising a Python list of
@@ -29,9 +29,10 @@ import numpy as np
 
 __all__ = [
     "Int64Buffer",
+    "first_occurrence",
     "frontier_edge_slots",
     "segment_sums",
-    "stable_unique",
+    "stable_key_order",
 ]
 
 
@@ -118,7 +119,30 @@ def segment_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return out
 
 
-def stable_unique(values: np.ndarray) -> np.ndarray:
-    """Unique values in first-occurrence order (not sorted order)."""
-    uniq, first = np.unique(values, return_index=True)
-    return uniq[np.argsort(first, kind="stable")]
+def first_occurrence(keys: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Distinct ``keys`` in first-occurrence order, in O(len(keys)).
+
+    ``np.minimum.at`` leaves each key's int64 ``scratch`` cell holding
+    the smallest of its positions ``-f .. -1`` (fancy assignment has no
+    defined order among duplicates).  Those cells are left negative: a
+    caller keeping positive stamps in ``scratch`` rewrites them itself.
+    """
+    pos = np.arange(-keys.size, 0, dtype=np.int64)
+    scratch[keys] = 0
+    np.minimum.at(scratch, keys, pos)
+    return keys[scratch[keys] == pos]
+
+
+def stable_key_order(keys: np.ndarray, bound: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for integer keys in ``[0, bound)``.
+
+    LSD passes over uint16 digits, which NumPy sorts in O(N) by radix:
+    one pass up to ``bound = 2**16``, two up to ``2**32``, else argsort.
+    """
+    if bound > 1 << 32:
+        return np.argsort(keys, kind="stable")
+    order = np.argsort(keys.astype(np.uint16), kind="stable")
+    if bound > 1 << 16:
+        high = (keys[order] >> 16).astype(np.uint16)
+        order = order[np.argsort(high, kind="stable")]
+    return order

@@ -17,6 +17,8 @@ Three groups of guarantees:
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -32,18 +34,25 @@ from repro.graph.generators import (
     build_topic_graph,
     preferential_attachment_digraph,
 )
+from repro.diffusion.threshold import normalize_lt_weights
 from repro.sampling.batch import (
     BACKENDS,
     DEFAULT_BACKEND,
+    BatchLTSampler,
     BatchRRSampler,
     check_backend,
     simulate_cascade_batch,
 )
 from repro.sampling.mrr import MRRCollection
+from repro.sampling.parallel import make_pool
 from repro.runtime import Runtime
 from repro.sampling.rr import ReverseReachableSampler
 from repro.topics.distributions import Campaign, unit_piece
-from repro.utils.frontier import Int64Buffer, stable_unique
+from repro.utils.frontier import (
+    Int64Buffer,
+    first_occurrence,
+    stable_key_order,
+)
 from repro.utils.rng import as_generator
 
 SETTINGS = settings(
@@ -297,9 +306,122 @@ class TestLegacyPythonPath:
         buf.extend(np.array([42], dtype=np.int64))
         assert buf.to_array().tolist() == [42]
 
-    def test_stable_unique_keeps_first_occurrence_order(self):
+    def test_first_occurrence_keeps_first_occurrence_order(self):
         values = np.array([7, 3, 7, 1, 3, 9], dtype=np.int64)
-        assert stable_unique(values).tolist() == [7, 3, 1, 9]
+        scratch = np.empty(10, dtype=np.int64)
+        assert first_occurrence(values, scratch).tolist() == [7, 3, 1, 9]
+
+
+def _sort_based_unique(values):
+    """The sort-based dedup ``first_occurrence`` replaced."""
+    uniq, first = np.unique(values, return_index=True)
+    return uniq[np.argsort(first, kind="stable")]
+
+
+class TestSortFreePrimitives:
+    @given(
+        bound=st.sampled_from([1, 2**16, 2**16 + 1, 2**32, 2**32 + 1]),
+        size=st.integers(0, 300),
+        distinct=st.integers(1, 40),
+        seed=st.integers(0, 10_000),
+    )
+    @SETTINGS
+    def test_stable_key_order_is_stable_argsort(
+        self, bound, size, distinct, seed
+    ):
+        rng = as_generator(seed)
+        # Few distinct keys (many duplicates), always including both
+        # ends of [0, bound) so every digit pass is exercised.
+        palette = np.unique(
+            np.concatenate(
+                [[0, bound - 1], rng.integers(0, bound, size=distinct)]
+            )
+        )
+        keys = rng.choice(palette, size=size).astype(np.int64)
+        expected = np.argsort(keys, kind="stable")
+        assert np.array_equal(stable_key_order(keys, bound), expected)
+
+    def test_stable_key_order_empty(self):
+        empty = np.zeros(0, dtype=np.int64)
+        for bound in (1, 2**16 + 1, 2**32 + 1):
+            assert stable_key_order(empty, bound).size == 0
+
+    @given(
+        size=st.integers(0, 400),
+        distinct=st.integers(1, 30),
+        seed=st.integers(0, 10_000),
+    )
+    @SETTINGS
+    def test_first_occurrence_matches_sort_based_dedup(
+        self, size, distinct, seed
+    ):
+        rng = as_generator(seed)
+        keys = rng.integers(0, distinct, size=size) * 7 + 3
+        # A stamp-like scratch: stale positive stamps must not matter.
+        scratch = rng.integers(1, 50, size=distinct * 7 + 3)
+        out = first_occurrence(keys, scratch)
+        assert np.array_equal(out, _sort_based_unique(keys))
+
+
+def _interleaved_jobs():
+    """Batch jobs over piece graphs of different n, mixed engines."""
+    jobs = []
+    for n, seed in [(60, 1), (25, 2), (90, 3), (40, 4)]:
+        pg = build_piece_graph(
+            {"n": n, "edges_per_vertex": 3, "prob_mean": 0.3, "seed": seed}
+        )
+        lt = normalize_lt_weights(pg)
+        roots = as_generator(seed).integers(0, n, size=150)
+        jobs.append((BatchRRSampler, pg, None, roots, seed))
+        jobs.append((BatchLTSampler, lt, None, roots, seed))
+        jobs.append((BatchRRSampler, pg, 1, roots[:20], seed))
+    return jobs
+
+
+def _run_job(job):
+    cls, pg, block_size, roots, seed = job
+    sampler = cls(pg, block_size=block_size)
+    return sampler.sample_many(roots, as_generator(seed))
+
+
+def _in_fresh_thread(job):
+    result = {}
+    thread = threading.Thread(
+        target=lambda: result.update(out=_run_job(job))
+    )
+    thread.start()
+    thread.join()
+    return result["out"]
+
+
+class TestSharedStampScratch:
+    """The per-thread stamp array is shared, grown and never re-zeroed:
+    no sampler may see another's marks, in one thread or across threads."""
+
+    def _expected(self, jobs):
+        return [_in_fresh_thread(job) for job in jobs]
+
+    def test_interleaved_samplers_in_one_thread(self):
+        jobs = _interleaved_jobs()
+        expected = self._expected(jobs)
+        # Twice through: the second pass reuses the grown scratch.
+        for _ in range(2):
+            for job, (ref_ptr, ref_nodes) in zip(jobs, expected):
+                ptr, nodes = _run_job(job)
+                assert np.array_equal(ptr, ref_ptr)
+                assert np.array_equal(nodes, ref_nodes)
+
+    def test_interleaved_samplers_on_a_thread_pool(self):
+        jobs = _interleaved_jobs() * 3
+        expected = self._expected(jobs)
+        pool = make_pool(4)
+        try:
+            results = list(pool.map(_run_job, jobs))
+        finally:
+            pool.shutdown(wait=True)
+        for (ptr, nodes), (ref_ptr, ref_nodes) in zip(results, expected):
+            assert np.array_equal(ptr, ref_ptr)
+            assert np.array_equal(nodes, ref_nodes)
 
 
 class TestValidationRegressions:

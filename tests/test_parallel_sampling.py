@@ -256,6 +256,16 @@ class TestFailureHandling:
             i * i for i in range(12)
         ]
 
+    def test_make_pool_none_is_inline_despite_env_default(
+        self, monkeypatch
+    ):
+        """``make_pool`` takes a resolved width: ``None`` stays inline
+        instead of falling back to the ``REPRO_WORKERS`` default."""
+        from repro.sampling.parallel import make_pool
+
+        monkeypatch.setattr(parallel, "DEFAULT_WORKERS", 4)
+        assert make_pool(None) is None
+
     def test_reusable_pool_survives_errors_and_reuse(self):
         """A caller-owned pool (make_pool) serves many rounds, stays
         usable after a failing round, and shuts down under the caller."""

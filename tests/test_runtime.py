@@ -288,24 +288,34 @@ class TestResolutionOrder:
 
 
 class TestEntryValidation:
+    # A bad Runtime field fails at construction, before any entry point
+    # runs, so the bad value goes onto the env layer instead: the module
+    # global each resolver consults (its re-export of the parsed
+    # ``REPRO_*`` default).  A bare ``Runtime()`` then reaches every
+    # entry point, and only resolution can fail.
     @pytest.mark.parametrize(
         "bad",
         [
-            {"executor": "fork"},
-            {"backend": "numba"},
-            {"store": "s3"},
-            {"workers": -2},
-            {"model": "sir"},
+            (parallel_mod, "DEFAULT_EXECUTOR", "fork"),
+            (batch_mod, "DEFAULT_BACKEND", "numba"),
+            (store_mod, "DEFAULT_STORE", "s3"),
+            (parallel_mod, "DEFAULT_WORKERS", -2),
+            (batch_mod, "DEFAULT_MODEL", "sir"),
         ],
     )
     def test_every_entry_point_validates_at_entry(
-        self, small_random_graph, small_campaign, bad
+        self, small_random_graph, small_campaign, piece_graph, monkeypatch,
+        bad,
     ):
-        with pytest.raises(ConfigError):
-            MRRCollection.generate(
-                small_random_graph, small_campaign, 10, seed=0,
-                runtime=Runtime(**bad),
-            )
+        calls = {
+            name: make(small_random_graph, small_campaign, piece_graph)
+            for name, make in ENTRY_POINTS.items()
+        }
+        monkeypatch.setattr(*bad)
+        for name, call in calls.items():
+            with pytest.raises(ConfigError):
+                call(runtime=Runtime())
+                pytest.fail(f"{name} accepted {bad[1]}={bad[2]!r}")
 
     @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
     @pytest.mark.parametrize(
