@@ -168,15 +168,23 @@ class LinearThresholdSampler:
     __slots__ = ("_graph", "_mark", "_stamp", "_backend", "_batch")
 
     def __init__(
-        self, piece_graph: PieceGraph, *, backend: str | None = None
+        self,
+        piece_graph: PieceGraph,
+        *,
+        backend: str | None = None,
+        check_weights: bool = True,
     ) -> None:
         # Lazy import — see simulate_lt_cascade for the cycle note.
         from repro.sampling.batch import check_backend, check_lt_feasible
 
         # Fail loudly on un-normalised weights: with excess incoming
         # mass the walk always finds a predecessor and every RR-based
-        # estimate silently inflates.
-        check_lt_feasible(piece_graph)
+        # estimate silently inflates.  ``check_weights=False`` is for
+        # callers that validated the graph once for many samplers (a
+        # generation builds one per task); the engines built below
+        # never repeat the check.
+        if check_weights:
+            check_lt_feasible(piece_graph)
         self._graph = piece_graph
         self._backend = check_backend(backend)
         # Engine cache keyed by engine class — see ReverseReachableSampler.
@@ -200,7 +208,7 @@ class LinearThresholdSampler:
         cls = NativeLTSampler if backend == "native" else BatchLTSampler
         engine = self._batch.get(cls)
         if engine is None:
-            engine = self._batch[cls] = cls(self._graph)
+            engine = self._batch[cls] = cls(self._graph, check_weights=False)
         return engine
 
     def sample(self, root: int, rng) -> np.ndarray:

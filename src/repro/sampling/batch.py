@@ -424,9 +424,14 @@ class BatchLTSampler(_BlockedSampler):
     __slots__ = ()
 
     def __init__(
-        self, piece_graph: PieceGraph, *, block_size: int | None = None
+        self,
+        piece_graph: PieceGraph,
+        *,
+        block_size: int | None = None,
+        check_weights: bool = True,
     ) -> None:
-        check_lt_feasible(piece_graph)
+        if check_weights:
+            check_lt_feasible(piece_graph)
         super().__init__(piece_graph, block_size=block_size)
 
     def _prepare_level(self, cur_v, cur_r):

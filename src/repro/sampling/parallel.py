@@ -222,23 +222,32 @@ def _drain(pool, fn, items):
         raise
 
 
-def _task_sampler(piece_graph, model: str, backend):
+def _task_sampler(piece_graph, model: str, backend, *, check_weights=True):
     """One task's sampler; cheap, as the stamp scratch is per thread.
 
-    Imports are deferred to dodge the sampling <-> diffusion cycle.
+    ``check_weights=False`` skips the O(m) LT feasibility check, for
+    tasks whose piece graph the generation already validated.  Imports
+    are deferred to dodge the sampling <-> diffusion cycle.
     """
     from repro.diffusion.threshold import LinearThresholdSampler
     from repro.sampling.rr import ReverseReachableSampler
 
     if model == "lt":
-        return LinearThresholdSampler(piece_graph, backend=backend)
+        return LinearThresholdSampler(
+            piece_graph, backend=backend, check_weights=check_weights
+        )
     return ReverseReachableSampler(piece_graph, backend=backend)
 
 
 def _sample_task(args):
-    """One (piece, root block) unit: sample with the task's own stream."""
+    """One (piece, root block) unit: sample with the task's own stream.
+
+    The piece graph was validated once per generation (LT feasibility:
+    :func:`stream_piece_blocks`, or the distributed coordinator), not
+    once per task.
+    """
     piece_graph, model, backend, roots, seed = args
-    sampler = _task_sampler(piece_graph, model, backend)
+    sampler = _task_sampler(piece_graph, model, backend, check_weights=False)
     return sampler.sample_many(roots, as_generator(seed))
 
 
@@ -329,13 +338,20 @@ def stream_piece_blocks(
         raise SamplingError(
             f"{len(models)} models for {len(piece_graphs)} piece graphs"
         )
+    from repro.sampling.batch import check_lt_feasible
+
     theta = int(roots.size)
     block = task_block_size(theta) if block_size is None else int(block_size)
     todo = []
     for j, (piece_graph, model) in enumerate(zip(piece_graphs, models)):
+        checked = model != "lt"
         for b, start in enumerate(range(0, theta, block)):
             if skip is not None and skip(j, b):
                 continue
+            if not checked:
+                # once per piece per generation, not once per task
+                check_lt_feasible(piece_graph)
+                checked = True
             todo.append(
                 (
                     (j, b),

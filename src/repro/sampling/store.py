@@ -16,14 +16,15 @@ implementations:
     decomposes generation into per-(piece, root block) tasks, and those
     blocks are exactly the shards: each is written to ``shard_dir`` as a
     ``.npz`` the moment it is sampled (so peak RAM during generation is
-    one block, not theta), the per-piece inverted index is built with a
-    bucketed external sort bounded by ``max_resident_bytes``, and
-    queries read only the slabs they touch through explicit bounded
-    file reads — never a whole-collection materialisation.  A manifest
-    makes shard directories self-describing: interrupted generations
-    resume from the completed shards, finished ones reload without
-    resampling, and mismatched or corrupted shards fail loudly
-    (:class:`repro.exceptions.StoreError`).
+    one block, not theta), the per-piece inverted index is built from
+    one read of the piece's shards (in RAM when the piece fits the
+    ``max_resident_bytes`` build budget, else by a bucketed external
+    sort), and queries read only the slabs they touch through explicit
+    bounded file reads — never a whole-collection materialisation.  A
+    manifest makes shard directories self-describing: interrupted
+    generations resume from the committed shard files, finished ones
+    reload without resampling, and mismatched or corrupted shards fail
+    loudly (:class:`repro.exceptions.StoreError`).
 
 Both stores produce identical inverted indexes for identical samples,
 so every solver — coverage, tau bounds, BAB, RIS — returns bit-identical
@@ -92,6 +93,9 @@ _SHARD_NAME = re.compile(r"piece(\d+)_block(\d+)\.npz$")
 #: fraction of ``max_resident_bytes``, and its absolute ceiling.
 _SEG_CACHE_FRACTION = 4
 _SEG_CACHE_MAX_BYTES = 64 * 1024 * 1024
+#: Share of ``max_resident_bytes`` the in-RAM touch summaries may hold
+#: (beyond it, :meth:`ShardStore.block_touch` reads the shard file).
+_TOUCH_CACHE_FRACTION = 4
 #: Largest request pool the segment LRU serves; bigger scans go
 #: straight to the vectorised coalescing reader, whose O(1)-ish read
 #: count already wins there and whose per-entry cost is lower.  The
@@ -211,6 +215,33 @@ def _chunk_bounds(cum_weights: np.ndarray, budget: int) -> list[int]:
     return bounds
 
 
+def _invert_csr(
+    ptr: np.ndarray, nodes: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """One piece's inverted index ``(idx_ptr, idx_samples)`` from its RR
+    sets in CSR form: sample ``i`` is ``nodes[ptr[i]:ptr[i + 1]]``.
+
+    Vertex ``v``'s slab ``idx_samples[idx_ptr[v]:idx_ptr[v + 1]]`` lists
+    the samples containing it in increasing order.  With the compiled
+    tier live the transpose runs as one counting-scatter kernel
+    (``repro.native.kernels.invert_index``), else as a radix-keyed
+    stable sort; both give the identical index, so the kernel is used
+    whenever it is compiled, independent of the backend knob.  Both
+    stores build through here.
+    """
+    idx_ptr = np.zeros(n + 1, dtype=np.int64)
+    if _native.compiled():
+        idx_samples = np.empty(nodes.size, dtype=np.int64)
+        _nk.invert_index(ptr, nodes, idx_ptr, idx_samples)
+        return idx_ptr, idx_samples
+    sample_of_slot = np.repeat(
+        np.arange(ptr.size - 1, dtype=np.int64), np.diff(ptr)
+    )
+    idx_samples = sample_of_slot[stable_key_order(nodes, n)]
+    np.cumsum(np.bincount(nodes, minlength=n), out=idx_ptr[1:])
+    return idx_ptr, idx_samples
+
+
 class SampleStore:
     """Interface between :class:`~repro.sampling.mrr.MRRCollection` and
     wherever its arrays live.
@@ -324,7 +355,7 @@ class SampleStore:
         summary — or any store with ``supports_touch`` false — are
         always listed, so degradation is conservative, never unsound.
         """
-        vertices = np.asarray(vertices, dtype=np.int64)
+        vertices = np.unique(np.asarray(vertices, dtype=np.int64))
         if vertices.size == 0:
             return []
         out = []
@@ -513,7 +544,7 @@ class MemoryStore(SampleStore):
                 nodes = self._pending[piece][block][1]
             else:
                 return None
-            summary = self._touch[key] = touch_summary(nodes)
+            summary = self._touch[key] = touch_summary(nodes, self.n)
         return summary
 
     def _materialize_pending(self) -> None:
@@ -602,27 +633,11 @@ class MemoryStore(SampleStore):
         self.finalized = True
 
     def _build_indexes(self) -> None:
-        """Inverted index per piece: vertex -> sorted sample ids.
-
-        With the compiled tier live the CSR transpose runs as one
-        counting-scatter kernel (``repro.native.kernels.invert_index``)
-        instead of the radix-keyed stable sort; both constructions
-        produce the identical index, so this path is taken whenever the
-        kernel is compiled, independent of the backend knob.
-        """
-        use_native = _native.compiled()
+        """Inverted index per piece: vertex -> sorted sample ids."""
         for j in range(len(self._rr_ptr)):
-            ptr, nodes = self._rr_ptr[j], self._rr_nodes[j]
-            idx_ptr = np.zeros(self.n + 1, dtype=np.int64)
-            if use_native:
-                idx_samples = np.empty(nodes.size, dtype=np.int64)
-                _nk.invert_index(ptr, nodes, idx_ptr, idx_samples)
-            else:
-                sample_of_slot = np.repeat(
-                    np.arange(ptr.size - 1, dtype=np.int64), np.diff(ptr)
-                )
-                idx_samples = sample_of_slot[stable_key_order(nodes, self.n)]
-                np.cumsum(np.bincount(nodes, minlength=self.n), out=idx_ptr[1:])
+            idx_ptr, idx_samples = _invert_csr(
+                self._rr_ptr[j], self._rr_nodes[j], self.n
+            )
             self._idx_ptr.append(idx_ptr)
             self._idx_samples.append(idx_samples)
 
@@ -680,7 +695,11 @@ class ShardStore(SampleStore):
 
     Layout under ``shard_dir``::
 
-        manifest.json                   dimensions, fingerprint, progress
+        manifest.json                   dimensions, fingerprint, version,
+                                        finalize marker (written at
+                                        begin, invalidate_blocks,
+                                        retarget and finalize — never
+                                        per shard)
         roots.npy                       the shared root draw
         piece000_block00000.npz         one (piece, root block) shard
         piece000.idx_ptr.npy            inverted-index CSR pointer (O(n))
@@ -690,9 +709,12 @@ class ShardStore(SampleStore):
                                         slab, never whole)
 
     ``max_resident_bytes`` bounds everything this store holds in RAM:
-    the shard LRU cache serving :meth:`rr_set`, the bucket size of the
-    external-sort index build, and (via :attr:`gather_chunk_bytes`) the
-    slab chunks the coverage kernels gather per dispatch.  OS page
+    the shard LRU cache serving :meth:`rr_set`, the index build (a piece
+    whose entries fit ``max_resident_bytes // 32`` is inverted in RAM
+    from the one read of its shards; a bigger one spills to a bucketed
+    external sort with buckets of that size), the touch summaries kept
+    for :meth:`blocks_touching`, and (via :attr:`gather_chunk_bytes`)
+    the slab chunks the coverage kernels gather per dispatch.  OS page
     cache does the rest — all file traffic is explicit ``read()`` I/O,
     so cached pages are reclaimable and never count against the
     process's resident set the way a mapped index would.
@@ -745,6 +767,12 @@ class ShardStore(SampleStore):
             tuple[int, int], tuple[np.ndarray, np.ndarray]
         ] = OrderedDict()
         self._cache_bytes = 0
+        # (piece, block) -> touch summary of a committed shard, kept
+        # from put_block (or the first read) for later deltas; bounded
+        # by a share of max_resident_bytes, beyond which queries read
+        # the shard file.
+        self._touch: dict[tuple[int, int], np.ndarray] = {}
+        self._touch_bytes = 0
         self._idx_ptr: dict[int, np.ndarray] = {}
         self._sizes: dict[int, np.ndarray] = {}
         self._idx_files: dict[int, object] = {}
@@ -773,6 +801,8 @@ class ShardStore(SampleStore):
         self._seg_limit = _SEG_POOL_LIMIT
         self._seg_adapt_mark = 0
         self.manifest_version = _MANIFEST_VERSION
+        # (size, crc32) of the roots this store last wrote (save_roots).
+        self._roots_key: tuple[int, int] | None = None
 
     # -- paths ----------------------------------------------------------
 
@@ -796,8 +826,8 @@ class ShardStore(SampleStore):
     def _write_manifest(self) -> None:
         if self.shared_writer:
             # Workers never own the manifest: a worker rewriting it
-            # could clobber the coordinator's finalize marker (or list a
-            # stale block set).  Shard files alone carry their progress.
+            # could clobber the coordinator's finalize marker.  Shard
+            # files alone carry their progress.
             return
         payload = {
             "format": _FORMAT,
@@ -808,7 +838,6 @@ class ShardStore(SampleStore):
             "block_size": self.block_size,
             "fingerprint": self.fingerprint,
             "finalized": self.finalized,
-            "blocks": sorted(list(pair) for pair in self._completed),
         }
         tmp = self._path(_MANIFEST + ".tmp")
         with open(tmp, "w", encoding="utf-8") as fh:
@@ -832,6 +861,9 @@ class ShardStore(SampleStore):
         manifest = self._read_manifest()
         if manifest is None:
             self._completed = set()
+            self._touch.clear()
+            self._touch_bytes = 0
+            self._roots_key = None
             self.manifest_version = _MANIFEST_VERSION
             self._write_manifest()
             return
@@ -859,12 +891,15 @@ class ShardStore(SampleStore):
                 f"{fingerprint!r}) — point at an empty directory or remove "
                 f"the stale shards"
             )
-        # Resume: completion truth is the committed shard *files*, not
-        # the manifest's block list — a scan picks up both blocks whose
+        # Resume: completion truth is the committed shard *files* (the
+        # manifest lists no blocks) — a scan picks up both blocks whose
         # files survived and blocks committed by other writers (foreign
-        # pids in a distributed fill) that this manifest never saw.
+        # pids in a distributed fill).  Summaries of blocks whose files
+        # are gone are dropped with them.
         self._completed = set()
         self.rescan()
+        for key in [k for k in self._touch if k not in self._completed]:
+            self._forget_touch(key)
         self.finalized = bool(manifest.get("finalized")) and all(
             os.path.exists(p)
             for j in range(self.num_pieces)
@@ -907,43 +942,55 @@ class ShardStore(SampleStore):
         self._check_block(piece, block, ptr, nodes)
         if self.has_block(piece, block):
             return
-        path = self._block_path(piece, block)
+        touch = touch_summary(nodes, self.n)
         # Writer-unique staging name: two processes racing on the same
         # block (a stolen-but-alive lease) must not interleave one .tmp
         # file; both renames land identical bytes, so the duplicate
-        # commit is a benign no-op.
-        tmp = f"{path}.{os.getpid()}-{uuid.uuid4().hex[:8]}.tmp"
-        try:
-            with open(tmp, "wb") as fh:
-                # The touch member rides along in every shard; readers
-                # that predate it load only ptr/nodes and never see it,
-                # and v1 directories ignore it via the manifest version.
-                np.savez(
-                    fh, ptr=ptr, nodes=nodes, touch=touch_summary(nodes)
-                )
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        # commit is a benign no-op.  The touch member rides along in
+        # every shard; readers that predate it load only ptr/nodes and
+        # never see it, and v1 directories ignore it via the manifest
+        # version.  The manifest is not rewritten: the committed file
+        # is the only record of completion (see rescan).
+        self._atomic_write(
+            self._block_path(piece, block),
+            lambda fh: np.savez(fh, ptr=ptr, nodes=nodes, touch=touch),
+        )
         self._completed.add((piece, block))
-        self._write_manifest()
+        self._remember_touch((piece, block), touch)
 
     @property
     def supports_touch(self) -> bool:
         return self.manifest_version >= 2
 
     def block_touch(self, piece: int, block: int) -> np.ndarray | None:
-        path = self._block_path(piece, block)
+        # Summaries put_block computed, or an earlier query read, are
+        # served from RAM; the shard file is opened only on a miss.
+        key = (piece, block)
+        summary = self._touch.get(key)
+        if summary is not None:
+            return summary
         try:
-            with np.load(path) as payload:
+            with np.load(self._block_path(piece, block)) as payload:
                 if "touch" not in payload.files:
                     return None
-                return payload["touch"].astype(np.int64, copy=False)
+                summary = payload["touch"].astype(np.int64, copy=False)
         except Exception:  # noqa: BLE001 — unreadable summary = dirty
             return None
+        self._remember_touch(key, summary)
+        return summary
+
+    def _remember_touch(self, key: tuple[int, int], summary) -> None:
+        """Keep one shard's summary in RAM while they fit the budget."""
+        self._forget_touch(key)
+        budget = self.max_resident_bytes // _TOUCH_CACHE_FRACTION
+        if self._touch_bytes + summary.nbytes <= budget:
+            self._touch[key] = summary
+            self._touch_bytes += summary.nbytes
+
+    def _forget_touch(self, key: tuple[int, int]) -> None:
+        old = self._touch.pop(key, None)
+        if old is not None:
+            self._touch_bytes -= old.nbytes
 
     def _load_block_file(
         self, piece: int, block: int
@@ -1016,6 +1063,7 @@ class ShardStore(SampleStore):
         except OSError:
             pass
         self._completed.discard((piece, block))
+        self._forget_touch((piece, block))
         hit = self._cache.pop((piece, block), None)
         if hit is not None:
             self._cache_bytes -= hit[0].nbytes + hit[1].nbytes
@@ -1098,49 +1146,96 @@ class ShardStore(SampleStore):
         self._write_manifest()
 
     def _build_piece_index(self, piece: int) -> None:
-        """External-sort construction of one piece's inverted index.
+        """One piece's inverted index, reading each shard file once.
 
-        Pass 1 streams the shards once for per-sample sizes and
-        per-vertex counts (both O(theta)/O(n) in RAM).  Pass 2 streams
-        them again, splitting each shard's (vertex, sample) pairs into
-        vertex-range buckets on disk; each bucket is then loaded alone
-        — bucket sizes are bounded by ``max_resident_bytes`` — stably
-        sorted by vertex, and appended to ``idx.bin``.  Because shards
-        are visited in root order and every sort is stable, each
-        vertex's slab lists sample ids in increasing order: exactly the
-        index :class:`MemoryStore` builds with one global stable sort.
-
-        Both stable sorts (per-shard bucket scatter and final
-        per-bucket sort) are radix-keyed (``stable_key_order``), or with
-        the compiled tier live the counting-sort kernel
-        ``repro.native.kernels.sort_pairs_by_vertex`` — O(pairs + n)
-        and identical output, so the shard files are byte-for-byte the
-        same either way.
+        The read pass records per-sample sizes and keeps each shard's
+        nodes while the piece fits one bucket of the build budget (32
+        bytes/entry within ``max_resident_bytes``: the nodes plus the
+        inversion's scratch; ~8M entries at the default).  Such a piece
+        is inverted in RAM by :func:`_invert_csr`, the construction
+        :class:`MemoryStore` uses, and written out: no second read, no
+        spill.  A piece that overflows the bucket drops what it kept,
+        counts per-vertex entries instead and goes through
+        :meth:`_external_sort`.  Shards are visited in root order, so
+        either way each vertex's slab lists sample ids in increasing
+        order and the index files are byte-identical.
         """
-        use_native = _native.compiled()
         sizes = np.empty(self.theta, dtype=np.int64)
-        counts = np.zeros(self.n, dtype=np.int64)
+        bucket_entries = max(self.max_resident_bytes // 32, 4096)
+        kept: list[np.ndarray] = []
+        counts = None
+        total = 0
         for b in range(self.num_blocks):
             lo, hi = self._block_span(b)
-            ptr, nodes = self._load_block_file(piece, b)
-            sizes[lo:hi] = np.diff(ptr)
+            block_ptr, nodes = self._load_block_file(piece, b)
+            sizes[lo:hi] = np.diff(block_ptr)
+            total += nodes.size
+            if counts is None:
+                if total <= bucket_entries:
+                    kept.append(nodes)
+                    continue
+                counts = np.zeros(self.n, dtype=np.int64)
+                for part in kept:
+                    counts += np.bincount(part, minlength=self.n)
+                kept = []
             if nodes.size:
                 counts += np.bincount(nodes, minlength=self.n)
-        idx_ptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(counts, out=idx_ptr[1:])
+        if counts is None:
+            nodes = np.concatenate(kept)
+            del kept
+            ptr = np.zeros(self.theta + 1, dtype=np.int64)
+            np.cumsum(sizes, out=ptr[1:])
+            idx_ptr, idx_samples = _invert_csr(ptr, nodes, self.n)
+            del nodes
+            self._atomic_write(self._idx_bin_path(piece), idx_samples.tofile)
+        else:
+            idx_ptr = np.zeros(self.n + 1, dtype=np.int64)
+            np.cumsum(counts, out=idx_ptr[1:])
+            self._external_sort(piece, idx_ptr, bucket_entries)
+        self._atomic_save(self._idx_ptr_path(piece), idx_ptr)
+        self._atomic_save(self._sizes_path(piece), sizes)
+        self._idx_ptr[piece] = idx_ptr
+        self._sizes[piece] = sizes
 
-        # 32 bytes/entry budget: a bucket's (vertex, sample) columns
-        # plus its sort scratch stay within max_resident_bytes.
-        bucket_entries = max(self.max_resident_bytes // 32, 4096)
+    def _external_sort(
+        self, piece: int, idx_ptr: np.ndarray, bucket_entries: int
+    ) -> None:
+        """Write ``idx.bin`` of a piece too big for one in-RAM bucket.
+
+        A second pass over the shards splits each shard's (vertex,
+        sample) pairs into vertex-range buckets on disk, each holding at
+        most ``bucket_entries`` entries (a single heavier vertex gets a
+        bucket of its own); each bucket is then loaded alone, stably
+        sorted by vertex, and appended to ``idx.bin``.  Both stable
+        sorts are radix-keyed (``stable_key_order``), or with the
+        compiled tier live the counting-sort kernel
+        ``repro.native.kernels.sort_pairs_by_vertex``: O(pairs + n),
+        identical output.
+        """
+        use_native = _native.compiled()
         bounds = _chunk_bounds(idx_ptr[1:], bucket_entries)
-        bucket_v = [
-            open(self._path(f".bucket{piece:03d}_{i:04d}.v"), "wb")
+        names = [
+            (
+                self._path(f".bucket{piece:03d}_{i:04d}.v"),
+                self._path(f".bucket{piece:03d}_{i:04d}.s"),
+            )
             for i in range(len(bounds) - 1)
         ]
-        bucket_s = [
-            open(self._path(f".bucket{piece:03d}_{i:04d}.s"), "wb")
-            for i in range(len(bounds) - 1)
-        ]
+        bucket_v = [open(v, "wb") for v, _ in names]
+        bucket_s = [open(s, "wb") for _, s in names]
+
+        def write_buckets(out) -> None:
+            for v_path, s_path in names:
+                v = np.fromfile(v_path, dtype=np.int64)
+                s = np.fromfile(s_path, dtype=np.int64)
+                if use_native:
+                    sv = np.empty(v.size, dtype=np.int64)
+                    ss = np.empty(s.size, dtype=np.int64)
+                    _nk.sort_pairs_by_vertex(v, s, self.n, sv, ss)
+                    ss.tofile(out)
+                else:
+                    s[stable_key_order(v, self.n)].tofile(out)
+
         try:
             for b in range(self.num_blocks):
                 lo, _ = self._block_span(b)
@@ -1163,50 +1258,26 @@ class ShardStore(SampleStore):
                         ss[a:z].tofile(bucket_s[i])
             for fh in bucket_v + bucket_s:
                 fh.close()
-            tmp = self._idx_bin_path(piece) + ".tmp"
-            with open(tmp, "wb") as out:
-                for i in range(len(bounds) - 1):
-                    v = np.fromfile(
-                        self._path(f".bucket{piece:03d}_{i:04d}.v"),
-                        dtype=np.int64,
-                    )
-                    s = np.fromfile(
-                        self._path(f".bucket{piece:03d}_{i:04d}.s"),
-                        dtype=np.int64,
-                    )
-                    if use_native:
-                        sv = np.empty(v.size, dtype=np.int64)
-                        ss = np.empty(s.size, dtype=np.int64)
-                        _nk.sort_pairs_by_vertex(v, s, self.n, sv, ss)
-                        ss.tofile(out)
-                    else:
-                        s[stable_key_order(v, self.n)].tofile(out)
-            os.replace(tmp, self._idx_bin_path(piece))
+            self._atomic_write(self._idx_bin_path(piece), write_buckets)
         finally:
             for fh in bucket_v + bucket_s:
-                if not fh.closed:
-                    fh.close()
-            for i in range(len(bounds) - 1):
-                for suffix in ("v", "s"):
+                fh.close()
+            for pair in names:
+                for path in pair:
                     try:
-                        os.remove(
-                            self._path(f".bucket{piece:03d}_{i:04d}.{suffix}")
-                        )
+                        os.remove(path)
                     except OSError:
                         pass
-        self._atomic_save(self._idx_ptr_path(piece), idx_ptr)
-        self._atomic_save(self._sizes_path(piece), sizes)
-        self._idx_ptr[piece] = idx_ptr
-        self._sizes[piece] = sizes
 
-    def _atomic_save(self, path: str, arr: np.ndarray) -> None:
-        """Rename-atomic ``np.save`` — a torn write never half-replaces
-        an index file another process may be reading (or that
+    def _atomic_write(self, path: str, write) -> None:
+        """Rename-atomic file write: ``write(fh)`` fills a writer-unique
+        staging file that then replaces ``path`` — a torn write never
+        half-replaces a file another process may be reading (or that
         :meth:`_piece_index_ready` would trust)."""
         tmp = f"{path}.{os.getpid()}-{uuid.uuid4().hex[:8]}.tmp"
         try:
             with open(tmp, "wb") as fh:
-                np.save(fh, arr)
+                write(fh)
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -1214,6 +1285,10 @@ class ShardStore(SampleStore):
             except OSError:
                 pass
             raise
+
+    def _atomic_save(self, path: str, arr: np.ndarray) -> None:
+        """Rename-atomic ``np.save`` (see :meth:`_atomic_write`)."""
+        self._atomic_write(path, lambda fh: np.save(fh, arr))
 
     # -- reload ---------------------------------------------------------
 
@@ -1265,9 +1340,19 @@ class ShardStore(SampleStore):
         return store
 
     def save_roots(self, roots: np.ndarray) -> None:
-        self._atomic_save(
-            self._path("roots.npy"), np.asarray(roots, dtype=np.int64)
-        )
+        """Persist the root draw; a no-op when this store last wrote
+        these very roots and the file is still there.
+
+        The roots change only in a fresh directory or when theta grows,
+        so an update at the same theta skips the O(theta) rewrite.
+        """
+        roots = np.ascontiguousarray(roots, dtype=np.int64)
+        key = (roots.size, zlib.crc32(roots))
+        path = self._path("roots.npy")
+        if key == self._roots_key and os.path.exists(path):
+            return
+        self._atomic_save(path, roots)
+        self._roots_key = key
 
     def load_roots(self) -> np.ndarray:
         path = self._path("roots.npy")
@@ -1286,7 +1371,7 @@ class ShardStore(SampleStore):
 
     @property
     def resident_bytes(self) -> int:
-        return self._cache_bytes + self._seg_bytes
+        return self._cache_bytes + self._seg_bytes + self._touch_bytes
 
     def stats(self) -> dict[str, int]:
         """Managed-cache counters: the segment LRU and the block LRU."""
@@ -1479,10 +1564,10 @@ class ShardStore(SampleStore):
 
     def _evict_segments(self) -> None:
         # The segment LRU honours both its own budget and the store-wide
-        # resident ceiling shared with the block LRU.
+        # resident ceiling shared with the block LRU and touch summaries.
         while self._seg_cache and (
             self._seg_bytes > self._seg_budget
-            or self._cache_bytes + self._seg_bytes > self.max_resident_bytes
+            or self.resident_bytes > self.max_resident_bytes
         ):
             _, old = self._seg_cache.popitem(last=False)
             self._seg_bytes -= old.nbytes
@@ -1584,12 +1669,12 @@ class ShardStore(SampleStore):
         self._cache[key] = (ptr, nodes)
         self._cache_bytes += ptr.nbytes + nodes.nbytes
         while (
-            self._cache_bytes + self._seg_bytes > self.max_resident_bytes
+            self.resident_bytes > self.max_resident_bytes
             and len(self._cache) > 1
         ):
             _, (old_ptr, old_nodes) = self._cache.popitem(last=False)
             self._cache_bytes -= old_ptr.nbytes + old_nodes.nbytes
-        if self._cache_bytes + self._seg_bytes > self.max_resident_bytes:
+        if self.resident_bytes > self.max_resident_bytes:
             self._evict_segments()
         return ptr, nodes
 
@@ -1625,6 +1710,8 @@ class ShardStore(SampleStore):
         self._cache_bytes = 0
         self._seg_cache.clear()
         self._seg_bytes = 0
+        self._touch.clear()
+        self._touch_bytes = 0
 
     def __repr__(self) -> str:
         return (

@@ -16,13 +16,15 @@ delta time:
 
 Both kinds are encoded as a single ``int64`` array so stores can drop
 them into their existing ``.npz`` shard files untouched.  This module
-is dependency-free within repro (``numpy`` only) so the store layer
-can import it without pulling in :mod:`repro.incremental`.
+depends only on ``numpy`` and :mod:`repro.utils.frontier`, so the
+store layer can import it without pulling in :mod:`repro.incremental`.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from repro.utils.frontier import stable_key_order
 
 __all__ = ["touch_summary", "summary_may_touch"]
 
@@ -61,14 +63,23 @@ def _bloom_hashes(members: np.ndarray, bits: int) -> np.ndarray:
     return np.concatenate(idx)
 
 
-def touch_summary(nodes: np.ndarray) -> np.ndarray:
+def touch_summary(nodes: np.ndarray, bound: int) -> np.ndarray:
     """Summarise the vertices one shard's RR sets touch.
 
     ``nodes`` is the shard's flat RR-set member array (duplicates
-    fine).  Returns an ``int64`` array: ``[0, m, v_1..v_m]`` (exact
-    sorted-unique list) or ``[1, bits, word_0..]`` (Bloom filter words).
+    fine), every entry in ``[0, bound)`` — stores pass their vertex
+    count.  Returns an ``int64`` array: ``[0, m, v_1..v_m]`` (exact
+    sorted-unique list) or ``[1, bits, word_0..]`` (Bloom filter words,
+    bit ``p`` of the filter at bit ``p % 64`` of word ``p // 64``).
     """
-    members = np.unique(np.asarray(nodes, dtype=np.int64))
+    nodes = np.asarray(nodes, dtype=np.int64)
+    # sorted distinct members: one radix-keyed sort, then each run's head
+    members = nodes[stable_key_order(nodes, int(bound))]
+    if members.size:
+        head = np.empty(members.size, dtype=bool)
+        head[0] = True
+        np.not_equal(members[1:], members[:-1], out=head[1:])
+        members = members[head]
     if members.size <= _EXACT_LIMIT:
         return np.concatenate(
             [
@@ -80,15 +91,13 @@ def touch_summary(nodes: np.ndarray) -> np.ndarray:
     target = min(members.size * _BLOOM_BITS_PER_MEMBER, _BLOOM_MAX_BITS)
     while bits < target:
         bits <<= 1
-    words = np.zeros(bits // 64, dtype=np.uint64)
-    pos = _bloom_hashes(members, bits)
-    np.bitwise_or.at(
-        words, pos >> np.uint64(6), np.uint64(1) << (pos & np.uint64(63))
-    )
+    flags = np.zeros(bits, dtype=bool)
+    flags[_bloom_hashes(members, bits)] = True
+    words = np.packbits(flags, bitorder="little").view("<i8")
     return np.concatenate(
         [
             np.array([_KIND_BLOOM, bits], dtype=np.int64),
-            words.view(np.int64),
+            words.astype(np.int64, copy=False),
         ]
     )
 
@@ -99,10 +108,11 @@ def summary_may_touch(summary: np.ndarray, vertices: np.ndarray) -> bool:
     ``False`` is definitive (no RR set in the shard contains any of
     the vertices); ``True`` may be a Bloom false positive.  An
     unrecognised summary kind degrades to ``True`` — newer writers
-    must never make an older reader skip an invalidation.
+    must never make an older reader skip an invalidation.  Repeated
+    or unsorted ``vertices`` are fine.
     """
     summary = np.asarray(summary, dtype=np.int64)
-    vertices = np.unique(np.asarray(vertices, dtype=np.int64))
+    vertices = np.asarray(vertices, dtype=np.int64)
     if vertices.size == 0:
         return False
     if summary.size < 2:

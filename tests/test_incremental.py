@@ -270,6 +270,47 @@ class TestThetaAppend:
         assert update.trace.shards_kept == pieces * old_blocks
 
 
+    def test_roots_file_rewritten_only_when_roots_change(
+        self, small_random_graph, small_campaign, tmp_path
+    ):
+        runtime = Runtime(store="disk", shard_dir=str(tmp_path / "shards"))
+        session = make_session(small_random_graph, small_campaign, runtime=runtime)
+        session.sample_incremental(500)
+        path = os.path.join(session.mrr.store.shard_dir, "roots.npy")
+
+        def file_stamp():
+            st = os.stat(path)
+            return st.st_ino, st.st_mtime_ns
+
+        def keyed(theta):
+            state = session._inc
+            return keyed_roots(
+                state.entropy, session.graph.n, theta, state.block_size
+            )
+
+        before = file_stamp()
+        graph = session.graph
+        head = int(np.argmax(session.mrr.vertex_frequencies(0)))
+        src = next(
+            u for u in range(graph.n)
+            if u != head and not graph.has_edge(u, head)
+        )
+        update = session.update(
+            GraphDelta((EdgeOp("add", src, head, topics={0: 0.5}),))
+        )
+        assert update.trace.shards_resampled > 0  # a real refill ran
+        assert file_stamp() == before
+        np.testing.assert_array_equal(
+            session.mrr.store.load_roots(), keyed(500)
+        )
+        update = session.update(GraphDelta(()), theta=900)
+        assert update.trace.shards_appended > 0
+        assert file_stamp() != before
+        np.testing.assert_array_equal(
+            session.mrr.store.load_roots(), keyed(900)
+        )
+
+
 # -- delta invalidation ----------------------------------------------------
 
 

@@ -446,6 +446,67 @@ class TestFeasibilityValidation:
         assert BatchLTSampler(norm).sample(2, as_generator(0)).size
 
 
+class TestFeasibilityCheckedOnce:
+    """The O(m) LT feasibility check runs once per piece per generation,
+    not once per (piece, block) task or twice per sampler."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        import repro.sampling.batch as batch
+
+        seen = []
+        real = batch.check_lt_feasible
+
+        def counting(piece_graph):
+            seen.append(piece_graph)
+            return real(piece_graph)
+
+        monkeypatch.setattr(batch, "check_lt_feasible", counting)
+        return seen
+
+    @pytest.fixture()
+    def lt_world(self):
+        src, dst = preferential_attachment_digraph(40, 2, seed=71)
+        graph = build_topic_graph(
+            40, src, dst, 2, topics_per_edge=1.5, prob_mean=0.3, seed=72
+        )
+        campaign = Campaign.sample_unit(2, 2, seed=73)
+        pgs = [
+            normalize_lt_weights(pg)
+            for pg in project_campaign(graph, campaign)
+        ]
+        return graph, campaign, pgs
+
+    @pytest.mark.parametrize(
+        "models, checks", [("lt", 2), (["ic", "lt"], 1)]
+    )
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_multi_block_generate(self, calls, lt_world, models, checks, workers):
+        graph, campaign, pgs = lt_world
+        mrr = MRRCollection.generate(
+            graph, campaign, theta=1000, seed=74, piece_graphs=pgs,
+            runtime=Runtime(model=models, workers=workers),
+        )
+        assert mrr.store.num_blocks > 1
+        assert len(calls) == checks
+
+    def test_direct_sampler_checks_once(self, calls):
+        pg = project([(0, 1, {0: 0.6}), (1, 2, {0: 0.4})], 3)
+        sampler = LinearThresholdSampler(pg)
+        sampler.sample_many(np.arange(3), as_generator(0), backend="batch")
+        BatchLTSampler(pg)
+        assert len(calls) == 2
+
+    def test_generate_still_rejects_infeasible_weights(self, lt_world):
+        graph, campaign, _ = lt_world
+        bad = project([(0, 2, {0: 0.8}), (1, 2, {0: 0.8})], 40, topics=2)
+        with pytest.raises(ParameterError, match="normalise"):
+            MRRCollection.generate(
+                graph, campaign, theta=600, seed=1, piece_graphs=[bad, bad],
+                runtime=Runtime(model="lt"),
+            )
+
+
 class TestNormalizeRegressions:
     def test_negative_weight_rejected(self):
         pg = project([(0, 1, {0: 0.5}), (2, 1, {0: 0.3})], 3)

@@ -508,15 +508,17 @@ class TestShardRoundTrip:
             )
 
 
-def _deface_manifest(shard_dir: str, drop: list[tuple[int, int]]) -> None:
-    """Rewind a shard dir to a mid-generation crash state."""
+def _deface_manifest(shard_dir: str) -> None:
+    """Rewind a shard dir to a mid-generation crash state.
+
+    The manifest lists no blocks (the committed shard files are the
+    only completion record), so a caller simulates lost blocks by
+    removing their files.
+    """
     path = os.path.join(shard_dir, "manifest.json")
     with open(path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     manifest["finalized"] = False
-    manifest["blocks"] = [
-        pair for pair in manifest["blocks"] if tuple(pair) not in set(drop)
-    ]
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh)
     for name in os.listdir(shard_dir):
@@ -534,7 +536,7 @@ class TestResume:
         )
         num_blocks = first.store.num_blocks
         dropped = [(0, num_blocks - 1), (2, 0)]
-        _deface_manifest(shard_dir, dropped)
+        _deface_manifest(shard_dir)
         for piece, block in dropped:
             os.remove(
                 os.path.join(
@@ -550,15 +552,15 @@ class TestResume:
     def test_resume_heals_missing_file_still_in_manifest(
         self, world, mem_mrr, tmp_path
     ):
-        """A block the manifest claims complete but whose file vanished
-        is simply resampled, not trusted."""
+        """A block of a finished generation whose file vanished is
+        simply resampled, not trusted."""
         graph, campaign = world
         shard_dir = str(tmp_path / "shards")
         MRRCollection.generate(
             graph, campaign, THETA, seed=21,
             runtime=Runtime(store="disk", shard_dir=shard_dir),
         )
-        _deface_manifest(shard_dir, drop=[])  # keep all blocks listed
+        _deface_manifest(shard_dir)
         os.remove(os.path.join(shard_dir, "piece001_block00000.npz"))
         resumed = MRRCollection.generate(
             graph, campaign, THETA, seed=21,
@@ -575,7 +577,7 @@ class TestCorruption:
             graph, campaign, THETA, seed=21,
             runtime=Runtime(store="disk", shard_dir=shard_dir),
         )
-        _deface_manifest(shard_dir, drop=[])
+        _deface_manifest(shard_dir)
         victim = os.path.join(shard_dir, "piece000_block00000.npz")
         with open(victim, "wb") as fh:
             fh.write(b"not a shard")
@@ -608,6 +610,281 @@ class TestCorruption:
         store = MemoryStore()
         with pytest.raises(StoreError, match="finalized"):
             MRRCollection(graph.n, np.arange(4), store=store)
+
+
+# ----------------------------------------------------------------------
+# the update path: one read per shard, summaries in RAM, no manifest
+# rewrite per shard
+# ----------------------------------------------------------------------
+
+SPILL_THETA = 4000
+
+
+def _index_bytes(shard_dir: str, piece: int) -> tuple[bytes, ...]:
+    out = []
+    for suffix in ("idx.bin", "idx_ptr.npy", "sizes.npy"):
+        with open(
+            os.path.join(shard_dir, f"piece{piece:03d}.{suffix}"), "rb"
+        ) as fh:
+            out.append(fh.read())
+    return tuple(out)
+
+
+def _count_npz_loads(monkeypatch) -> list[str]:
+    """Record every shard file ``np.load`` opens from here on."""
+    loads: list[str] = []
+    real = np.load
+
+    def counting(path, *args, **kwargs):
+        if str(path).endswith(".npz"):
+            loads.append(str(path))
+        return real(path, *args, **kwargs)
+
+    monkeypatch.setattr(np, "load", counting)
+    return loads
+
+
+def _manifest_stat(shard_dir: str) -> tuple[int, int]:
+    st = os.stat(os.path.join(shard_dir, "manifest.json"))
+    return st.st_ino, st.st_mtime_ns
+
+
+class TestOneReadIndexBuild:
+    def test_in_ram_and_spilled_builds_are_byte_identical(
+        self, world, tmp_path, monkeypatch
+    ):
+        """Default budget: every piece inverted in RAM.  A 4096-entry
+        bucket: every piece spills.  A bucket sized to the smallest
+        piece: that piece stays in RAM, the others spill.  All three
+        write the same index bytes, equal to the memory store's."""
+        graph, campaign = world
+        mem = MRRCollection.generate(
+            graph, campaign, SPILL_THETA, seed=21,
+            runtime=Runtime(workers=1, store="memory"),
+        )
+        entries = [int(mem.rr_set_sizes(j).sum()) for j in range(3)]
+        assert min(entries) > 4096  # the small bucket really spills
+        spilled: list[int] = []
+        real = ShardStore._external_sort
+
+        def counting(self, piece, idx_ptr, bucket_entries):
+            spilled.append(piece)
+            return real(self, piece, idx_ptr, bucket_entries)
+
+        monkeypatch.setattr(ShardStore, "_external_sort", counting)
+        budgets = {
+            "ram": None,
+            "spill": 32 * 4096,
+            "mixed": 32 * min(entries),
+        }
+        expect_spilled = {
+            "ram": [],
+            "spill": [0, 1, 2],
+            "mixed": [j for j in range(3) if entries[j] > min(entries)],
+        }
+        built = {}
+        for tag, budget in budgets.items():
+            spilled.clear()
+            shard_dir = str(tmp_path / tag)
+            MRRCollection.generate(
+                graph, campaign, SPILL_THETA, seed=21,
+                runtime=Runtime(
+                    store="disk", shard_dir=shard_dir,
+                    max_resident_bytes=budget,
+                ),
+            )
+            assert spilled == expect_spilled[tag], tag
+            assert not [n for n in os.listdir(shard_dir) if "bucket" in n]
+            built[tag] = [_index_bytes(shard_dir, j) for j in range(3)]
+        assert built["ram"] == built["spill"] == built["mixed"]
+        shard_dir = str(tmp_path / "ram")
+        for j in range(3):
+            idx_ptr, idx_samples = mem.index_arrays(j)
+            assert built["ram"][j][0] == idx_samples.tobytes()
+            np.testing.assert_array_equal(
+                np.load(os.path.join(shard_dir, f"piece{j:03d}.idx_ptr.npy")),
+                idx_ptr,
+            )
+            np.testing.assert_array_equal(
+                np.load(os.path.join(shard_dir, f"piece{j:03d}.sizes.npy")),
+                mem.rr_set_sizes(j),
+            )
+
+    def test_finalize_reads_each_shard_once(
+        self, world, mem_mrr, tmp_path, monkeypatch
+    ):
+        graph, campaign = world
+        shard_dir = str(tmp_path / "shards")
+        MRRCollection.generate(
+            graph, campaign, THETA, seed=21,
+            runtime=Runtime(store="disk", shard_dir=shard_dir),
+        )
+        store = ShardStore.open(shard_dir)
+        store.invalidate_blocks([(1, 0)])
+        ptr, nodes = mem_mrr.store.rr_arrays(1)
+        lo, hi = store._block_span(0)
+        store.put_block(
+            1, 0, ptr[lo : hi + 1] - ptr[lo], nodes[ptr[lo] : ptr[hi]]
+        )
+        loads = _count_npz_loads(monkeypatch)
+        store.finalize()
+        # only piece 1 rebuilds, and it opens each of its shards once
+        assert sorted(loads) == [
+            store._block_path(1, b) for b in range(store.num_blocks)
+        ]
+        _assert_collections_equal(mem_mrr, MRRCollection.from_store(store))
+
+
+class TestManifestWrites:
+    def test_put_block_leaves_manifest_untouched(self, tmp_path):
+        shard_dir = str(tmp_path / "shards")
+        store = ShardStore(shard_dir)
+        store.begin(10, 1, 8, 4)
+        before = _manifest_stat(shard_dir)
+        for block in range(2):
+            store.put_block(
+                0, block, np.arange(5, dtype=np.int64),
+                np.arange(4, dtype=np.int64) + block,
+            )
+        assert _manifest_stat(shard_dir) == before
+        with open(os.path.join(shard_dir, "manifest.json")) as fh:
+            manifest = json.load(fh)
+        assert "blocks" not in manifest and manifest["finalized"] is False
+        store.finalize()
+        assert _manifest_stat(shard_dir) != before
+        with open(os.path.join(shard_dir, "manifest.json")) as fh:
+            assert json.load(fh)["finalized"] is True
+
+    def test_fill_dropped_before_finalize_resumes_identically(
+        self, world, mem_mrr, tmp_path, monkeypatch
+    ):
+        graph, campaign = world
+        clean_dir = str(tmp_path / "clean")
+        MRRCollection.generate(
+            graph, campaign, THETA, seed=21,
+            runtime=Runtime(store="disk", shard_dir=clean_dir),
+        )
+        shard_dir = str(tmp_path / "shards")
+        real = ShardStore.put_block
+        commits = []
+
+        def crash_after_five(self, piece, block, ptr, nodes):
+            if len(commits) == 5:
+                raise RuntimeError("writer died")
+            commits.append((piece, block))
+            return real(self, piece, block, ptr, nodes)
+
+        # the fill commits in this process, where put_block is patched
+        runtime = Runtime(store="disk", shard_dir=shard_dir, executor="thread")
+        monkeypatch.setattr(ShardStore, "put_block", crash_after_five)
+        with pytest.raises(RuntimeError, match="writer died"):
+            MRRCollection.generate(
+                graph, campaign, THETA, seed=21, runtime=runtime
+            )
+        with open(os.path.join(shard_dir, "manifest.json")) as fh:
+            assert json.load(fh)["finalized"] is False
+        resumed_commits = []
+
+        def counting(self, piece, block, ptr, nodes):
+            resumed_commits.append((piece, block))
+            return real(self, piece, block, ptr, nodes)
+
+        monkeypatch.setattr(ShardStore, "put_block", counting)
+        resumed = MRRCollection.generate(
+            graph, campaign, THETA, seed=21, runtime=runtime
+        )
+        # only the holes were sampled: the shard files alone recorded
+        # which five blocks had committed
+        assert not set(resumed_commits) & set(commits)
+        assert len(resumed_commits) + 5 == 3 * resumed.store.num_blocks
+        _assert_collections_equal(mem_mrr, resumed)
+        for j in range(3):
+            assert _index_bytes(shard_dir, j) == _index_bytes(clean_dir, j)
+
+
+class TestTouchSummariesInRam:
+    def test_later_queries_open_no_shard_file(
+        self, world, tmp_path, monkeypatch
+    ):
+        graph, campaign = world
+        shard_dir = str(tmp_path / "shards")
+        # committed by this process's put_block, not by worker processes
+        writer = MRRCollection.generate(
+            graph, campaign, THETA, seed=21,
+            runtime=Runtime(
+                store="disk", shard_dir=shard_dir, executor="thread"
+            ),
+        ).store
+        reopened = ShardStore.open(shard_dir)
+        loads = _count_npz_loads(monkeypatch)
+        queries = [np.array([v, v + 7]) for v in range(0, graph.n, 9)]
+
+        def ask(store):
+            return [
+                store.blocks_touching(j, q) for j in range(3) for q in queries
+            ]
+
+        # the writer kept what put_block computed: no read at all
+        want = ask(writer)
+        assert loads == []
+        # a reopened store reads each summary once, on its first query
+        assert ask(reopened) == want
+        assert len(loads) == 3 * reopened.num_blocks
+        loads.clear()
+        assert ask(reopened) == want
+        assert loads == []
+        touch_bytes = sum(
+            reopened.block_touch(j, b).nbytes
+            for j in range(3)
+            for b in range(reopened.num_blocks)
+        )
+        assert reopened.resident_bytes == touch_bytes
+
+    def test_refilled_block_never_serves_stale_summary(self, tmp_path):
+        shard_dir = str(tmp_path / "shards")
+        store = ShardStore(shard_dir)
+        store.begin(50, 1, 8, 4)
+        ptr = np.arange(5, dtype=np.int64)
+        store.put_block(0, 0, ptr, np.array([1, 2, 1, 2]))
+        store.put_block(0, 1, ptr, np.array([3, 4, 3, 4]))
+        store.finalize()
+        assert store.blocks_touching(0, [1]) == [0]
+        assert store.blocks_touching(0, [7, 9]) == []
+
+        # refilled by this store
+        store.invalidate_blocks([(0, 0)])
+        store.put_block(0, 0, ptr, np.array([7, 2, 7, 2]))
+        store.finalize()
+        assert store.blocks_touching(0, [1]) == []
+        assert store.blocks_touching(0, [7]) == [0]
+
+        # refilled by another writer (a distributed worker)
+        store.invalidate_blocks([(0, 1)])
+        worker = ShardStore(shard_dir, shared_writer=True)
+        worker.begin(50, 1, 8, 4)
+        worker.put_block(0, 1, ptr, np.array([9, 9, 9, 9]))
+        store.finalize()
+        assert store.blocks_touching(0, [3, 4]) == []
+        assert store.blocks_touching(0, [9]) == [1]
+        assert store.blocks_touching(0, [2, 9]) == [0, 1]
+
+    def test_v1_directory_degrades_to_every_block(self, world, tmp_path):
+        graph, campaign = world
+        shard_dir = str(tmp_path / "shards")
+        MRRCollection.generate(
+            graph, campaign, THETA, seed=21,
+            runtime=Runtime(store="disk", shard_dir=shard_dir),
+        )
+        path = os.path.join(shard_dir, "manifest.json")
+        with open(path) as fh:
+            manifest = json.load(fh)
+        del manifest["version"]
+        with open(path, "w") as fh:
+            json.dump(manifest, fh)
+        store = ShardStore.open(shard_dir)
+        assert not store.supports_touch
+        every = list(range(store.num_blocks))
+        assert store.blocks_touching(0, [graph.n - 1]) == every
 
 
 # ----------------------------------------------------------------------
