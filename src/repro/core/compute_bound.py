@@ -26,7 +26,8 @@ tie-break follows.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,41 +51,62 @@ class CandidateSpace:
 
     Starts as the full promoter pool for every piece; branching removes
     individual (vertex, piece) pairs.  Immutable — children are created
-    with :meth:`without`, sharing the pool array.
+    with :meth:`without`, sharing the pool array and its vertex →
+    positions map (built once per family, on first use).
     """
 
-    __slots__ = ("pool", "num_pieces", "excluded")
+    __slots__ = ("pool", "num_pieces", "excluded", "_positions")
 
     def __init__(
         self,
         pool,
         num_pieces: int,
         excluded: frozenset[tuple[int, int]] = frozenset(),
+        _positions: dict[int, list[int]] | None = None,
     ) -> None:
         self.pool = pool
         self.num_pieces = int(num_pieces)
         self.excluded = excluded
+        self._positions = _positions
 
     def without(self, vertex: int, piece: int) -> "CandidateSpace":
         """A child space with ``(vertex, piece)`` removed."""
         return CandidateSpace(
-            self.pool, self.num_pieces, self.excluded | {(int(vertex), int(piece))}
+            self.pool,
+            self.num_pieces,
+            self.excluded | {(int(vertex), int(piece))},
+            self._position_map(),
         )
+
+    def _position_map(self) -> dict[int, list[int]]:
+        """Every pool position of each pool vertex."""
+        if self._positions is None:
+            positions: dict[int, list[int]] = {}
+            pool = np.asarray(self.pool, dtype=np.int64).tolist()
+            for pos, v in enumerate(pool):
+                positions.setdefault(v, []).append(pos)
+            self._positions = positions
+        return self._positions
 
     def available(self, plan: AssignmentPlan) -> np.ndarray:
         """``(l, |pool|)`` mask of the selectable cells given ``plan``.
 
         Cell ``(j, p)`` is ``(pool[p], j)``; it is unavailable when the
         plan already assigns that vertex to piece ``j`` or the pair was
-        excluded by branching.
+        excluded by branching.  Each taken or excluded pair costs one
+        lookup, not a pass over the pool, and every pool position of its
+        vertex is masked in one scatter.
         """
-        pool = np.asarray(self.pool, dtype=np.int64)
-        mask = np.ones((self.num_pieces, pool.size), dtype=bool)
-        for j in range(self.num_pieces):
-            for v in plan.seed_sets[j]:
-                mask[j, pool == v] = False
-        for v, j in self.excluded:
-            mask[j, pool == v] = False
+        positions = self._position_map()
+        taken = [(v, j) for j in range(self.num_pieces) for v in plan.seed_sets[j]]
+        rows: list[int] = []
+        cols: list[int] = []
+        for v, j in (*taken, *self.excluded):
+            for pos in positions.get(v, ()):
+                rows.append(j)
+                cols.append(pos)
+        mask = np.ones((self.num_pieces, len(self.pool)), dtype=bool)
+        mask[rows, cols] = False
         return mask
 
     def pairs(self, plan: AssignmentPlan) -> list[tuple[int, int]]:
@@ -117,10 +139,19 @@ class BoundResult:
         The first greedy-selected (vertex, piece), i.e. the next branch
         variable; ``None`` when nothing with positive gain remained.
     evaluations:
-        Number of ``tau`` marginal-gain evaluations performed (the cost
-        unit of Theorem 4).
+        Number of ``tau`` marginal-gain evaluations of Algorithms 2/3
+        (the cost unit of Theorem 4).  An inherited initial scan (see
+        ``scan``) is charged as the evaluations it stands for, one per
+        available cell, just as one batched scan dispatch counts one
+        evaluation per candidate: the count measures the algorithm, not
+        the NumPy dispatches, so reuse leaves it unchanged.
     selected:
         How many assignments the greedy added on top of the partial plan.
+    scan:
+        The raw ``(l, |pool|)`` initial pool scan (unavailable cells
+        zero), or ``None`` when the bound never scanned.  The BAB driver
+        hands it to the node's exclude child, whose scan it is up to one
+        zeroed cell.
     """
 
     plan: AssignmentPlan
@@ -129,6 +160,7 @@ class BoundResult:
     first_pick: tuple[int, int] | None
     evaluations: int
     selected: int
+    scan: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def compute_bound(
@@ -142,6 +174,7 @@ def compute_bound(
     lazy: bool = True,
     base: CoverageState | None = None,
     index: PoolIndex | None = None,
+    initial: np.ndarray | None = None,
 ) -> BoundResult:
     """Run Algorithm 2 for one search node.
 
@@ -171,19 +204,33 @@ def compute_bound(
         over ``candidates.pool``).  The BAB driver builds one per solve;
         a standalone call builds its own.  Bounds are identical either
         way.
+    initial:
+        Optional ``(l, |pool|)`` initial pool scan of this exact plan,
+        base coverage and candidate space (unavailable cells zero), used
+        in place of the bound's first scan.  The BAB driver passes the
+        exclude child its parent's scan with the excluded cells zeroed;
+        the bound, ``evaluations`` included, is identical to rescanning.
     """
-    tau, available, budget = _open_bound(
-        mrr, table, adoption, partial_plan, candidates, k, base, index
+    tau, available, budget, scan = _open_bound(
+        mrr, table, adoption, partial_plan, candidates, k, base, index,
+        initial,
     )
     if lazy:
-        picks = _greedy_lazy(tau, available, budget)
+        picks, scanned = _greedy_lazy(tau, available, budget, scan)
     else:
-        picks = _greedy_plain(tau, available, budget)
-    return _bound_result(tau, partial_plan, picks)
+        picks, scanned = _greedy_plain(tau, available, budget, scan)
+    return _bound_result(tau, partial_plan, picks, scanned)
 
 
-def _open_bound(mrr, table, adoption, partial_plan, candidates, k, base, index):
-    """Shared prologue of both bounds: ``(tau, available, budget)``."""
+def _open_bound(
+    mrr, table, adoption, partial_plan, candidates, k, base, index, initial
+):
+    """Shared prologue of all bounds: ``(tau, available, budget, scan)``.
+
+    ``scan()`` returns the initial ``(l, |pool|)`` pool scan: ``initial``
+    when given, charged as one evaluation per available cell exactly as
+    :meth:`TauState.pool_gains` charges, else a fresh scan.
+    """
     if partial_plan.size > k:
         raise SolverError(
             f"partial plan already uses {partial_plan.size} > k = {k}"
@@ -192,14 +239,30 @@ def _open_bound(mrr, table, adoption, partial_plan, candidates, k, base, index):
         index = PoolIndex(mrr, candidates.pool)
     elif not np.array_equal(index.pool, candidates.pool):
         raise SolverError("pool index and candidate space disagree on the pool")
+    available = candidates.available(partial_plan)
+    if initial is not None and initial.shape != available.shape:
+        raise SolverError(
+            f"initial scan has shape {initial.shape}, the candidate space "
+            f"{available.shape}"
+        )
     if base is None:
         base = CoverageState.from_plan(mrr, partial_plan)
     tau = TauState(mrr, table, base, adoption, index=index)
-    return tau, candidates.available(partial_plan), k - partial_plan.size
+
+    def scan() -> np.ndarray:
+        if initial is None:
+            return tau.pool_gains(available)
+        tau.evaluations += int(np.count_nonzero(available))
+        return initial
+
+    return tau, available, k - partial_plan.size, scan
 
 
 def _bound_result(
-    tau: TauState, partial_plan: AssignmentPlan, picks: list[tuple[int, int]]
+    tau: TauState,
+    partial_plan: AssignmentPlan,
+    picks: list[tuple[int, int]],
+    scan: np.ndarray | None,
 ) -> BoundResult:
     """Package a finished greedy: the plan is built once from ``picks``."""
     seed_sets = [set(s) for s in partial_plan.seed_sets]
@@ -212,27 +275,37 @@ def _bound_result(
         first_pick=picks[0] if picks else None,
         evaluations=tau.evaluations,
         selected=len(picks),
+        scan=scan,
     )
 
 
 def _greedy_plain(
-    tau: TauState, available: np.ndarray, budget: int
-) -> list[tuple[int, int]]:
+    tau: TauState,
+    available: np.ndarray,
+    budget: int,
+    scan: Callable[[], np.ndarray],
+) -> tuple[list[tuple[int, int]], np.ndarray | None]:
     """Algorithm 2's literal loop: rescan every candidate per iteration.
 
     The rescan is one vectorised pool scan per piece — same gains, same
     first-maximum tie-breaking (flat cell order), same evaluation count
     as the per-candidate reference loop.  Unavailable cells scan as
-    zero, so a positive maximum is always an available cell.
+    zero, so a positive maximum is always an available cell.  The first
+    scan comes from ``scan()`` and is returned beside the picks.
     """
     pool = tau.index.pool
     vertices = pool.tolist()
     available = available.copy()
     picks: list[tuple[int, int]] = []
+    scanned = None
     for _ in range(budget):
         if not available.any():
             break
-        gains = tau.pool_gains(available).ravel()
+        if scanned is None:
+            scanned = scan()
+            gains = scanned.ravel()
+        else:
+            gains = tau.pool_gains(available).ravel()
         best = int(np.argmax(gains))  # first maximum, like the scan loop
         if gains[best] <= 0.0:
             break
@@ -241,12 +314,15 @@ def _greedy_plain(
         tau.add(v, j)
         available[j] &= pool != v
         picks.append((v, j))
-    return picks
+    return picks, scanned
 
 
 def _greedy_lazy(
-    tau: TauState, available: np.ndarray, budget: int
-) -> list[tuple[int, int]]:
+    tau: TauState,
+    available: np.ndarray,
+    budget: int,
+    scan: Callable[[], np.ndarray],
+) -> tuple[list[tuple[int, int]], np.ndarray]:
     """CELF lazy greedy: stale upper bounds re-evaluated on demand.
 
     Sound because ``tau`` is submodular: a candidate's cached gain can
@@ -259,11 +335,12 @@ def _greedy_lazy(
     """
     vertices = tau.index.pool.tolist()
     size = len(vertices)
-    initial = tau.pool_gains(available).ravel()
-    cells = np.flatnonzero(initial > 0.0)
+    scanned = scan()
+    flat = scanned.ravel()
+    cells = np.flatnonzero(flat > 0.0)
     heap = [
         (-gain, cell, 0)
-        for gain, cell in zip(initial[cells].tolist(), cells.tolist())
+        for gain, cell in zip(flat[cells].tolist(), cells.tolist())
     ]
     heapq.heapify(heap)
     picks: list[tuple[int, int]] = []
@@ -278,4 +355,4 @@ def _greedy_lazy(
         gain = tau.marginal_gain(*pair)
         if gain > 0.0:
             heapq.heappush(heap, (-gain, cell, len(picks)))
-    return picks
+    return picks, scanned

@@ -20,6 +20,12 @@ fraction of the evaluations (Theorem 4): the early break means only
 candidates whose individual gain lies within the current threshold window
 are ever touched, and the power-law influence distribution keeps that
 window sparse.
+
+Line 2's scan is the bound's one pass over the whole pool.  An exclude
+child of the BAB driver inherits it from its parent (``initial=``)
+instead of rescanning; a commit reuses the sweep's evaluation of the
+same pair (see :mod:`repro.core.upper_bound`).  Neither changes the
+bound or its evaluation count.
 """
 
 from __future__ import annotations
@@ -58,28 +64,33 @@ def compute_bound_progressive(
     epsilon: float = 0.5,
     base: CoverageState | None = None,
     index: PoolIndex | None = None,
+    initial: np.ndarray | None = None,
 ) -> BoundResult:
     """Run Algorithm 3 for one search node.
 
     ``epsilon`` is the threshold-decay knob the experiments sweep in
     Fig. 3: larger values take bigger threshold steps (faster, coarser),
     degrading the guarantee to (1 − 1/e − eps).  ``base`` optionally
-    supplies a pre-built coverage of ``partial_plan`` and ``index`` the
-    pool's slab index (see :func:`repro.core.compute_bound.compute_bound`);
-    bounds are identical either way.
+    supplies a pre-built coverage of ``partial_plan``, ``index`` the
+    pool's slab index and ``initial`` an inherited initial scan (see
+    :func:`repro.core.compute_bound.compute_bound`); bounds are identical
+    either way.
     """
     check_positive("epsilon", epsilon)
-    tau, available, budget = _open_bound(
-        mrr, table, adoption, partial_plan, candidates, k, base, index
+    tau, available, budget, scan = _open_bound(
+        mrr, table, adoption, partial_plan, candidates, k, base, index,
+        initial,
     )
 
     # Line 2: order candidates by individual gain delta_∅(v) — one
-    # vectorised pool scan per piece, then a stable sort on -gain
-    # (ties keep piece-major pool order).  Only positive gains enter.
-    initial = tau.pool_gains(available).ravel()
-    order = np.argsort(-initial, kind="stable")
-    order = order[: np.count_nonzero(initial > 0.0)]
-    deltas = initial[order].tolist()
+    # vectorised pool scan per piece (or the parent's, inherited by an
+    # exclude child), then a stable sort on -gain (ties keep
+    # piece-major pool order).  Only positive gains enter.
+    scanned = scan()
+    flat = scanned.ravel()
+    order = np.argsort(-flat, kind="stable")
+    order = order[: np.count_nonzero(flat > 0.0)]
+    deltas = flat[order].tolist()
     pieces, positions = np.divmod(order, tau.index.pool.size)
     individual = list(
         zip(tau.index.pool[positions].tolist(), pieces.tolist())
@@ -125,4 +136,4 @@ def compute_bound_progressive(
             if not advanced and h < smallest:
                 break
 
-    return _bound_result(tau, partial_plan, picks)
+    return _bound_result(tau, partial_plan, picks, scanned)

@@ -29,7 +29,12 @@ reduction :func:`~repro.utils.frontier.segment_sums` applies per slab).
 :meth:`TauState.marginal_gains` and :meth:`TauState.pool_gains`, so a
 cached scan gain and a later re-evaluation of the same cell round
 identically.  Only :meth:`TauState.add` sums its fresh subset pairwise,
-which is what ``tau.value`` has always accumulated.
+which is what ``tau.value`` has always accumulated.  A commit directly
+after :meth:`TauState.marginal_gain` of the same pair (the BAB-P sweep's
+pattern, and CELF's when a re-evaluated entry tops its heap) reuses that
+call's slab, fresh mask and gathered values: ``values[fresh]`` are the
+floats a fresh gather returns, in the same order, so the pairwise sum
+and every count are unchanged.  Any commit clears the remembered call.
 
 :class:`PoolIndex` is the branch-and-bound solver's per-solve slab
 cache.  The promoter pool is fixed for a whole solve, so the solver
@@ -173,6 +178,7 @@ class TauState:
         "evaluations",
         "_value",
         "index",
+        "_memo",
     )
 
     def __init__(
@@ -209,6 +215,9 @@ class TauState:
         # sum_i phi_{b_i}(b_i) = sum_c hist[c] * values[c, c].
         hist = base_coverage.count_hist.astype(np.float64)
         self._value = float(self.scale * (hist * table.anchor_diag).sum())
+        # The last marginal_gain's (vertex, piece, samples, fresh, values);
+        # valid until the next add, which always clears it.
+        self._memo = None
 
     # ------------------------------------------------------------------
 
@@ -245,21 +254,25 @@ class TauState:
             return self.index.slab(piece, vertex)
         return self.mrr.samples_containing(piece, vertex)
 
-    def _slab_values(self, piece: int, samples: np.ndarray) -> np.ndarray:
-        """Majorant gains of ``samples``' cells, zero where covered."""
+    def _slab_values(
+        self, piece: int, samples: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(fresh, values)``: which of ``samples``' cells are uncovered,
+        and their majorant gains, zero where covered."""
         fresh = ~self.bits.test(piece, samples)
-        return np.where(
+        values = np.where(
             fresh,
             self.table.gains[self.base_counts[samples], self.counts[samples]],
             0.0,
         )
+        return fresh, values
 
     def _scan(self, piece: int, chunks, size: int) -> np.ndarray:
         gains = np.zeros(size, dtype=np.float64)
         for samples, deg, lo, hi in chunks:
             if samples.size:
                 gains[lo:hi] = segment_sums(
-                    self._slab_values(piece, samples), deg
+                    self._slab_values(piece, samples)[1], deg
                 )
         return self.scale * gains
 
@@ -268,13 +281,16 @@ class TauState:
 
         Each call is one tau evaluation (Theorem 4's unit of work).  The
         one-slab case of :meth:`marginal_gains`: bit-identical to
-        ``marginal_gains([vertex], piece)[0]``.
+        ``marginal_gains([vertex], piece)[0]``.  The slab, its fresh
+        mask and values are remembered for an :meth:`add` of the same
+        pair that follows before any other commit.
         """
         self.evaluations += 1
         samples = self._slab(piece, vertex)
         if samples.size == 0:
             return 0.0
-        vals = self._slab_values(piece, samples)
+        fresh, vals = self._slab_values(piece, samples)
+        self._memo = (vertex, piece, samples, fresh, vals)
         return float(self.scale * np.add.reduceat(vals, _FIRST)[0])
 
     def marginal_gains(self, vertices, piece: int) -> np.ndarray:
@@ -313,14 +329,28 @@ class TauState:
         return gains
 
     def add(self, vertex: int, piece: int) -> float:
-        """Commit ``(vertex, piece)``; return the realised ``tau`` gain."""
-        samples = self._slab(piece, vertex)
-        if samples.size == 0:
-            return 0.0
-        fresh = samples[~self.bits.test(piece, samples)]
+        """Commit ``(vertex, piece)``; return the realised ``tau`` gain.
+
+        Directly after :meth:`marginal_gain` of the same pair (no commit
+        between), its remembered evaluation is reused: ``values[fresh]``
+        holds exactly the floats a fresh gather would, in slab order, so
+        the sum is unchanged.
+        """
+        memo, self._memo = self._memo, None
+        if memo is not None and memo[0] == vertex and memo[1] == piece:
+            _, _, samples, mask, values = memo
+            fresh = samples[mask]
+            gains = values[mask]
+        else:
+            samples = self._slab(piece, vertex)
+            if samples.size == 0:
+                return 0.0
+            fresh = samples[~self.bits.test(piece, samples)]
+            gains = self.table.gains[
+                self.base_counts[fresh], self.counts[fresh]
+            ]
         if fresh.size == 0:
             return 0.0
-        gains = self.table.gains[self.base_counts[fresh], self.counts[fresh]]
         gain = float(self.scale * gains.sum())
         self.bits.set_many(piece, fresh)
         self._counts.own()[fresh] += 1

@@ -622,12 +622,31 @@ class MRRCollection:
     def estimate_from_counts(
         self, counts: np.ndarray, adoption: AdoptionModel
     ) -> float:
-        """AU estimate given precomputed per-sample coverage counts."""
+        """AU estimate given precomputed per-sample coverage counts.
+
+        Integer counts must lie in ``[0, l]`` and are mapped through a
+        per-count probability table (``l + 1`` logistic evaluations
+        instead of ``theta``); each gathered float is the one the formula
+        computes for that count, so the pairwise sum is unchanged.
+        Other dtypes are evaluated by the formula.
+        """
         if counts.shape != (self.theta,):
             raise SamplingError(
                 f"counts must have shape ({self.theta},), got {counts.shape}"
             )
-        return float(self.n / self.theta * adoption.probability(counts).sum())
+        if counts.dtype.kind not in "iu":
+            probs = adoption.probability(counts)
+        else:
+            if counts.size and (
+                counts.min() < 0 or counts.max() > self.num_pieces
+            ):
+                raise SamplingError(
+                    f"coverage counts must lie in [0, {self.num_pieces}], got "
+                    f"[{counts.min()}, {counts.max()}]"
+                )
+            table = adoption.probability(np.arange(self.num_pieces + 1))
+            probs = table.take(counts)
+        return float(self.n / self.theta * probs.sum())
 
     def __repr__(self) -> str:
         return (

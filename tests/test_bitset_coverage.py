@@ -13,15 +13,19 @@ Three layers of guarantees:
   implementation of Algorithm 2 field-for-field, and the BAB driver's
   branch-clone bases give exactly the same search as per-node
   ``from_plan`` rebuilds, on the running example and a synthetic
-  instance.
+  instance, and exclude children that inherit their parent's initial
+  pool scan give exactly the search that rescans every bound, on the
+  in-RAM store and on a streamed disk store.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.core.bab import BranchAndBoundSolver
+from repro.core.bab import BranchAndBoundSolver, SolverDiagnostics
 from repro.core.bitset import (
     PieceBitMatrix,
     SampleBitset,
@@ -32,11 +36,20 @@ from repro.core.bitset import (
 from repro.core.compute_bound import CandidateSpace, compute_bound
 from repro.core.coverage import CoverageState
 from repro.core.plan import AssignmentPlan
+from repro.core.problem import OIPAProblem
 from repro.core.progressive import compute_bound_progressive
 from repro.core.tangent import MajorantTable
 from repro.core.upper_bound import TauState
 from repro.datasets.running_example import running_example_problem
+from repro.diffusion.adoption import AdoptionModel
+from repro.exceptions import SolverError
+from repro.graph.generators import (
+    build_topic_graph,
+    preferential_attachment_digraph,
+)
+from repro.runtime import Runtime
 from repro.sampling.mrr import MRRCollection
+from repro.topics.distributions import Campaign
 
 
 @pytest.fixture(scope="module")
@@ -345,8 +358,8 @@ class TestDenseBitIdentity:
 
         original = BranchAndBoundSolver._compute_bound
 
-        def rebuild_only(self, plan, candidates, base=None):
-            return original(self, plan, candidates, None)
+        def rebuild_only(self, plan, candidates, base=None, initial=None):
+            return original(self, plan, candidates, None, initial)
 
         monkeypatch.setattr(
             BranchAndBoundSolver, "_compute_bound", rebuild_only
@@ -387,3 +400,115 @@ class TestDenseBitIdentity:
         assert via_base.plan == fresh.plan
         assert via_base.lower == fresh.lower
         assert via_base.upper == fresh.upper
+
+
+# ----------------------------------------------------------------------
+# exclude-child scan reuse
+# ----------------------------------------------------------------------
+
+SOLVERS = {
+    "bab-plain": dict(bound="greedy", lazy=False),
+    "bab-lazy": dict(bound="greedy", lazy=True),
+    "bab-p": dict(bound="progressive", epsilon=0.5),
+}
+
+
+@pytest.fixture(scope="module")
+def synthetic(tmp_path_factory):
+    """A searchable instance on the in-RAM store and on a disk store
+    whose one-byte resident budget streams every pool scan."""
+    src, dst = preferential_attachment_digraph(150, 3, seed=81)
+    graph = build_topic_graph(
+        150, src, dst, 4, topics_per_edge=2.0, prob_mean=0.15, seed=82
+    )
+    campaign = Campaign.sample_unit(3, 4, seed=83)
+    problem = OIPAProblem(
+        graph,
+        campaign,
+        AdoptionModel.from_ratio(0.3),
+        k=5,
+        pool=np.arange(1, 150, 6),
+    )
+
+    def collection(**store):
+        runtime = Runtime(
+            backend="batch", workers=1, artifacts="off", **store
+        )
+        return MRRCollection.generate(
+            graph, campaign, 2500, seed=84, runtime=runtime
+        )
+
+    shard_dir = tmp_path_factory.mktemp("scan-reuse") / "shards"
+    return problem, {
+        "memory": collection(store="memory"),
+        "disk": collection(
+            store="disk", shard_dir=str(shard_dir), max_resident_bytes=1
+        ),
+    }
+
+
+@pytest.mark.parametrize("store", ["memory", "disk"])
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+def test_exclude_child_scan_reuse_matches_rescan(
+    synthetic, solver, store, monkeypatch
+):
+    """Exclude children inheriting their parent's initial scan give the
+    same search as rescanning every bound: plan, utility, upper bound
+    and every work counter, ``tau_evaluations`` included."""
+    problem, collections = synthetic
+    mrr = collections[store]
+
+    def solve():
+        return BranchAndBoundSolver(
+            problem, mrr, gap_tolerance=0.0, max_nodes=30, **SOLVERS[solver]
+        ).solve()
+
+    original = BranchAndBoundSolver._compute_bound
+    inherited = []
+
+    def counting(self, plan, candidates, base=None, initial=None):
+        inherited.append(initial is not None)
+        return original(self, plan, candidates, base, initial)
+
+    monkeypatch.setattr(BranchAndBoundSolver, "_compute_bound", counting)
+    reuse = solve()
+    assert sum(inherited) > 1  # the reuse path really ran
+
+    def rescan(self, plan, candidates, base=None, initial=None):
+        return original(self, plan, candidates, base, None)
+
+    monkeypatch.setattr(BranchAndBoundSolver, "_compute_bound", rescan)
+    oracle = solve()
+
+    assert reuse.plan == oracle.plan
+    assert float(reuse.utility).hex() == float(oracle.utility).hex()
+    assert float(reuse.upper_bound).hex() == float(oracle.upper_bound).hex()
+    for f in dataclasses.fields(SolverDiagnostics):
+        if f.name != "elapsed_seconds":
+            assert getattr(reuse.diagnostics, f.name) == getattr(
+                oracle.diagnostics, f.name
+            ), f.name
+
+
+def test_inherited_scan_is_charged_and_validated(example):
+    """An inherited scan counts one evaluation per available cell, as
+    the scan it replaces would, and must match the candidate space."""
+    problem, mrr = example
+    table = MajorantTable(problem.adoption, problem.num_pieces)
+    space = CandidateSpace(problem.pool, problem.num_pieces)
+    plan = problem.empty_plan()
+    fresh = compute_bound_progressive(
+        mrr, table, problem.adoption, plan, space, problem.k
+    )
+    again = compute_bound_progressive(
+        mrr, table, problem.adoption, plan, space, problem.k,
+        initial=fresh.scan,
+    )
+    assert again.plan == fresh.plan
+    assert again.upper == fresh.upper
+    assert again.evaluations == fresh.evaluations
+    with pytest.raises(SolverError, match="initial scan"):
+        compute_bound(
+            mrr, table, problem.adoption, plan, space, problem.k,
+            initial=fresh.scan[:, :-1],
+        )

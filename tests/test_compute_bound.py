@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.compute_bound import CandidateSpace, compute_bound
@@ -46,6 +47,39 @@ class TestCandidateSpace:
     def test_len(self, ctx):
         _, _, _, space = ctx
         assert len(space.without(0, 0)) == len(space) - 1
+
+    def test_available_matches_per_vertex_loop(self):
+        """The position-map mask equals masking ``pool == v`` per seed
+        and per excluded pair, duplicate pool entries included."""
+
+        def reference(space, plan):
+            pool = np.asarray(space.pool, dtype=np.int64)
+            mask = np.ones((space.num_pieces, pool.size), dtype=bool)
+            for j in range(space.num_pieces):
+                for v in plan.seed_sets[j]:
+                    mask[j, pool == v] = False
+            for v, j in space.excluded:
+                mask[j, pool == v] = False
+            return mask
+
+        rng = np.random.default_rng(9)
+        for trial in range(200):
+            pieces = int(rng.integers(1, 5))
+            pool = rng.integers(0, 30, int(rng.integers(1, 25)))
+            space = CandidateSpace(pool, pieces)
+            for _ in range(int(rng.integers(0, 8))):
+                space = space.without(
+                    int(rng.integers(0, 32)), int(rng.integers(pieces))
+                )
+            plan = AssignmentPlan(
+                [
+                    set(rng.integers(0, 32, int(rng.integers(0, 4))).tolist())
+                    for _ in range(pieces)
+                ]
+            )
+            np.testing.assert_array_equal(
+                space.available(plan), reference(space, plan)
+            )
 
 
 class TestComputeBound:

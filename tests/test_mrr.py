@@ -125,6 +125,45 @@ class TestEstimator:
         with pytest.raises(SamplingError):
             example_mrr.estimate_from_counts(np.zeros(5), adoption)
 
+    @pytest.mark.parametrize("dtype", [np.int16, np.int64])
+    @pytest.mark.parametrize("zero_if_unreached", [True, False])
+    def test_count_table_equals_formula(
+        self, example_mrr, dtype, zero_if_unreached
+    ):
+        """Integer counts go through the per-count table; the estimate is
+        bit-identical to the logistic evaluated per sample."""
+        mrr = example_mrr
+        rng = np.random.default_rng(5)
+        for ratio in (0.1, 0.3, 1.0, 2.5):
+            adoption = AdoptionModel.from_ratio(
+                ratio, zero_if_unreached=zero_if_unreached
+            )
+            counts = rng.integers(
+                0, mrr.num_pieces + 1, mrr.theta
+            ).astype(dtype)
+            formula = mrr.n / mrr.theta * adoption.probability(counts).sum()
+            got = mrr.estimate_from_counts(counts, adoption)
+            assert float(got).hex() == float(formula).hex()
+            as_float = mrr.estimate_from_counts(
+                counts.astype(np.float64), adoption
+            )
+            assert float(as_float).hex() == float(got).hex()
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.int64])
+    def test_integer_counts_bounded_by_pieces(self, example_mrr, dtype):
+        mrr = example_mrr
+        adoption = running_example_adoption()
+        counts = np.zeros(mrr.theta, dtype=dtype)
+        assert mrr.estimate_from_counts(counts, adoption) == 0.0
+        counts[0] = mrr.num_pieces  # both ends are legal
+        assert mrr.estimate_from_counts(counts, adoption) > 0.0
+        counts[0] = -1
+        with pytest.raises(SamplingError, match="coverage counts"):
+            mrr.estimate_from_counts(counts, adoption)
+        counts[0] = mrr.num_pieces + 1
+        with pytest.raises(SamplingError, match="coverage counts"):
+            mrr.estimate_from_counts(counts, adoption)
+
     def test_unbiasedness_vs_forward_simulation(self):
         """Lemma 2 on a random graph: MRR and forward MC must agree."""
         src, dst = preferential_attachment_digraph(120, 3, seed=3)

@@ -4,19 +4,28 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.coverage import CoverageState
 from repro.core.plan import AssignmentPlan
 from repro.core.tangent import MajorantTable
-from repro.core.upper_bound import TauState
+from repro.core.upper_bound import PoolIndex, TauState
 from repro.datasets.running_example import (
     running_example_adoption,
     running_example_campaign,
     running_example_graph,
 )
+from repro.diffusion.adoption import AdoptionModel
 from repro.exceptions import SolverError
+from repro.graph.generators import (
+    build_topic_graph,
+    preferential_attachment_digraph,
+)
 from repro.sampling.mrr import MRRCollection
+from repro.topics.distributions import Campaign
 
 
 @pytest.fixture()
@@ -128,3 +137,85 @@ class TestTauState:
         # And the refined anchor is exact while the unrefined value at
         # count 1 was an over-estimate (or equal):
         assert table.values[1, 1] <= table.values[0, 1] + 1e-12
+
+
+# ----------------------------------------------------------------------
+# commits reuse the preceding evaluation
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def memo_world():
+    """A pool index plus five vertices to interleave operations on: four
+    with a non-empty slab in every piece and one with an empty slab."""
+    src, dst = preferential_attachment_digraph(120, 3, seed=41)
+    graph = build_topic_graph(
+        120, src, dst, 4, topics_per_edge=2.0, prob_mean=0.15, seed=42
+    )
+    campaign = Campaign.sample_unit(3, 4, seed=43)
+    adoption = AdoptionModel.from_ratio(0.5)
+    mrr = MRRCollection.generate(graph, campaign, theta=100, seed=44)
+    pool = np.arange(0, 120, 5)
+    sizes = [
+        [mrr.samples_containing(j, int(v)).size for j in range(3)]
+        for v in pool
+    ]
+    full = [int(v) for v, s in zip(pool, sizes) if min(s) > 0]
+    empty = [int(v) for v, s in zip(pool, sizes) if 0 in s and max(s) > 0]
+    table = MajorantTable(adoption, mrr.num_pieces)
+    base = CoverageState(mrr)
+    base.add_many(pool[:2], 0)
+    return mrr, adoption, table, base, PoolIndex(mrr, pool), full[:4] + empty[:1]
+
+
+_OP = st.tuples(
+    st.sampled_from(["gain", "add", "scan"]),
+    st.integers(0, 4),  # which of the five vertices
+    st.integers(0, 2),  # piece
+)
+
+
+def _bits(x: float) -> str:
+    return float(x).hex()
+
+
+@settings(
+    max_examples=80,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@example(ops=[("gain", 0, 0), ("add", 1, 0), ("add", 0, 0)])
+@example(ops=[("gain", 0, 0), ("add", 0, 0), ("add", 0, 0)])
+@example(ops=[("gain", 0, 0), ("add", 0, 1)])
+@example(ops=[("gain", 0, 2), ("scan", 0, 1), ("add", 0, 2)])
+@example(ops=[("gain", 4, 0), ("gain", 4, 1), ("gain", 4, 2), ("add", 4, 0)])
+@given(ops=st.lists(_OP, max_size=25))
+def test_memoised_commits_equal_fresh_commits(memo_world, ops):
+    """Any interleaving of gains, commits and pool scans: a state that
+    reuses its last evaluation on commit equals one that never does
+    (each returned gain, ``value`` and ``counts``, bit for bit)."""
+    mrr, adoption, table, base, index, vertices = memo_world
+    assert len(vertices) == 5
+    reuse = TauState(mrr, table, base.copy(), adoption, index=index)
+    fresh = TauState(mrr, table, base.copy(), adoption, index=index)
+    for op, which, piece in ops:
+        v = vertices[which]
+        if op == "gain":
+            assert _bits(reuse.marginal_gain(v, piece)) == _bits(
+                fresh.marginal_gain(v, piece)
+            )
+        elif op == "add":
+            fresh._memo = None  # the oracle always gathers afresh
+            assert _bits(reuse.add(v, piece)) == _bits(fresh.add(v, piece))
+        else:
+            available = np.ones(
+                (mrr.num_pieces, index.pool.size), dtype=bool
+            )
+            available[piece, which] = False
+            assert (
+                reuse.pool_gains(available).tobytes()
+                == fresh.pool_gains(available).tobytes()
+            )
+        assert _bits(reuse.value) == _bits(fresh.value)
+    np.testing.assert_array_equal(reuse.counts, fresh.counts)
+    assert reuse.evaluations == fresh.evaluations
