@@ -288,8 +288,7 @@ class BranchAndBoundSolver:
                 termination = "gap"
                 upper_seen = max(lower, upper)
                 break
-            diag.nodes_expanded += 1
-            if diag.nodes_expanded > self.max_nodes:
+            if diag.nodes_expanded >= self.max_nodes:
                 termination = "node_budget"
                 if self.strict_budget:
                     raise BudgetExhaustedError(
@@ -298,6 +297,7 @@ class BranchAndBoundSolver:
                         incumbent=incumbent,
                     )
                 break
+            diag.nodes_expanded += 1
             # Line 8: only branch while the plan can still grow.
             if node.plan.size >= problem.k or node.first_pick is None:
                 continue

@@ -29,9 +29,8 @@ import numpy as np
 
 from repro.diffusion.adoption import AdoptionModel
 from repro.diffusion.projection import PieceGraph
-from repro.diffusion.simulate import simulate_cascade
+from repro.diffusion.simulate import _keyed_rounds, simulate_cascade
 from repro.exceptions import ParameterError
-from repro.utils.rng import as_generator
 from repro.utils.validation import (
     check_piece_graphs_aligned,
     check_positive_int,
@@ -95,30 +94,39 @@ def simulate_interdependent_utility(
     may make them drop piece ``j`` (see module docstring).  With an
     all-zero matrix this reduces exactly to
     :func:`repro.diffusion.simulate.simulate_adoption_utility`'s model
-    (same per-round cascade draws in distribution).
+    (same per-round cascade draws in distribution).  Rounds come from
+    the keyed chunks of :func:`repro.diffusion.simulate._keyed_rounds`,
+    so the estimate depends on ``seed`` alone, never on
+    ``REPRO_WORKERS``.
     """
+    from repro.runtime import resolve_runtime
+
+    rt = resolve_runtime(None, seed=seed)
     if len(piece_graphs) != len(plan_seed_sets):
         raise ParameterError(
             f"{len(plan_seed_sets)} seed sets for {len(piece_graphs)} pieces"
         )
+    if not piece_graphs:
+        raise ParameterError("need at least one piece")
     if interactions.num_pieces != len(piece_graphs):
         raise ParameterError(
             f"interaction matrix is {interactions.num_pieces}x"
             f"{interactions.num_pieces} but there are {len(piece_graphs)} pieces"
         )
-    check_positive_int("rounds", rounds)
-    rng = as_generator(seed)
+    rounds = check_positive_int("rounds", rounds)
     n = piece_graphs[0].n
     check_piece_graphs_aligned(piece_graphs, n)
     l = len(piece_graphs)
     seed_lists = [list(s) for s in plan_seed_sets]
     rho = interactions.values
-    total = 0.0
-    for _ in range(rounds):
+
+    def trial(rng):
         received = np.zeros((n, l), dtype=bool)
         for j, (pg, seeds) in enumerate(zip(piece_graphs, seed_lists)):
             if seeds:
-                received[:, j] = simulate_cascade(pg, seeds, rng)
+                received[:, j] = simulate_cascade(
+                    pg, seeds, rng, backend=rt.backend
+                )
             # Complementary boosts from earlier pieces: users holding
             # piece j' get an extra adoption-side exposure chance.
             for j_prev in range(j):
@@ -140,5 +148,6 @@ def simulate_interdependent_utility(
                         idx = np.flatnonzero(clash)
                         received[idx[dropped], j] = False
         counts = received.sum(axis=1)
-        total += float(adoption.probability(counts).sum())
-    return total / rounds
+        return float(adoption.probability(counts).sum())
+
+    return float(_keyed_rounds(trial, rounds, rt).mean())

@@ -5,6 +5,11 @@ of Sec. III-A simulated directly (independent cascade per piece), with
 user adoption drawn from the logistic model of Eq. 1.  The MRR estimator
 (Sec. V-A) must agree with these simulations in expectation — the test
 suite checks exactly that (Lemma 2).
+
+Every estimator here (and :mod:`repro.diffusion.interdependent`) draws
+its trials from one keyed stream, :func:`_keyed_rounds`: fixed chunks of
+rounds, each seeded by its chunk index, so an estimate is a function of
+the seed alone and never of the worker count.
 """
 
 from __future__ import annotations
@@ -123,23 +128,41 @@ def simulate_model_cascade(
     return simulate_cascade(piece_graph, seeds, rng, backend=backend)
 
 
-def _spread_chunk_task(args):
-    """One rounds-chunk of :func:`simulate_piece_spread` (picklable)."""
-    piece_graph, seeds, model, backend, count, seed = args
-    rng = as_generator(seed)
-    total = 0
-    for _ in range(count):
-        total += int(
-            simulate_model_cascade(
-                piece_graph,
-                seeds,
-                rng,
-                model=model,
-                backend=backend,
-                check_weights=False,
-            ).sum()
+def _keyed_rounds(trial, rounds: int, rt, *, pool=None) -> np.ndarray:
+    """Per-round values of ``rounds`` Monte-Carlo trials, in round order.
+
+    The one forward-simulation stream: ``rounds`` splits into the fixed
+    :func:`~repro.sampling.parallel.round_chunks`, and chunk ``c`` calls
+    ``trial(rng)`` once per round on a generator keyed by
+    ``SeedSequence((entropy, KEYED_ROUND_TAG, c))``, where
+    ``entropy = resolve_entropy(rt.seed)``.  Chunks run through
+    :func:`~repro.sampling.parallel.parallel_map` at width
+    ``rt.pool_width or 1`` (width 1 runs inline; a caller's ``pool`` is
+    used as given) and merge in chunk order, so the values never depend
+    on the worker count.
+    """
+    from repro.sampling.parallel import (
+        KEYED_ROUND_TAG,
+        parallel_map,
+        resolve_entropy,
+        round_chunks,
+    )
+
+    entropy = resolve_entropy(rt.seed)
+
+    def run_chunk(chunk):
+        c, count = chunk
+        rng = as_generator(
+            np.random.SeedSequence((entropy, KEYED_ROUND_TAG, c))
         )
-    return total
+        return [trial(rng) for _ in range(count)]
+
+    chunks = [
+        (c, stop - start)
+        for c, (start, stop) in enumerate(round_chunks(rounds))
+    ]
+    parts = parallel_map(run_chunk, chunks, rt.pool_width or 1, pool=pool)
+    return np.array([v for part in parts for v in part], dtype=np.float64)
 
 
 def simulate_piece_spread(
@@ -159,78 +182,34 @@ def simulate_piece_spread(
     :class:`repro.runtime.Runtime` passed as ``runtime=`` and resolved
     with the centralized order (Runtime field > ``REPRO_*`` env >
     default; a per-call ``seed`` beats ``Runtime.seed``).  LT graphs
-    should be weight-normalised first.  Estimates are identical for
-    every worker count; serial is the default.  Callers evaluating many
+    should be weight-normalised first.  The trials come from the keyed
+    round chunks of :func:`_keyed_rounds`, so estimates are identical
+    for every worker count, inline included.  Callers evaluating many
     spreads may pass a pre-built ``pool``
     (:func:`repro.sampling.parallel.make_pool`) to reuse across calls;
     they keep ownership of its shutdown.
     """
     from repro.runtime import resolve_runtime
     from repro.sampling.batch import check_lt_feasible
-    from repro.sampling.parallel import (
-        parallel_map,
-        round_chunks,
-        spawn_task_seeds,
-    )
 
     rt = resolve_runtime(runtime, seed=seed)
     rounds = check_positive_int("rounds", rounds)
     model = rt.single_model()
     if model == "lt":
         check_lt_feasible(piece_graph)  # once, not once per trial
-    rng = as_generator(rt.seed)
     seeds = list(seeds)
-    pool_width = rt.pool_width
-    if pool_width is not None:
-        chunks = round_chunks(rounds)
-        task_seeds = spawn_task_seeds(rng, len(chunks))
-        totals = parallel_map(
-            _spread_chunk_task,
-            [
-                (piece_graph, seeds, model, rt.backend, stop - start, s)
-                for (start, stop), s in zip(chunks, task_seeds)
-            ],
-            pool_width,
-            pool=pool,
-        )
-        return sum(totals) / rounds
-    total = 0
-    for _ in range(rounds):
-        total += int(
-            simulate_model_cascade(
-                piece_graph,
-                seeds,
-                rng,
-                model=model,
-                backend=rt.backend,
-                check_weights=False,
-            ).sum()
-        )
-    return total / rounds
 
+    def trial(rng):
+        return simulate_model_cascade(
+            piece_graph,
+            seeds,
+            rng,
+            model=model,
+            backend=rt.backend,
+            check_weights=False,
+        ).sum()
 
-def _utility_chunk_task(args):
-    """One rounds-chunk of :func:`simulate_adoption_utility` (picklable)."""
-    piece_graphs, seed_lists, models, adoption, backend, count, seed = args
-    rng = as_generator(seed)
-    n = piece_graphs[0].n
-    per_round = np.empty(count, dtype=np.float64)
-    counts = np.zeros(n, dtype=np.int64)
-    for r in range(count):
-        counts[:] = 0
-        for pg, seeds, piece_model in zip(piece_graphs, seed_lists, models):
-            if not seeds:
-                continue
-            counts += simulate_model_cascade(
-                pg,
-                seeds,
-                rng,
-                model=piece_model,
-                backend=backend,
-                check_weights=False,
-            )
-        per_round[r] = float(adoption.probability(counts).sum())
-    return per_round
+    return float(_keyed_rounds(trial, rounds, rt, pool=pool).mean())
 
 
 def simulate_adoption_utility(
@@ -269,9 +248,9 @@ def simulate_adoption_utility(
         — cascade backend, per-piece diffusion model(s) (``"ic"`` /
         ``"lt"``, scalar or a per-piece sequence for heterogeneous
         multiplex campaigns), and the parallel Monte-Carlo runtime
-        (fixed-size chunks of rounds on a thread pool with
-        spawned child streams, merged in chunk order — estimates are
-        identical for every worker count; serial is the default).
+        (fixed-size chunks of rounds, each on its own keyed stream — see
+        :func:`_keyed_rounds` — merged in chunk order, so estimates are
+        identical for every worker count, inline included).
         Resolved with the centralized order (Runtime field >
         ``REPRO_*`` env > default; a per-call ``seed`` beats
         ``Runtime.seed``).
@@ -279,11 +258,6 @@ def simulate_adoption_utility(
     from repro.runtime import resolve_runtime
     from repro.sampling.batch import check_lt_feasible
     from repro.sampling.mrr import resolve_models
-    from repro.sampling.parallel import (
-        parallel_map,
-        round_chunks,
-        spawn_task_seeds,
-    )
 
     rt = resolve_runtime(runtime, seed=seed)
     if len(piece_graphs) != len(plan_seed_sets):
@@ -297,38 +271,17 @@ def simulate_adoption_utility(
         models = resolve_models(rt.model, len(piece_graphs))
     except SamplingError as exc:
         raise ParameterError(str(exc)) from None
-    rng = as_generator(rt.seed)
     n = piece_graphs[0].n
     check_piece_graphs_aligned(piece_graphs, n)
     for pg, piece_model in zip(piece_graphs, models):
         if piece_model == "lt":
             check_lt_feasible(pg)  # once per piece, not once per round
     seed_lists = [list(s) for s in plan_seed_sets]
-    pool_width = rt.pool_width
-    if pool_width is not None:
-        chunks = round_chunks(rounds)
-        task_seeds = spawn_task_seeds(rng, len(chunks))
-        pieces = list(piece_graphs)
-        slices = parallel_map(
-            _utility_chunk_task,
-            [
-                (pieces, seed_lists, models, adoption, rt.backend,
-                 stop - start, s)
-                for (start, stop), s in zip(chunks, task_seeds)
-            ],
-            pool_width,
-        )
-        per_round = np.concatenate(slices)
-    else:
-        per_round = np.empty(rounds, dtype=np.float64)
+
+    def trial(rng):
         counts = np.zeros(n, dtype=np.int64)
-        for r in range(rounds):
-            counts[:] = 0
-            for pg, seeds, piece_model in zip(
-                piece_graphs, seed_lists, models
-            ):
-                if not seeds:
-                    continue
+        for pg, seeds, piece_model in zip(piece_graphs, seed_lists, models):
+            if seeds:
                 counts += simulate_model_cascade(
                     pg,
                     seeds,
@@ -337,7 +290,9 @@ def simulate_adoption_utility(
                     backend=rt.backend,
                     check_weights=False,
                 )
-            per_round[r] = float(adoption.probability(counts).sum())
+        return float(adoption.probability(counts).sum())
+
+    per_round = _keyed_rounds(trial, rounds, rt)
     mean = float(per_round.mean())
     if return_std:
         std_err = float(per_round.std(ddof=1) / np.sqrt(rounds)) if rounds > 1 else 0.0

@@ -30,10 +30,8 @@ from dataclasses import dataclass
 from repro.core.plan import AssignmentPlan
 from repro.core.problem import OIPAProblem
 from repro.diffusion.projection import PieceGraph
-from repro.im.ris import max_coverage_seeds
+from repro.im.ris import _keyed_rr_collection, max_coverage_seeds
 from repro.sampling.mrr import MRRCollection
-from repro.sampling.rr import ReverseReachableSampler
-from repro.utils.rng import as_generator
 from repro.utils.timer import Timer
 
 __all__ = ["BaselineResult", "im_baseline", "tim_baseline"]
@@ -87,7 +85,10 @@ def im_baseline(
     ``theta`` controls the flattened-graph RR sample count for seed
     selection (defaults to the evaluation collection's theta);
     ``runtime`` (a :class:`repro.runtime.Runtime`) selects the RR
-    sampling engine.
+    sampling engine and pool.  The flattened graph is sampled
+    under IC from the same keyed stream as
+    :func:`repro.im.ris.ris_influence_maximization`, so for one seed
+    both pick the same seeds, at every worker count.
     """
     from repro.runtime import resolve_runtime
 
@@ -102,11 +103,11 @@ def im_baseline(
         flat_graph = PieceGraph.from_edge_probabilities(
             problem.graph, flat_probs
         )
-        rng = as_generator(rt.seed)
-        sampler = ReverseReachableSampler(flat_graph, backend=rt.backend)
-        roots = rng.integers(0, flat_graph.n, size=theta)
-        ptr, nodes = sampler.sample_many(roots, rng)
-        flat_mrr = MRRCollection(flat_graph.n, roots, [ptr], [nodes])
+        # In RAM whatever the runtime's store: a caller's store instance
+        # already holds the campaign's own collection.
+        flat_mrr = _keyed_rr_collection(
+            flat_graph, theta, rt.replace(store="memory"), "ic"
+        )
     timer = Timer().start()
     seeds, _ = max_coverage_seeds(flat_mrr, 0, problem.pool, problem.k)
     # The same seed set S is tried on every piece; best one wins.

@@ -15,7 +15,7 @@ import heapq
 import numpy as np
 
 from repro.diffusion.projection import PieceGraph
-from repro.diffusion.simulate import simulate_model_cascade
+from repro.diffusion.simulate import simulate_piece_spread
 from repro.exceptions import SolverError
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_positive_int
@@ -34,18 +34,21 @@ def celf_greedy_im(
 ) -> tuple[list[int], float]:
     """Select ``k`` seeds by CELF lazy greedy over simulated spread.
 
-    ``rounds`` cascades are averaged per marginal-spread evaluation; the
-    same common-random-numbers generator is reused across evaluations to
-    reduce comparison noise.  Execution policy (cascade kernel backend,
-    diffusion model, the parallel Monte-Carlo runtime) lives on one
-    :class:`repro.runtime.Runtime` passed as ``runtime=`` and resolved
-    with the centralized order (Runtime field > ``REPRO_*`` env >
-    default; a per-call ``seed`` beats ``Runtime.seed``).  Under IC
-    the backend choice never changes the selected seeds (identical rng
-    streams); under LT the masks can differ at last-ulp rounding (see
+    ``rounds`` cascades are averaged per marginal-spread evaluation, each
+    through :func:`repro.diffusion.simulate.simulate_piece_spread` with
+    fresh entropy drawn from the one generator of ``seed``: evaluations
+    draw independent numbers, not common random numbers.  Execution
+    policy (cascade kernel backend, diffusion model, the parallel
+    Monte-Carlo runtime) lives on one :class:`repro.runtime.Runtime`
+    passed as ``runtime=`` and resolved with the centralized order
+    (Runtime field > ``REPRO_*`` env > default; a per-call ``seed``
+    beats ``Runtime.seed``).  Under IC the backend choice never changes
+    the selected seeds (identical rng streams); under LT the masks can
+    differ at last-ulp rounding (see
     :func:`repro.diffusion.threshold.simulate_lt_cascade`), and LT
-    graphs must be weight-normalised first.  Selections are identical
-    for every worker count; serial is the default.
+    graphs must be weight-normalised first.  Every evaluation draws the
+    keyed round chunks of the Monte-Carlo stream, so selections are
+    identical for every worker count, inline included.
 
     Returns ``(seeds, spread_estimate)``.
 
@@ -54,9 +57,7 @@ def celf_greedy_im(
     the original CELF paper) results can differ from plain greedy by a
     noise-sized margin.
     """
-    from repro.diffusion.simulate import simulate_piece_spread
     from repro.runtime import resolve_runtime
-    from repro.sampling.batch import check_lt_feasible
     from repro.sampling.parallel import make_pool
 
     # Entry validation: every execution knob must fail here (ConfigError)
@@ -64,47 +65,28 @@ def celf_greedy_im(
     rt = resolve_runtime(runtime, seed=seed)
     check_positive_int("k", k)
     check_positive_int("rounds", rounds)
-    model = rt.single_model()
-    if model == "lt":
-        check_lt_feasible(piece_graph)  # once, not once per trial
+    rt.single_model()  # one graph, one model: fail here, not mid-run
     rng = as_generator(rt.seed)
     if pool is None:
         pool = np.arange(piece_graph.n, dtype=np.int64)
     pool = np.asarray(pool, dtype=np.int64)
     if pool.size == 0:
         raise SolverError("empty candidate pool")
-    pool_width = rt.pool_width
     # One pool for the whole CELF run: spread() is called O(|pool| + k)
     # times, so per-evaluation pool construction would dwarf the gain.
-    eval_pool = make_pool(pool_width)
+    eval_pool = make_pool(rt.pool_width)
 
     def spread(seeds: list[int]) -> float:
         if not seeds:
             return 0.0
-        entropy = int(rng.integers(0, 2**63 - 1))
-        if pool_width is not None:
-            return simulate_piece_spread(
-                piece_graph,
-                seeds,
-                rounds=rounds,
-                seed=entropy,
-                runtime=rt,
-                pool=eval_pool,
-            )
-        total = 0
-        eval_rng = as_generator(entropy)
-        for _ in range(rounds):
-            total += int(
-                simulate_model_cascade(
-                    piece_graph,
-                    seeds,
-                    eval_rng,
-                    model=model,
-                    backend=rt.backend,
-                    check_weights=False,
-                ).sum()
-            )
-        return total / rounds
+        return simulate_piece_spread(
+            piece_graph,
+            seeds,
+            rounds=rounds,
+            seed=int(rng.integers(0, 2**63 - 1)),
+            runtime=rt,
+            pool=eval_pool,
+        )
 
     try:
         seeds: list[int] = []

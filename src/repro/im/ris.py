@@ -124,21 +124,40 @@ def ris_influence_maximization(
     Returns ``(seeds, spread_estimate)``.
     """
     from repro.runtime import resolve_runtime
-    from repro.sampling.parallel import (
-        keyed_roots,
-        resolve_entropy,
-        task_block_size,
-    )
 
     rt = resolve_runtime(runtime, seed=seed)
     check_positive_int("k", k)
     check_positive_int("theta", theta)
     if pool is None:
         pool = np.arange(piece_graph.n, dtype=np.int64)
-    model = rt.single_model()
+    collection = _keyed_rr_collection(
+        piece_graph, theta, rt, rt.single_model()
+    )
+    return max_coverage_seeds(collection, 0, pool, k)
+
+
+def _keyed_rr_collection(
+    piece_graph: PieceGraph, theta: int, rt, model: str
+) -> MRRCollection:
+    """``theta`` RR sets of one graph from the keyed stream of ``rt.seed``.
+
+    The single-graph face of the MRR sampling stream: uniform roots
+    from :func:`~repro.sampling.parallel.keyed_roots` and one piece
+    filled by :func:`~repro.sampling.mrr.generate_keyed` under the
+    resolved runtime ``rt``, so the sets are identical for every worker
+    count, executor and store.  Shared by
+    :func:`ris_influence_maximization` and the ``IM`` baseline
+    (:func:`repro.im.baselines.im_baseline`).
+    """
+    from repro.sampling.parallel import (
+        keyed_roots,
+        resolve_entropy,
+        task_block_size,
+    )
+
     entropy = resolve_entropy(rt.seed)
     block_size = task_block_size(theta)
-    collection = generate_keyed(
+    return generate_keyed(
         piece_graph.n,
         [piece_graph],
         (model,),
@@ -150,4 +169,3 @@ def ris_influence_maximization(
         store=rt.store_for_generate(),
         block_size=block_size,
     )
-    return max_coverage_seeds(collection, 0, pool, k)

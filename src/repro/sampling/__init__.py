@@ -20,7 +20,6 @@ from repro.sampling.parallel import (
     make_pool,
     parallel_map,
     resolve_workers,
-    spawn_task_seeds,
     stream_piece_blocks,
     task_block_size,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "resolve_workers",
     "simulate_cascade_batch",
     "simulate_lt_cascade_batch",
-    "spawn_task_seeds",
     "store_fingerprint",
     "stream_piece_blocks",
     "task_block_size",

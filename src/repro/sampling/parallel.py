@@ -1,4 +1,4 @@
-"""Parallel per-piece sampling runtime: the one MRR sampling stream.
+"""Parallel sampling runtime: the one keyed stream of every random draw.
 
 MRR generation is embarrassingly parallel twice over: each piece's RR
 sets are independent given the shared roots, and within a piece every
@@ -16,10 +16,13 @@ the parallelism invisible to everything downstream:
     ``block_size`` draw, truncated to the block's span, so a partial
     tail block that later grows redraws a *prefix-consistent* extension;
   - task ``(piece j, block b)`` samples with
-    ``SeedSequence((entropy, KEYED_TASK_TAG, j, b))``.
+    ``SeedSequence((entropy, KEYED_TASK_TAG, j, b))``;
+  - Monte-Carlo forward simulation (:mod:`repro.diffusion.simulate`)
+    splits ``rounds`` into fixed :func:`round_chunks` and draws chunk
+    ``c`` from ``SeedSequence((entropy, KEYED_ROUND_TAG, c))``.
 
-  Both are pure functions of ``(entropy, coordinates)``, never of the
-  worker count, the executor, the store or theta, so every topology
+  All three are pure functions of ``(entropy, coordinates)``, never of
+  the worker count, the executor, the store or theta, so every topology
   (inline, a thread pool, or the spawned workers of
   :mod:`repro.sampling.dist`) produces the same bytes, a resumed store
   samples only its missing blocks, raising theta *appends* blocks
@@ -39,8 +42,6 @@ run the whole suite under a pool.  Every in-process pool is a
 :class:`~concurrent.futures.ThreadPoolExecutor`; the only multi-process
 topology is ``executor="spawned"`` (:mod:`repro.sampling.dist`), whose
 workers load the job once instead of receiving it with every task.
-Monte-Carlo forward simulation keeps its own spawned per-round streams
-(:func:`spawn_task_seeds`).
 """
 
 from __future__ import annotations
@@ -66,7 +67,6 @@ __all__ = [
     "resolve_entropy",
     "resolve_workers",
     "round_chunks",
-    "spawn_task_seeds",
     "stream_piece_blocks",
     "task_block_size",
 ]
@@ -88,9 +88,11 @@ _MIN_TASK_BLOCK = 256
 #: Rounds per Monte-Carlo task (same worker-independence argument).
 _ROUND_CHUNK = 8
 
-#: SeedSequence tags separating the root draw from the task draws.
+#: SeedSequence tags separating the root draw, the task draws and the
+#: Monte-Carlo round chunks.
 KEYED_ROOT_TAG = 0x726F6F74  # "root"
 KEYED_TASK_TAG = 0x7461736B  # "task"
+KEYED_ROUND_TAG = 0x726F6E64  # "rond"
 
 
 def resolve_workers(workers) -> int | None:
@@ -152,21 +154,6 @@ def round_chunks(rounds: int) -> list[tuple[int, int]]:
         (start, min(start + _ROUND_CHUNK, rounds))
         for start in range(0, rounds, _ROUND_CHUNK)
     ]
-
-
-def spawn_task_seeds(rng, count: int) -> list[np.random.SeedSequence]:
-    """``count`` independent child seeds keyed by one parent draw.
-
-    One integer is drawn from ``rng`` (keeping the caller's stream the
-    single source of entropy), then ``SeedSequence.spawn`` derives
-    non-overlapping children — the per-chunk streams of Monte-Carlo
-    forward simulation.  MRR sampling keys its tasks by coordinates
-    instead (:func:`keyed_task_seed`).
-    """
-    if count < 0:
-        raise ParameterError(f"count must be >= 0, got {count}")
-    root = np.random.SeedSequence(int(rng.integers(0, 2**63 - 1)))
-    return root.spawn(count)
 
 
 def make_pool(workers):

@@ -189,7 +189,7 @@ def _mk_key(**overrides) -> ArtifactKey:
 class TestArtifactKey:
     def test_token_and_digest(self):
         key = _mk_key()
-        assert key.token.startswith("v2:graph=")
+        assert key.token.startswith("v3:graph=")
         assert "stage=sample" in key.token
         assert key.token.endswith("theta=100")
         assert key.digest == _mk_key().digest

@@ -115,6 +115,20 @@ class TestDiagnosticsAndTermination:
         assert result.diagnostics.termination in {"node_budget", "gap", "exhausted"}
         assert result.plan.size <= problem.k
 
+    def test_node_budget_counts_only_expanded_nodes(self, random_instance):
+        problem, mrr = random_instance
+        full = solve_bab(problem, mrr, gap_tolerance=0.0)
+        needed = full.diagnostics.nodes_expanded
+        assert needed > 1
+        # Any smaller budget stops the same search after exactly that
+        # many expansions; the node popped at the stop is not counted.
+        for max_nodes in range(1, min(needed, 4)):
+            result = solve_bab(
+                problem, mrr, gap_tolerance=0.0, max_nodes=max_nodes
+            )
+            assert result.diagnostics.termination == "node_budget"
+            assert result.diagnostics.nodes_expanded == max_nodes
+
     def test_strict_budget_raises(self, random_instance):
         problem, mrr = random_instance
         solver = BranchAndBoundSolver(

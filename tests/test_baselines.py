@@ -9,7 +9,9 @@ from repro.core.problem import OIPAProblem
 from repro.diffusion.adoption import AdoptionModel
 from repro.graph.digraph import TopicGraph
 from repro.im.baselines import im_baseline, tim_baseline
+from repro.runtime import Runtime
 from repro.sampling.mrr import MRRCollection
+from repro.sampling.store import MemoryStore
 from repro.topics.distributions import Campaign, unit_piece
 
 
@@ -89,3 +91,17 @@ class TestSinglePieceSemantics:
         result = tim_baseline(problem, mrr)
         assert result.elapsed_seconds >= 0.0
         assert result.name == "TIM"
+
+    def test_im_samples_in_ram_beside_a_store_instance(
+        self, topic_split_world
+    ):
+        """A runtime's store instance holds the campaign's collection;
+        the flattened graph's RR sets never go into it."""
+        problem, mrr = topic_split_world
+        runtime = Runtime(store=MemoryStore())
+        MRRCollection.generate(
+            problem.graph, problem.campaign, theta=300, seed=5,
+            runtime=runtime,
+        )
+        result = im_baseline(problem, mrr, seed=6, runtime=runtime)
+        assert result.seeds == im_baseline(problem, mrr, seed=6).seeds

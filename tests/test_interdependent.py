@@ -14,9 +14,15 @@ from repro.diffusion.interdependent import (
     InteractionMatrix,
     simulate_interdependent_utility,
 )
+from repro.diffusion.adoption import AdoptionModel
 from repro.diffusion.projection import project_campaign
 from repro.diffusion.simulate import simulate_adoption_utility
 from repro.exceptions import ParameterError
+from repro.graph.generators import (
+    build_topic_graph,
+    preferential_attachment_digraph,
+)
+from repro.topics.distributions import Campaign
 
 
 @pytest.fixture(scope="module")
@@ -117,4 +123,29 @@ class TestSimulation:
         with pytest.raises(ParameterError):
             simulate_interdependent_utility(
                 pgs, self.PLAN, adoption, InteractionMatrix.independent(3)
+            )
+
+    def test_empty_campaign_rejected(self, world):
+        _, adoption = world
+        with pytest.raises(ParameterError, match="at least one piece"):
+            simulate_interdependent_utility(
+                [], [], adoption, InteractionMatrix.independent(0)
+            )
+
+    def test_zero_interaction_draws_the_adoption_stream(self):
+        """With no interaction the per-round draws are the independent
+        model's own keyed chunks, so the estimates are equal exactly."""
+        src, dst = preferential_attachment_digraph(60, 2, seed=21)
+        graph = build_topic_graph(
+            60, src, dst, 3, topics_per_edge=1.5, prob_mean=0.3, seed=22
+        )
+        pgs = project_campaign(graph, Campaign.sample_unit(2, 3, seed=23))
+        adoption = AdoptionModel(alpha=2.0, beta=1.0)
+        plan = [[0, 9], [4]]
+        for seed in (5, 6):
+            assert simulate_interdependent_utility(
+                pgs, plan, adoption, InteractionMatrix.independent(2),
+                rounds=50, seed=seed,
+            ) == simulate_adoption_utility(
+                pgs, plan, adoption, rounds=50, seed=seed
             )

@@ -485,7 +485,9 @@ class TestFeasibilityCheckedOnce:
         graph, campaign, pgs = lt_world
         mrr = MRRCollection.generate(
             graph, campaign, theta=1000, seed=74, piece_graphs=pgs,
-            runtime=Runtime(model=models, workers=workers),
+            # No ambient REPRO_ARTIFACTS cache: a served collection
+            # would skip the generation whose checks this counts.
+            runtime=Runtime(model=models, workers=workers, artifacts="off"),
         )
         assert mrr.store.num_blocks > 1
         assert len(calls) == checks

@@ -10,7 +10,9 @@ The runtime's contracts, as the module states them:
 * a worker exception cancels the remaining tasks, shuts the pool down
   and re-raises — it can never hang the caller;
 * ``workers=None`` / ``0`` / ``"serial"`` run the same tasks inline and
-  draw the same bytes as any pool.
+  draw the same bytes as any pool — MRR sampling, RIS, the ``IM``
+  baseline, the forward Monte-Carlo estimators and CELF alike, so an
+  artifact cached by an inline run is what a pooled run computes.
 """
 
 from __future__ import annotations
@@ -20,7 +22,11 @@ import threading
 import numpy as np
 import pytest
 
-from repro.diffusion.projection import project_campaign
+from repro.api import Session
+from repro.artifacts import MemoryArtifactStore
+from repro.core.problem import OIPAProblem
+from repro.diffusion.adoption import AdoptionModel
+from repro.diffusion.projection import PieceGraph, project_campaign
 from repro.diffusion.simulate import (
     simulate_adoption_utility,
     simulate_piece_spread,
@@ -31,6 +37,7 @@ from repro.graph.generators import (
     build_topic_graph,
     preferential_attachment_digraph,
 )
+from repro.im.baselines import im_baseline
 from repro.im.greedy import celf_greedy_im
 from repro.im.ris import ris_influence_maximization
 from repro.runtime import Runtime
@@ -45,6 +52,10 @@ from repro.sampling.parallel import (
     task_block_size,
 )
 from repro.topics.distributions import Campaign
+
+#: Every spelling of the worker count: the three inline ones, a
+#: one-thread pool and a four-thread pool.
+SPELLINGS = (None, 0, "serial", 1, 4)
 
 
 @pytest.fixture(autouse=True)
@@ -71,6 +82,20 @@ def world():
         normalize_lt_weights(pg) for pg in project_campaign(graph, campaign)
     ]
     return graph, campaign, piece_graphs
+
+
+def _baseline_world(world):
+    """An IM-baseline instance over the shared world (pool of 25)."""
+    graph, campaign, pgs = world
+    problem = OIPAProblem(
+        graph, campaign, AdoptionModel(alpha=2.0, beta=1.0), k=3,
+        pool=np.arange(0, 400, 16),
+    )
+    mrr = MRRCollection.generate(
+        graph, campaign, theta=600, seed=15, piece_graphs=pgs,
+        runtime=Runtime(workers=0),
+    )
+    return problem, mrr
 
 
 def _mrr_fingerprint(mrr: MRRCollection):
@@ -157,11 +182,12 @@ class TestDeterministicFanOut:
         ]
         assert all(fp == fingerprints[0] for fp in fingerprints[1:])
 
-    def test_adoption_utility_workers_reproduce_exactly(self, world):
+    def test_adoption_utility_workers_reproduce_exactly(
+        self, world, monkeypatch
+    ):
+        monkeypatch.setattr(parallel, "DEFAULT_WORKERS", None)
         _, _, pgs = world
         plan = [[0, 5], [3], [8, 2]]
-        from repro.diffusion.adoption import AdoptionModel
-
         adoption = AdoptionModel(alpha=2.0, beta=1.0)
         results = [
             simulate_adoption_utility(
@@ -173,20 +199,21 @@ class TestDeterministicFanOut:
                 runtime=Runtime(model=["ic", "lt", "ic"], workers=workers),
                 return_std=True,
             )
-            for workers in (1, 4)
+            for workers in SPELLINGS
         ]
-        assert results[0] == results[1]
+        assert all(r == results[0] for r in results[1:])
 
-    def test_piece_spread_workers_reproduce_exactly(self, world):
+    def test_piece_spread_workers_reproduce_exactly(self, world, monkeypatch):
+        monkeypatch.setattr(parallel, "DEFAULT_WORKERS", None)
         _, _, pgs = world
-        values = {
-            workers: simulate_piece_spread(
+        values = [
+            simulate_piece_spread(
                 pgs[0], [0, 7], rounds=40, seed=6,
                 runtime=Runtime(workers=workers),
             )
-            for workers in (1, 4)
-        }
-        assert values[1] == values[4]
+            for workers in SPELLINGS
+        ]
+        assert all(v == values[0] for v in values[1:])
 
     def test_ris_workers_reproduce_exactly(self, world):
         _, _, pgs = world
@@ -198,7 +225,8 @@ class TestDeterministicFanOut:
         ]
         assert outcomes[0] == outcomes[1]
 
-    def test_celf_workers_reproduce_exactly(self, world):
+    def test_celf_workers_reproduce_exactly(self, world, monkeypatch):
+        monkeypatch.setattr(parallel, "DEFAULT_WORKERS", None)
         _, _, pgs = world
         pool = np.arange(0, 400, 16, dtype=np.int64)
         outcomes = [
@@ -206,9 +234,67 @@ class TestDeterministicFanOut:
                 pgs[0], 3, pool=pool, rounds=24, seed=13,
                 runtime=Runtime(workers=workers),
             )
-            for workers in (1, 4)
+            for workers in SPELLINGS
         ]
-        assert outcomes[0] == outcomes[1]
+        assert all(o == outcomes[0] for o in outcomes[1:])
+
+    def test_im_baseline_workers_reproduce_exactly(self, world, monkeypatch):
+        monkeypatch.setattr(parallel, "DEFAULT_WORKERS", None)
+        problem, mrr = _baseline_world(world)
+        outcomes = [
+            im_baseline(
+                problem, mrr, seed=17, runtime=Runtime(workers=workers)
+            )
+            for workers in SPELLINGS
+        ]
+        assert all(
+            (o.seeds, o.plan, o.utility) == (
+                outcomes[0].seeds, outcomes[0].plan, outcomes[0].utility
+            )
+            for o in outcomes[1:]
+        )
+
+    def test_im_baseline_is_ris_on_the_flattened_graph(self, world):
+        graph, campaign, _ = world
+        problem, mrr = _baseline_world(world)
+        flat = PieceGraph.from_edge_probabilities(
+            graph, graph.mean_edge_probabilities(campaign.vectors())
+        )
+        for seed in (17, 18):
+            result = im_baseline(problem, mrr, seed=seed)
+            seeds, _ = ris_influence_maximization(
+                flat, problem.k, mrr.theta, pool=problem.pool, seed=seed
+            )
+            assert list(result.seeds) == seeds
+
+
+class TestMonteCarloCache:
+    def test_celf_cache_hit_equals_fresh_solve_at_any_width(self, world):
+        """The solve key leaves ``workers`` out, so an inline run's
+        cached CELF plan must be what a pooled run computes fresh."""
+        graph, campaign, _ = world
+        shared = MemoryArtifactStore()
+
+        def session(**runtime):
+            # An in-RAM store: the solve cache needs a cached sample.
+            return Session(
+                graph, campaign, AdoptionModel(alpha=2.0, beta=1.0),
+                k=3, seed=29, runtime=Runtime(store="memory", **runtime),
+            )
+
+        inline = session(artifacts=shared, workers=0)
+        inline.solve("celf", theta=400, rounds=16)
+        served = session(artifacts=shared, workers=2)
+        hit = served.solve("celf", theta=400, rounds=16)
+        assert served.stage_trace.actions("solve") == ["hit"]
+        fresh = session(artifacts="off", workers=2).solve(
+            "celf", theta=400, rounds=16
+        )
+        assert hit.plan.seed_lists() == fresh.plan.seed_lists()
+        assert hit.estimate == fresh.estimate
+        assert hit.diagnostics["flat_spread"] == fresh.diagnostics[
+            "flat_spread"
+        ]
 
 
 class TestFailureHandling:
