@@ -444,10 +444,12 @@ print(json.dumps({
 }))
 """
 
-#: Both thetas are past the point where the batch sampler's adaptive
-#: stamp scratch hits its 64 MB cap (block * n >= 2^23 cells), so the
-#: RSS *delta* between them isolates the store's own growth instead of
-#: the sampler scratch ramp that both stores share.
+#: At both thetas the sampler's own scratch is the same: each piece's
+#: tasks run in groups of at most ``_GROUP_ROOTS`` roots whose visited
+#: sets (sorted keys past the stamp ceiling) do not grow with theta.
+#: At 600k a task (18 750 roots) outgrows half the group budget and
+#: runs alone on the thread's int32 stamp array (2^23 cells, 32 MB),
+#: which both stores share; the gate's 2x margin absorbs it.
 STORE_RSS_THETAS = (150_000, 600_000)
 STORE_RSS_CEILING = 8 * 1024 * 1024
 

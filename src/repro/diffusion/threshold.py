@@ -270,3 +270,10 @@ class LinearThresholdSampler:
             nodes.extend(rr)
             ptr[i + 1] = ptr[i] + rr.size
         return ptr, nodes.to_array()
+
+    def sample_group(self, tasks):
+        """One ``(ptr, nodes)`` per ``(roots, rng)`` task, mirroring
+        :meth:`repro.sampling.rr.ReverseReachableSampler.sample_group`."""
+        if self._backend == "python":
+            return [self.sample_many(roots, rng) for roots, rng in tasks]
+        return self._batch_engine(self._backend).sample_group(tasks)

@@ -352,7 +352,7 @@ def run_worker(
     partial fills).  Exits cleanly — return, not exception — when the
     store is complete, however many of the shards it produced itself.
     """
-    from repro.sampling.parallel import _sample_task, keyed_task_seed
+    from repro.sampling.parallel import _sample_group, keyed_task_seed
 
     spec = wait_for_job_spec(shard_dir, timeout=spec_wait, poll=poll)
     store = ShardStore(shard_dir, shared_writer=True)
@@ -396,13 +396,18 @@ def run_worker(
                         if store.has_block(j, b):
                             continue
                         start = b * spec.block_size
-                        ptr, nodes = _sample_task(
+                        # one leased task, a group of one
+                        ((ptr, nodes),) = _sample_group(
                             (
                                 spec.piece_graphs[j],
                                 spec.models[j],
                                 spec.backend,
-                                roots[start : start + spec.block_size],
-                                keyed_task_seed(spec.entropy, j, b),
+                                [
+                                    (
+                                        roots[start : start + spec.block_size],
+                                        keyed_task_seed(spec.entropy, j, b),
+                                    )
+                                ],
                             )
                         )
                         store.put_block(j, b, ptr, nodes)

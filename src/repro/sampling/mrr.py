@@ -731,10 +731,12 @@ def generate_keyed(
     store fingerprint, stream the *missing* shards
     (``skip=store.has_block`` — how a resumed shard directory, or an
     updated store, samples only its holes), ``finalize``.  Shards are
-    committed the moment their task finishes (task order, bounded
-    in-flight window), so peak RAM during generation is
-    O(workers x block) instead of O(theta), and a finalized shard
-    directory reloads without sampling at all.
+    committed, in task order, as their group of tasks finishes (groups
+    of at most ``_GROUP_ROOTS`` roots of one piece, a bounded in-flight
+    window of 2x ``workers`` groups), so peak RAM during generation is
+    O(workers x group) instead of O(theta), and a finalized shard
+    directory reloads without sampling at all.  Spawned workers sample
+    one leased task at a time.
 
     This is the one place ``executor`` is read.  ``"spawned"`` with an
     on-disk :class:`ShardStore` routes the fill through

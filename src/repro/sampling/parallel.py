@@ -4,8 +4,9 @@ MRR generation is embarrassingly parallel twice over: each piece's RR
 sets are independent given the shared roots, and within a piece every
 block of roots is independent too.  This module turns that structure
 into an explicit task decomposition — one task per (piece, root block)
-— executed inline or on a thread pool, with three contracts that make
-the parallelism invisible to everything downstream:
+— executed inline or on a thread pool, a piece's tasks batched into
+groups whose BFS levels the batch engines advance together, with three
+contracts that make the parallelism invisible to everything downstream:
 
 * **Coordinate-keyed streams.**  One integer *entropy* per collection
   (:func:`resolve_entropy`: the seed itself, or one draw from the
@@ -84,6 +85,13 @@ __all__ = [
 #: must not change when the pool size does.
 _TARGET_BLOCKS = 32
 _MIN_TASK_BLOCK = 256
+
+#: Roots per sampling group: a piece's pending tasks are batched, in task
+#: order, into groups of at most this many roots (a larger task runs
+#: alone), and the batch engines advance a group's BFS levels together
+#: (:meth:`repro.sampling.batch.BatchRRSampler.sample_group`).  Grouping
+#: changes no byte: every task keeps its own stream and block partition.
+_GROUP_ROOTS = 1 << 15
 
 #: Rounds per Monte-Carlo task (same worker-independence argument).
 _ROUND_CHUNK = 8
@@ -226,16 +234,20 @@ def _task_sampler(piece_graph, model: str, backend, *, check_weights=True):
     return ReverseReachableSampler(piece_graph, backend=backend)
 
 
-def _sample_task(args):
-    """One (piece, root block) unit: sample with the task's own stream.
+def _sample_group(args):
+    """One piece's group of tasks, each sampled with its own stream.
 
-    The piece graph was validated once per generation (LT feasibility:
-    :func:`stream_piece_blocks`, or the distributed coordinator), not
-    once per task.
+    ``args`` is ``(piece_graph, model, backend, tasks)`` with ``tasks`` a
+    list of ``(roots, seed)``; returns one ``(ptr, nodes)`` per task, in
+    order.  The piece graph was validated once per generation (LT
+    feasibility: :func:`stream_piece_blocks`, or the distributed
+    coordinator), not once per group.
     """
-    piece_graph, model, backend, roots, seed = args
+    piece_graph, model, backend, tasks = args
     sampler = _task_sampler(piece_graph, model, backend, check_weights=False)
-    return sampler.sample_many(roots, as_generator(seed))
+    return sampler.sample_group(
+        [(roots, as_generator(seed)) for roots, seed in tasks]
+    )
 
 
 def resolve_entropy(seed) -> int:
@@ -306,20 +318,22 @@ def stream_piece_blocks(
 
     The streaming face of the runtime — and every store fill's
     contract: tuples ``(piece, block_index, ptr, nodes)`` are yielded
-    the moment the head-of-line task finishes, with a bounded in-flight
-    window (2x ``workers``) so only O(workers) block results ever sit
-    in RAM, however large theta is.  The task list is piece-major and
-    each task samples from :func:`keyed_task_seed`; ``block_size``
-    defaults to ``task_block_size(theta)`` (an incremental lineage pins
-    the value of its first generation instead).
+    in task order as their group finishes.  The task list is
+    piece-major and each task samples from :func:`keyed_task_seed`;
+    ``block_size`` defaults to ``task_block_size(theta)`` (an
+    incremental lineage pins the value of its first generation
+    instead).  A piece's pending tasks run in groups of at most
+    ``_GROUP_ROOTS`` roots, with a bounded in-flight window (2x
+    ``workers`` groups), so peak RAM is O(workers x group) block
+    results, however large theta is.
 
     ``skip`` is an optional ``(piece, block_index) -> bool`` predicate:
     skipped tasks are neither sampled nor yielded, and — coordinate
     keying — consume nothing, which is how a resumed or updated store
     samples only its missing blocks and lands on the same collection.
 
-    ``workers > 1`` runs the tasks on a thread pool built here and shut
-    down on exit, pending futures cancelled.
+    ``workers > 1`` runs the groups on a thread pool built here and
+    shut down on exit, pending futures cancelled.
     """
     if len(piece_graphs) != len(models):
         raise SamplingError(
@@ -329,9 +343,10 @@ def stream_piece_blocks(
 
     theta = int(roots.size)
     block = task_block_size(theta) if block_size is None else int(block_size)
-    todo = []
+    groups = []
     for j, (piece_graph, model) in enumerate(zip(piece_graphs, models)):
         checked = model != "lt"
+        coords, tasks, size = [], [], 0
         for b, start in enumerate(range(0, theta, block)):
             if skip is not None and skip(j, b):
                 continue
@@ -339,41 +354,38 @@ def stream_piece_blocks(
                 # once per piece per generation, not once per task
                 check_lt_feasible(piece_graph)
                 checked = True
-            todo.append(
-                (
-                    (j, b),
-                    (
-                        piece_graph,
-                        model,
-                        backend,
-                        roots[start : start + block],
-                        keyed_task_seed(entropy, j, b),
-                    ),
-                )
-            )
-    width = min(int(workers), len(todo))
+            span = roots[start : start + block]
+            if tasks and size + span.size > _GROUP_ROOTS:
+                groups.append((j, coords, (piece_graph, model, backend, tasks)))
+                coords, tasks, size = [], [], 0
+            coords.append(b)
+            tasks.append((span, keyed_task_seed(entropy, j, b)))
+            size += span.size
+        if tasks:
+            groups.append((j, coords, (piece_graph, model, backend, tasks)))
+    width = min(int(workers), len(groups))
     if width <= 1:
-        for (j, b), args in todo:
-            ptr, nodes = _sample_task(args)
-            yield j, b, ptr, nodes
+        for j, coords, args in groups:
+            for b, (ptr, nodes) in zip(coords, _sample_group(args)):
+                yield j, b, ptr, nodes
         return
     pool = make_pool(width)
     pending: deque = deque()
-    iterator = iter(todo)
+    iterator = iter(groups)
     try:
         while True:
             while len(pending) < 2 * width:
                 item = next(iterator, None)
                 if item is None:
                     break
-                coords, args = item
-                pending.append((coords, pool.submit(_sample_task, args)))
+                j, coords, args = item
+                pending.append((j, coords, pool.submit(_sample_group, args)))
             if not pending:
                 break
-            (j, b), future = pending.popleft()
-            ptr, nodes = future.result()
-            yield j, b, ptr, nodes
+            j, coords, future = pending.popleft()
+            for b, (ptr, nodes) in zip(coords, future.result()):
+                yield j, b, ptr, nodes
     finally:
-        for _, future in pending:
+        for _, _, future in pending:
             future.cancel()
         pool.shutdown(wait=True, cancel_futures=True)

@@ -148,3 +148,15 @@ class ReverseReachableSampler:
             nodes.extend(rr)
             ptr[i + 1] = ptr[i] + rr.size
         return ptr, nodes.to_array()
+
+    def sample_group(self, tasks) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Draw each ``(roots, rng)`` task; one ``(ptr, nodes)`` per task.
+
+        Each result equals ``sample_many(roots, rng)`` alone.  The batch
+        engines advance the tasks' BFS levels together
+        (:meth:`repro.sampling.batch.BatchRRSampler.sample_group`); the
+        ``"python"`` backend samples them one by one.
+        """
+        if self._backend == "python":
+            return [self.sample_many(roots, rng) for roots, rng in tasks]
+        return self._batch_engine(self._backend).sample_group(tasks)

@@ -86,12 +86,13 @@ def frontier_edge_slots(
     frontier order — equivalent to concatenating
     ``arange(ptr[v], ptr[v + 1])`` for each ``v`` without a Python loop.
     """
-    deg = ptr[frontier + 1] - ptr[frontier]
-    total = int(deg.sum())
+    lo = ptr[frontier]
+    deg = ptr[frontier + 1] - lo
+    cum = np.cumsum(deg)
+    total = int(cum[-1]) if cum.size else 0
     if total == 0:
         return np.empty(0, dtype=np.int64), deg
-    cum = np.cumsum(deg)
-    edge_idx = np.repeat(ptr[frontier] + deg - cum, deg) + np.arange(
+    edge_idx = np.repeat(lo + deg - cum, deg) + np.arange(
         total, dtype=np.int64
     )
     return edge_idx, deg
@@ -122,12 +123,12 @@ def segment_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 def first_occurrence(keys: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """Distinct ``keys`` in first-occurrence order, in O(len(keys)).
 
-    ``np.minimum.at`` leaves each key's int64 ``scratch`` cell holding
+    ``np.minimum.at`` leaves each key's signed ``scratch`` cell holding
     the smallest of its positions ``-f .. -1`` (fancy assignment has no
     defined order among duplicates).  Those cells are left negative: a
     caller keeping positive stamps in ``scratch`` rewrites them itself.
     """
-    pos = np.arange(-keys.size, 0, dtype=np.int64)
+    pos = np.arange(-keys.size, 0, dtype=scratch.dtype)
     scratch[keys] = 0
     np.minimum.at(scratch, keys, pos)
     return keys[scratch[keys] == pos]

@@ -35,14 +35,20 @@ from repro.graph.generators import (
     preferential_attachment_digraph,
 )
 from repro.diffusion.threshold import normalize_lt_weights
+from repro.sampling import batch as batch_mod
 from repro.sampling.batch import (
+    _MAX_BLOCK,
+    _MAX_SCRATCH_CELLS,
     BACKENDS,
     DEFAULT_BACKEND,
     BatchLTSampler,
     BatchRRSampler,
+    _BlockedSampler,
+    _SortedKeySet,
     check_backend,
     simulate_cascade_batch,
 )
+from repro.sampling import parallel as parallel_mod
 from repro.sampling.mrr import MRRCollection
 from repro.sampling.parallel import make_pool
 from repro.runtime import Runtime
@@ -395,8 +401,9 @@ def _in_fresh_thread(job):
 
 
 class TestSharedStampScratch:
-    """The per-thread stamp array is shared, grown and never re-zeroed:
-    no sampler may see another's marks, in one thread or across threads."""
+    """The per-thread stamp array is shared, grown and re-zeroed only
+    when an int32 stamp wraps: no sampler may see another's marks, in
+    one thread or across threads."""
 
     def _expected(self, jobs):
         return [_in_fresh_thread(job) for job in jobs]
@@ -411,6 +418,27 @@ class TestSharedStampScratch:
                 assert np.array_equal(ptr, ref_ptr)
                 assert np.array_equal(nodes, ref_nodes)
 
+    def test_stamp_wraparound_rezeroes_the_scratch(self):
+        """Near the int32 limit the next stamp re-zeroes the array, so
+        no cell written under an earlier stamp can read as visited."""
+        jobs = _interleaved_jobs()
+        expected = self._expected(jobs)
+
+        def near_the_limit():
+            batch_mod._SCRATCH.stamp = batch_mod._STAMP_MAX - 2
+            return [_run_job(job) for job in jobs]
+
+        result = {}
+        thread = threading.Thread(
+            target=lambda: result.update(out=near_the_limit())
+        )
+        thread.start()
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+        for (ptr, nodes), (ref_ptr, ref_nodes) in zip(result["out"], expected):
+            assert np.array_equal(ptr, ref_ptr)
+            assert np.array_equal(nodes, ref_nodes)
+
     def test_interleaved_samplers_on_a_thread_pool(self):
         jobs = _interleaved_jobs() * 3
         expected = self._expected(jobs)
@@ -422,6 +450,161 @@ class TestSharedStampScratch:
         for (ptr, nodes), (ref_ptr, ref_nodes) in zip(results, expected):
             assert np.array_equal(ptr, ref_ptr)
             assert np.array_equal(nodes, ref_nodes)
+
+
+class TestGroupDriver:
+    """A group of keyed tasks returns, for every task, exactly what that
+    task returns drawn alone — in both visited-set representations."""
+
+    @staticmethod
+    def _assert_group_matches_alone(cls, pg, block_size, tasks):
+        alone = [
+            cls(pg, block_size=block_size).sample_many(r, as_generator(s))
+            for r, s in tasks
+        ]
+        for force_sorted in (False, True):
+            with pytest.MonkeyPatch.context() as mp:
+                if force_sorted:
+                    mp.setattr(
+                        _BlockedSampler,
+                        "_visited",
+                        lambda self, keys, cells: _SortedKeySet(keys),
+                    )
+                grouped = cls(pg, block_size=block_size).sample_group(
+                    [(r, as_generator(s)) for r, s in tasks]
+                )
+            assert len(grouped) == len(alone)
+            for (ptr, nodes), (ref_ptr, ref_nodes) in zip(grouped, alone):
+                assert np.array_equal(ptr, ref_ptr)
+                assert np.array_equal(nodes, ref_nodes)
+
+    @given(
+        params=world_params,
+        sizes=st.lists(st.integers(0, 300), min_size=2, max_size=5),
+        block_size=st.sampled_from([None, 1, 3, 64]),
+        lt=st.booleans(),
+    )
+    @SETTINGS
+    def test_group_matches_each_task_alone(
+        self, params, sizes, block_size, lt
+    ):
+        pg = build_piece_graph(params)
+        cls = BatchLTSampler if lt else BatchRRSampler
+        if lt:
+            pg = normalize_lt_weights(pg)
+        gen = as_generator(params["seed"])
+        tasks = [
+            (gen.integers(0, pg.n, size=size), params["seed"] + i)
+            for i, size in enumerate(sizes)
+        ]
+        self._assert_group_matches_alone(cls, pg, block_size, tasks)
+
+    @pytest.mark.parametrize("cls", [BatchRRSampler, BatchLTSampler])
+    @pytest.mark.parametrize("n", [60, 5000])
+    def test_multi_block_tasks(self, cls, n):
+        """Tasks past ``_MAX_BLOCK`` roots (n=60) or past the stamp
+        ceiling's roots x n (n=5000) split into several kernel blocks;
+        their phases interleave with single-block tasks."""
+        pg = build_piece_graph(
+            {"n": n, "edges_per_vertex": 3, "prob_mean": 0.2, "seed": 5}
+        )
+        if cls is BatchLTSampler:
+            pg = normalize_lt_weights(pg)
+        big = _MAX_BLOCK + 300 if n == 60 else _MAX_SCRATCH_CELLS // n + 50
+        assert batch_mod.adaptive_block_size(n, big) < big
+        gen = as_generator(9)
+        tasks = [
+            (gen.integers(0, n, size=size), 20 + i)
+            for i, size in enumerate([big, 17, big // 2 + 1, 300])
+        ]
+        self._assert_group_matches_alone(cls, pg, None, tasks)
+
+    def test_lt_running_sums_restart_per_task(self):
+        """LT walks compare draws with per-task running sums: early tasks
+        with hundreds of live walks must not shift a later task's
+        rounding.  Every weight is 0.1 and every draw is exactly 0.1, so
+        each choice hangs on the last ulp of ``cum - base``."""
+        n = 50
+        edges = [
+            ((v + step) % n, v, {0: 0.1})
+            for v in range(n)
+            for step in (1, 7, 13)
+        ]
+        pg = project(edges, n)
+
+        class Boundary:
+            """A generator stub drawing 0.1 every time."""
+
+            def random(self, size=None, out=None):
+                if out is None:
+                    return np.full(size, 0.1)
+                out[...] = 0.1
+                return out
+
+        gen = as_generator(4)
+        tasks = [
+            gen.integers(0, n, size=size) for size in (600, 500, 7, 300)
+        ]
+        alone = [
+            BatchLTSampler(pg).sample_many(roots, Boundary())
+            for roots in tasks
+        ]
+        grouped = BatchLTSampler(pg).sample_group(
+            [(roots, Boundary()) for roots in tasks]
+        )
+        for (ptr, nodes), (ref_ptr, ref_nodes) in zip(grouped, alone):
+            assert np.array_equal(ptr, ref_ptr)
+            assert np.array_equal(nodes, ref_nodes)
+        # the early tasks take hundreds of walk steps
+        assert all(alone[i][0][-1] - tasks[i].size > 300 for i in (0, 1))
+
+    def test_grouped_generate_leaves_stamp_scratch_unallocated(
+        self, monkeypatch
+    ):
+        """A generation whose groups exceed the stamp ceiling keeps its
+        visited sets as sorted keys in every phase, narrow tail phases
+        included: the thread's stamp array (up to 32 MB) is never
+        allocated."""
+        n, theta = 20_000, 16_000  # 32 tasks of 500 roots
+        gen = as_generator(61)
+        key = np.unique(gen.integers(0, n * n, size=2 * n))
+        src, dst = key // n, key % n
+        keep = src != dst
+        src, dst = src[keep], dst[keep]
+        graph = TopicGraph.from_arrays(
+            n, 1, src, dst, np.arange(src.size + 1),
+            np.zeros(src.size, dtype=np.int64), np.full(src.size, 0.3),
+        )
+        campaign = Campaign.sample_unit(2, 1, seed=63)
+        block = batch_mod.adaptive_block_size(n, 500)  # 419: tails of 81
+        # groups of three tasks: phase 0 (3 x 419 slots) is past the
+        # ceiling, the tail phase (3 x 81 slots) would fit it
+        monkeypatch.setattr(parallel_mod, "_GROUP_ROOTS", 1500)
+        assert 3 * block * n > _MAX_SCRATCH_CELLS >= 3 * (500 - block) * n
+        result = {}
+
+        def run():
+            MRRCollection.generate(
+                graph,
+                campaign,
+                theta=theta,
+                seed=64,
+                runtime=Runtime(
+                    backend="batch",
+                    model="ic",
+                    workers=0,
+                    executor="thread",
+                    store="memory",
+                    artifacts="off",
+                ),
+            )
+            result["cells"] = batch_mod._SCRATCH.mark.size
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+        assert result["cells"] == 0
 
 
 class TestValidationRegressions:

@@ -46,12 +46,16 @@ from repro.sampling import parallel
 from repro.sampling.mrr import MRRCollection
 from repro.sampling.parallel import (
     check_executor,
+    keyed_roots,
+    keyed_task_seed,
     parallel_map,
     resolve_workers,
     round_chunks,
+    stream_piece_blocks,
     task_block_size,
 )
 from repro.topics.distributions import Campaign
+from repro.utils.rng import as_generator
 
 #: Every spelling of the worker count: the three inline ones, a
 #: one-thread pool and a four-thread pool.
@@ -268,6 +272,109 @@ class TestDeterministicFanOut:
             assert list(result.seeds) == seeds
 
 
+class TestSamplingGroups:
+    """``stream_piece_blocks`` runs each piece's pending tasks in groups
+    of at most ``_GROUP_ROOTS`` roots without moving a byte."""
+
+    BUDGET = 150
+
+    @pytest.fixture
+    def group_sizes(self, monkeypatch):
+        """Shrink the group budget; record every group's task sizes."""
+        monkeypatch.setattr(parallel, "_GROUP_ROOTS", self.BUDGET)
+        sizes = []
+        original = parallel._sample_group
+
+        def spy(args):
+            sizes.append([roots.size for roots, _ in args[3]])
+            return original(args)
+
+        monkeypatch.setattr(parallel, "_sample_group", spy)
+        return sizes
+
+    @staticmethod
+    def _alone(pg, model, roots, entropy, block, j, b):
+        sampler = parallel._task_sampler(pg, model, "batch")
+        return sampler.sample_many(
+            roots[b * block : (b + 1) * block],
+            as_generator(keyed_task_seed(entropy, j, b)),
+        )
+
+    @pytest.mark.parametrize("model", ["ic", "lt"])
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("block", [64, 200])
+    def test_skip_holes_match_each_task_alone(
+        self, world, model, workers, block, group_sizes
+    ):
+        _, _, pgs = world
+        theta, entropy = 700, 31  # a partial tail task either way
+        roots = keyed_roots(entropy, pgs[0].n, theta, block)
+
+        def skip(j, b):
+            return (3 * j + b) % 4 == 1
+
+        got = list(
+            stream_piece_blocks(
+                pgs, (model,) * len(pgs), roots, entropy,
+                backend="batch", workers=workers, block_size=block,
+                skip=skip,
+            )
+        )
+        expected = [
+            (j, b)
+            for j in range(len(pgs))
+            for b in range(-(-theta // block))
+            if not skip(j, b)
+        ]
+        assert [(j, b) for j, b, _, _ in got] == expected
+        for j, b, ptr, nodes in got:
+            ref_ptr, ref_nodes = self._alone(
+                pgs[j], model, roots, entropy, block, j, b
+            )
+            assert np.array_equal(ptr, ref_ptr)
+            assert np.array_equal(nodes, ref_nodes)
+        assert all(
+            len(sizes) == 1 or sum(sizes) <= self.BUDGET
+            for sizes in group_sizes
+        )
+        if block < self.BUDGET:
+            assert max(len(sizes) for sizes in group_sizes) > 1
+
+    @pytest.mark.parametrize("model", ["ic", "lt"])
+    def test_generate_bytes_equal_at_every_width(
+        self, world, model, group_sizes
+    ):
+        graph, campaign, pgs = world
+        theta, seed = 900, 12
+        prints = []
+        for workers in (None, 1, 4):
+            mrr = MRRCollection.generate(
+                graph, campaign, theta=theta, seed=seed, piece_graphs=pgs,
+                runtime=Runtime(
+                    backend="batch", model=model, workers=workers,
+                    executor="thread",
+                ),
+            )
+            prints.append(_mrr_fingerprint(mrr))
+        assert prints[0] == prints[1] == prints[2]
+        block = task_block_size(theta)
+        roots = keyed_roots(seed, graph.n, theta, block)
+        for j in range(len(pgs)):
+            parts = [
+                self._alone(pgs[j], model, roots, seed, block, j, b)
+                for b in range(-(-theta // block))
+            ]
+            sizes = np.concatenate([np.diff(ptr) for ptr, _ in parts])
+            assert np.diff(prints[0][1][j]).tolist() == sizes.tolist()
+            assert prints[0][2][j] == np.concatenate(
+                [nodes for _, nodes in parts]
+            ).tolist()
+        assert group_sizes and all(
+            len(sizes) == 1 or sum(sizes) <= self.BUDGET
+            for sizes in group_sizes
+        )
+
+
 class TestMonteCarloCache:
     def test_celf_cache_hit_equals_fresh_solve_at_any_width(self, world):
         """The solve key leaves ``workers`` out, so an inline run's
@@ -317,7 +424,7 @@ class TestFailureHandling:
         def failing_task(args):
             raise RuntimeError("sampler crashed in a worker")
 
-        monkeypatch.setattr(parallel, "_sample_task", failing_task)
+        monkeypatch.setattr(parallel, "_sample_group", failing_task)
         # Thread executor pinned: the monkeypatched task only exists in
         # this process, so spawned workers (the REPRO_EXECUTOR=spawned
         # disk-store leg) would never see it.
