@@ -1,4 +1,4 @@
-"""Ablations on the bound machinery (DESIGN.md's design-choice index).
+"""Ablations on the bound machinery.
 
 Three design choices get isolated measurements on one shared instance:
 
@@ -26,15 +26,15 @@ from repro.utils.tables import format_table
 
 
 @pytest.fixture(scope="module")
-def instance(profile):
+def session(profile):
     # The hard regime: the search tree is non-trivial there.
     return prepare_instance(
         "lastfm", profile, k=8, num_pieces=4, beta_over_alpha=0.3
     )
 
 
-def test_plain_vs_lazy_greedy(benchmark, instance, artifact_dir):
-    problem, mrr = instance.problem, instance.mrr_opt
+def test_plain_vs_lazy_greedy(benchmark, session, artifact_dir):
+    problem, mrr = session.problem, session.mrr
     table = MajorantTable(problem.adoption, problem.num_pieces)
     space = CandidateSpace(problem.pool, problem.num_pieces)
 
@@ -67,8 +67,8 @@ def test_plain_vs_lazy_greedy(benchmark, instance, artifact_dir):
     assert lazy.evaluations < plain.evaluations
 
 
-def test_progressive_vs_plain_evaluations(benchmark, instance, artifact_dir):
-    problem, mrr = instance.problem, instance.mrr_opt
+def test_progressive_vs_plain_evaluations(benchmark, session, artifact_dir):
+    problem, mrr = session.problem, session.mrr
     table = MajorantTable(problem.adoption, problem.num_pieces)
     space = CandidateSpace(problem.pool, problem.num_pieces)
 
@@ -101,8 +101,8 @@ def test_progressive_vs_plain_evaluations(benchmark, instance, artifact_dir):
     assert prog.upper >= (1 - 1 / 2.718281828 - 0.5) * plain.upper
 
 
-def test_tangent_vs_chord_majorant(benchmark, instance, artifact_dir):
-    problem, mrr = instance.problem, instance.mrr_opt
+def test_tangent_vs_chord_majorant(benchmark, session, artifact_dir):
+    problem, mrr = session.problem, session.mrr
 
     def solve(majorant):
         solver = BranchAndBoundSolver(

@@ -1,6 +1,6 @@
 """Extension benchmarks beyond the paper's evaluation.
 
-Three extension studies DESIGN.md commits to:
+Three studies:
 
 1. **Local-search polish** — how much the exchange search recovers on
    top of BAB-P's (1 − 1/e − eps) incumbent (BAB-P can stop with unused
@@ -31,14 +31,14 @@ from repro.utils.tables import format_table
 
 
 @pytest.fixture(scope="module")
-def instance(profile):
+def session(profile):
     return prepare_instance(
         "lastfm", profile, k=10, num_pieces=3, beta_over_alpha=0.3
     )
 
 
-def test_local_search_polish(benchmark, instance, artifact_dir):
-    problem, mrr = instance.problem, instance.mrr_opt
+def test_local_search_polish(benchmark, session, artifact_dir):
+    problem, mrr = session.problem, session.mrr
     incumbent = solve_bab_progressive(problem, mrr, max_nodes=50)
 
     polished = benchmark.pedantic(
@@ -64,9 +64,9 @@ def test_local_search_polish(benchmark, instance, artifact_dir):
     assert polished.plan.size <= problem.k
 
 
-def test_baseline_spectrum(benchmark, instance, artifact_dir):
-    problem, mrr = instance.problem, instance.mrr_opt
-    mrr_eval = instance.mrr_eval
+def test_baseline_spectrum(benchmark, session, artifact_dir):
+    problem, mrr = session.problem, session.mrr
+    mrr_eval = session.mrr_eval
 
     def run_all():
         return {
@@ -97,9 +97,9 @@ def test_baseline_spectrum(benchmark, instance, artifact_dir):
     assert scores["TIM"] >= scores["Random"] - 1e-9
 
 
-def test_oipa_on_linear_threshold(benchmark, instance, artifact_dir):
+def test_oipa_on_linear_threshold(benchmark, session, artifact_dir):
     """Full OIPA solve with LT RR sets in place of IC ones."""
-    problem = instance.problem
+    problem = session.problem
     graph, campaign = problem.graph, problem.campaign
     rng = as_generator(77)
 

@@ -4,7 +4,8 @@ These are the true pytest-benchmark timings (multiple rounds) of the
 operations everything else is built from: RR-set generation, MRR
 estimation, coverage updates and tau marginal gains.  They track the
 reproduction's performance envelope — the reason the paper's
-theta = 1e6 is substituted at Python scale (DESIGN.md §3).
+theta = 1e6 is substituted at Python scale (see
+``repro.experiments.config``).
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ Every benchmark regenerates one of the paper's tables/figures at the
 ``quick`` profile scale, asserts the paper's qualitative *shape*
 (method ordering, trend directions, speedups), and writes the rendered
 rows to ``benchmarks/out/<name>.txt`` so the regenerated artefacts are
-inspectable after a run (and quoted in EXPERIMENTS.md).
+inspectable after a run.
 """
 
 from __future__ import annotations

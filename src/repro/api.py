@@ -24,8 +24,10 @@ via :meth:`Session.evaluate`).
 Determinism contract: a ``Session`` built with the same graph,
 campaign, adoption, ``k`` and ``seed`` as a legacy hand-wired pipeline
 produces **bit-identical** seed sets and estimates — the facade calls
-exactly the same primitives with exactly the same seeds (pinned in
-``tests/test_session.py``).
+exactly the same primitives with exactly the same seeds, except that
+the ``ris``/``im`` flat draw takes the seed's own derived stream
+(:func:`~repro.sampling.parallel.keyed_flat_entropy`); pinned in
+``tests/test_session.py``.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ from repro.im.greedy import celf_greedy_im
 from repro.pipeline import PipelineTrace
 from repro.runtime import Runtime, as_runtime, resolve_runtime
 from repro.sampling.mrr import MRRCollection, resolve_models
+from repro.sampling.parallel import keyed_flat_entropy
 from repro.topics.distributions import Campaign
 
 __all__ = [
@@ -797,11 +800,17 @@ def _flat_runtime(session: Session):
 
 
 def _ris_solver(session: Session, *, seed=None, **options):
-    """RIS max coverage on the flattened graph, best single piece."""
+    """RIS max coverage on the flattened graph, best single piece.
+
+    The flat RR draw takes its own stream,
+    :func:`~repro.sampling.parallel.keyed_flat_entropy` of the effective
+    seed (``seed``, else the session seed), so it does not reuse the
+    optimisation collection's roots.
+    """
     result = im_baseline(
         session.problem,
         session.mrr,
-        seed=seed if seed is not None else session.seed,
+        seed=keyed_flat_entropy(seed if seed is not None else session.seed),
         runtime=_flat_runtime(session),
         **options,
     )

@@ -65,7 +65,7 @@ _ARRAYS = "arrays.npz"
 _STATS = "stats.json"
 _STATS_DIR = "stats.d"
 _STAGING_DIR = "tmp"
-_FORMAT = 3
+_FORMAT = 4
 _STAT_FIELDS = ("hits", "misses", "puts")
 
 

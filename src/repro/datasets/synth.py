@@ -27,8 +27,8 @@ counterpart, not just the final graph:
     ~1.5 non-zero topic entries per edge.
 
 Every builder accepts a ``scale`` multiplier on the vertex count so the
-experiment harness can trade fidelity for wall-clock (see DESIGN.md §3
-for the scaling substitution rationale).
+experiment harness can trade fidelity for wall-clock (see
+:mod:`repro.experiments.config` for the scaling substitution rationale).
 """
 
 from __future__ import annotations
@@ -117,7 +117,7 @@ def build_dblp_like(*, scale: float = 1.0, seed: int = 11) -> tuple[TopicGraph, 
     in_degrees = np.bincount(dst, minlength=n).astype(np.float64)
     # scale=4: strong enough cascades that adoption utilities sit at a
     # few percent of n, keeping the MRR estimator's relative error sane
-    # at reproduction-scale theta (DESIGN.md §3; the paper's theta=1e6
+    # at reproduction-scale theta (the paper's theta=1e6
     # tolerates far thinner adoption densities than we can).
     tp_ptr, tp_topics, tp_probs = assign_field_topics(
         src, dst, profiles, in_degrees, scale=6.0, sparsity_floor=0.06

@@ -13,7 +13,7 @@ Running that grid verbatim in pure Python would take days, so the
 harness exposes *profiles*: ``quick`` (benchmark-suite scale — minutes)
 and ``full`` (closer to paper scale — hours).  Both keep the paper's
 piece/epsilon/ratio grids; what shrinks is the graph scale, theta, and
-the k grid.  EXPERIMENTS.md reports which profile produced each number.
+the k grid.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ class ExperimentProfile:
     #: or a sequence cycled across the pieces of each cell — the
     #: mixed-model multiplex workload (``--model ic lt`` gives IC/LT
     #: alternating pieces at every ``l`` of a sweep).  LT pieces are
-    #: weight-normalised by the runner before sampling.
+    #: weight-normalised by the cell's ``Session.piece_graphs``.
     model: str | tuple[str, ...] | None = None
     #: One :class:`repro.runtime.Runtime` carrying the whole execution
     #: policy of every cell — sampling backend, worker pool + executor,

@@ -4,21 +4,21 @@ Each driver regenerates one table or figure of the paper's Sec. VI at
 the requested profile's scale and returns a :class:`FigureResult` whose
 ``render()`` prints the same rows/series the paper plots.  The expected
 *shapes* (who wins, how curves move) are documented per driver and
-asserted by the benchmark suite; EXPERIMENTS.md records paper-vs-measured
-values.
+asserted by the benchmark suite (``benchmarks/bench_*.py``), which
+writes the rendered rows to ``benchmarks/out/``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.datasets.registry import load_dataset
 from repro.experiments.config import ExperimentProfile, QUICK_PROFILE
 from repro.experiments.runner import (
     METHODS,
     prepare_instance,
     run_cell,
     run_methods,
+    sample_seconds,
 )
 from repro.utils.tables import format_series, format_table
 
@@ -57,24 +57,25 @@ def table3_datasets(profile: ExperimentProfile = QUICK_PROFILE) -> FigureResult:
     """Reproduce Table III: per-dataset statistics + sample time.
 
     Paper values are printed next to our synthetic stand-ins' so the
-    scale substitution (DESIGN.md §3) is visible in every report.
+    scale substitution (:mod:`repro.experiments.config`) is visible in
+    every report.
     """
     rows = []
     panels = {}
     for name in profile.datasets:
-        bundle = load_dataset(name, scale=profile.scale_for(name))
-        instance = prepare_instance(
+        session = prepare_instance(
             name,
             profile,
             k=profile.default_k,
             num_pieces=profile.default_l,
             beta_over_alpha=profile.default_ratio,
         )
-        row = bundle.table3_row() + [round(instance.sample_seconds, 2)]
-        rows.append(row)
+        bundle = session.bundle
+        seconds = sample_seconds(session)
+        rows.append(bundle.table3_row() + [round(seconds, 2)])
         panels[name] = {
             "summary": bundle.summary,
-            "sample_seconds": instance.sample_seconds,
+            "sample_seconds": seconds,
             "build_seconds": bundle.build_seconds,
         }
     text = format_table(
@@ -115,7 +116,7 @@ def figure3_epsilon(profile: ExperimentProfile = QUICK_PROFILE) -> FigureResult:
     panels = {}
     blocks = []
     for dataset in profile.datasets:
-        instance = prepare_instance(
+        session = prepare_instance(
             dataset,
             profile,
             k=profile.default_k,
@@ -125,7 +126,7 @@ def figure3_epsilon(profile: ExperimentProfile = QUICK_PROFILE) -> FigureResult:
         utilities = []
         for eps in profile.epsilon_grid:
             cell = run_cell(
-                instance,
+                session,
                 "BAB-P",
                 epsilon=eps,
                 gap_tolerance=profile.gap_tolerance,

@@ -1,8 +1,8 @@
 """Generic experiment cell runner.
 
 One *cell* = (dataset, parameters, method) -> (utility, time,
-diagnostics).  The runner mirrors the paper's measurement protocol
-(Sec. VI-A):
+diagnostics).  Each cell is one :class:`~repro.api.Session`, which
+implements the paper's measurement protocol (Sec. VI-A):
 
 * theta RR sets are generated per piece once and shared across methods
   ("for a fair comparison, we fix theta across all experiments");
@@ -20,24 +20,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.bab import BranchAndBoundSolver
+from repro.api import Session
 from repro.core.problem import OIPAProblem
-from repro.datasets.registry import DatasetBundle, load_dataset
+from repro.datasets.registry import load_dataset
 from repro.diffusion.adoption import AdoptionModel
-from repro.diffusion.projection import project_campaign
-from repro.diffusion.threshold import normalize_lt_weights
 from repro.exceptions import ExperimentError
 from repro.experiments.config import ExperimentProfile
-from repro.im.baselines import im_baseline, tim_baseline
 from repro.runtime import Runtime
-from repro.sampling.mrr import MRRCollection
 from repro.topics.distributions import Campaign
 from repro.utils.rng import spawn_generators
-from repro.utils.timer import Timer
 
-__all__ = ["CellResult", "run_cell", "run_methods", "prepare_instance"]
+__all__ = [
+    "CellResult",
+    "prepare_instance",
+    "run_cell",
+    "run_methods",
+    "sample_seconds",
+]
 
-METHODS = ("IM", "TIM", "BAB", "BAB-P")
+#: The paper's method names and the solver-registry keys they run.
+_SOLVER_KEYS = {"IM": "im", "TIM": "tim", "BAB": "bab", "BAB-P": "bab-p"}
+METHODS = tuple(_SOLVER_KEYS)
 
 
 @dataclass(frozen=True)
@@ -79,17 +82,6 @@ class CellResult:
         ]
 
 
-@dataclass(frozen=True)
-class PreparedInstance:
-    """Shared per-cell state: problem + optimisation/evaluation samples."""
-
-    bundle: DatasetBundle
-    problem: OIPAProblem
-    mrr_opt: MRRCollection
-    mrr_eval: MRRCollection
-    sample_seconds: float
-
-
 def prepare_instance(
     dataset: str,
     profile: ExperimentProfile,
@@ -97,8 +89,8 @@ def prepare_instance(
     k: int,
     num_pieces: int,
     beta_over_alpha: float,
-) -> PreparedInstance:
-    """Build the problem and both MRR collections for one cell."""
+) -> Session:
+    """One cell's :class:`Session`, both MRR collections already sampled."""
     bundle = load_dataset(dataset, scale=profile.scale_for(dataset))
     graph = bundle.graph
     # Stable (process-independent) entropy for the cell: Python's hash()
@@ -119,27 +111,16 @@ def prepare_instance(
         num_pieces, graph.num_topics, seed=rng_campaign
     )
     adoption = AdoptionModel.from_ratio(beta_over_alpha)
-    problem = OIPAProblem.with_random_pool(
+    pool = OIPAProblem.with_random_pool(
         graph,
         campaign,
         adoption,
         k,
         pool_fraction=profile.pool_fraction,
         seed=rng_pool,
-    )
-    piece_graphs = project_campaign(graph, campaign)
-    models = profile.models_for(num_pieces)
-    if models is not None:
-        # LT pieces must satisfy the live-edge feasibility condition;
-        # IC pieces keep their raw projections untouched.
-        piece_graphs = [
-            normalize_lt_weights(pg) if m == "lt" else pg
-            for pg, m in zip(piece_graphs, models)
-        ]
-    opt_theta, eval_theta = profile.theta_for(dataset)
-    # One Runtime for the cell; the optimisation and evaluation
-    # collections only differ in their (role-keyed) shard directory.
+    ).pool
     cell_rt = profile.runtime or Runtime()
+    models = profile.models_for(num_pieces)
     if models is not None:
         cell_rt = cell_rt.replace(model=models)
     # The sampling seeds are *integers* drawn from the cell's spawned
@@ -150,94 +131,65 @@ def prepare_instance(
     # harness invocations.
     seed_opt = int(rng_opt.integers(2**63))
     seed_eval = int(rng_eval.integers(2**63))
-
-    def role_runtime(role: str):
-        # The optimisation and evaluation collections of one cell (and
-        # the cells of one sweep) must not share shards — each gets its
-        # own subdirectory keyed by (dataset, l, role).
-        return cell_rt.with_shard_subdir(
-            f"{dataset}-l{num_pieces}-{role}"
-        )
-
-    with Timer() as sample_timer:
-        mrr_opt = MRRCollection.generate(
-            graph,
-            campaign,
-            opt_theta,
-            seed=seed_opt,
-            piece_graphs=piece_graphs,
-            runtime=role_runtime("opt"),
-        )
-        mrr_eval = MRRCollection.generate(
-            graph,
-            campaign,
-            eval_theta,
-            seed=seed_eval,
-            piece_graphs=piece_graphs,
-            runtime=role_runtime("eval"),
-        )
-    return PreparedInstance(
-        bundle=bundle,
-        problem=problem,
-        mrr_opt=mrr_opt,
-        mrr_eval=mrr_eval,
-        sample_seconds=sample_timer.elapsed,
+    session = Session(
+        bundle,
+        campaign,
+        adoption,
+        k=k,
+        pool=pool,
+        seed=seed_opt,
+        runtime=cell_rt,
     )
+    opt_theta, eval_theta = profile.theta_for(dataset)
+    session.sample(opt_theta, seed=seed_opt)
+    session.sample_evaluation(eval_theta, seed=seed_eval)
+    return session
+
+
+def sample_seconds(session: Session) -> float:
+    """Wall-clock of the cell's sampling (Table III's "Sample Time")."""
+    return sum(e.seconds for e in session.stage_trace if e.stage == "sample")
 
 
 def run_cell(
-    instance: PreparedInstance,
+    session: Session,
     method: str,
     *,
     epsilon: float = 0.5,
     gap_tolerance: float = 0.01,
     max_nodes: int = 3_000,
 ) -> CellResult:
-    """Run one method on a prepared instance; evaluate independently."""
-    problem, mrr = instance.problem, instance.mrr_opt
-    timer = Timer().start()
-    tau_evaluations = 0
-    nodes = 0
-    bounds = 0
-    if method == "IM":
-        plan = im_baseline(problem, mrr, seed=0).plan
-    elif method == "TIM":
-        plan = tim_baseline(problem, mrr).plan
-    elif method in ("BAB", "BAB-P"):
-        solver = BranchAndBoundSolver(
-            problem,
-            mrr,
-            bound="greedy" if method == "BAB" else "progressive",
-            epsilon=epsilon,
-            gap_tolerance=gap_tolerance,
-            max_nodes=max_nodes,
-        )
-        result = solver.solve()
-        plan = result.plan
-        tau_evaluations = result.diagnostics.tau_evaluations
-        nodes = result.diagnostics.nodes_expanded
-        bounds = result.diagnostics.bounds_computed
-    else:
+    """Run one method on a prepared cell; evaluate independently."""
+    key = _SOLVER_KEYS.get(method)
+    if key is None:
         raise ExperimentError(
             f"unknown method {method!r}; available: {METHODS}"
         )
-    elapsed = timer.stop()
-    utility = instance.mrr_eval.estimate(
-        plan.seed_lists(), problem.adoption
+    options = {}
+    if key in ("bab", "bab-p"):
+        options = {"gap_tolerance": gap_tolerance, "max_nodes": max_nodes}
+        if key == "bab-p":
+            options["epsilon"] = epsilon
+    result = session.solve(key, **options)
+    elapsed = next(
+        e.seconds
+        for e in reversed(session.stage_trace.events)
+        if e.stage == "solve"
     )
+    diagnostics = result.diagnostics
     return CellResult(
-        dataset=instance.bundle.name,
+        dataset=session.bundle.name,
         method=method,
-        k=problem.k,
-        num_pieces=problem.num_pieces,
-        beta_over_alpha=problem.adoption.beta / problem.adoption.alpha,
+        k=session.k,
+        num_pieces=session.num_pieces,
+        beta_over_alpha=session.adoption.beta / session.adoption.alpha,
         epsilon=epsilon if method == "BAB-P" else None,
-        utility=utility,
+        utility=session.evaluate(result),
         elapsed_seconds=elapsed,
-        tau_evaluations=tau_evaluations,
-        nodes_expanded=nodes,
-        bounds_computed=bounds,
-        sample_seconds=instance.sample_seconds,
+        tau_evaluations=diagnostics.get("tau_evaluations", 0),
+        nodes_expanded=diagnostics.get("nodes_expanded", 0),
+        bounds_computed=diagnostics.get("bounds_computed", 0),
+        sample_seconds=sample_seconds(session),
     )
 
 
@@ -258,12 +210,12 @@ def run_methods(
         profile.default_ratio if beta_over_alpha is None else beta_over_alpha
     )
     eps = profile.default_epsilon if epsilon is None else epsilon
-    instance = prepare_instance(
+    session = prepare_instance(
         dataset, profile, k=k, num_pieces=num_pieces, beta_over_alpha=ratio
     )
     return {
         method: run_cell(
-            instance,
+            session,
             method,
             epsilon=eps,
             gap_tolerance=profile.gap_tolerance,

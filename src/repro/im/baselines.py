@@ -4,7 +4,7 @@
     Runs a state-of-the-art single-message IM algorithm on ``G`` under
     the IC model — requiring a scalar probability per edge, obtained by
     flattening the topic vectors (we average ``p(t_j, e)`` over the
-    campaign's pieces; see DESIGN.md) — to pick ``k`` seeds ``S``.  Then
+    campaign's pieces) — to pick ``k`` seeds ``S``.  Then
     every piece is tried with ``S`` as its (sole) seed set and the piece
     with the highest adoption utility wins.  The baseline is blind to
     topic-dependent spread, which is why the paper finds it weakest.
@@ -83,7 +83,8 @@ def im_baseline(
     """The ``IM`` baseline: topic-blind seed set, best single piece.
 
     ``theta`` controls the flattened-graph RR sample count for seed
-    selection (defaults to the evaluation collection's theta);
+    selection (defaults to ``mrr.theta``, the collection passed in —
+    the optimisation collection in the experiment harness);
     ``runtime`` (a :class:`repro.runtime.Runtime`) selects the RR
     sampling engine and pool.  The flattened graph is sampled
     under IC from the same keyed stream as
@@ -104,9 +105,13 @@ def im_baseline(
             problem.graph, flat_probs
         )
         # In RAM whatever the runtime's store: a caller's store instance
-        # already holds the campaign's own collection.
+        # already holds the campaign's own collection, and its disk
+        # settings would be rejected by the memory store.
         flat_mrr = _keyed_rr_collection(
-            flat_graph, theta, rt.replace(store="memory"), "ic"
+            flat_graph,
+            theta,
+            rt.replace(store="memory", shard_dir=None, max_resident_bytes=None),
+            "ic",
         )
     timer = Timer().start()
     seeds, _ = max_coverage_seeds(flat_mrr, 0, problem.pool, problem.k)

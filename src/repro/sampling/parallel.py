@@ -20,9 +20,14 @@ contracts that make the parallelism invisible to everything downstream:
     ``SeedSequence((entropy, KEYED_TASK_TAG, j, b))``;
   - Monte-Carlo forward simulation (:mod:`repro.diffusion.simulate`)
     splits ``rounds`` into fixed :func:`round_chunks` and draws chunk
-    ``c`` from ``SeedSequence((entropy, KEYED_ROUND_TAG, c))``.
+    ``c`` from ``SeedSequence((entropy, KEYED_ROUND_TAG, c))``;
+  - the ``ris``/``im`` solvers of :mod:`repro.api` key their
+    flattened-graph collection off
+    ``SeedSequence((entropy, KEYED_FLAT_TAG))``
+    (:func:`keyed_flat_entropy`), so it never redraws the roots of the
+    campaign collection sampled with the same seed.
 
-  All three are pure functions of ``(entropy, coordinates)``, never of
+  All four are pure functions of ``(entropy, coordinates)``, never of
   the worker count, the executor, the store or theta, so every topology
   (inline, a thread pool, or the spawned workers of
   :mod:`repro.sampling.dist`) produces the same bytes, a resumed store
@@ -63,6 +68,7 @@ __all__ = [
     "make_pool",
     "parallel_map",
     "keyed_block_roots",
+    "keyed_flat_entropy",
     "keyed_roots",
     "keyed_task_seed",
     "resolve_entropy",
@@ -96,11 +102,12 @@ _GROUP_ROOTS = 1 << 15
 #: Rounds per Monte-Carlo task (same worker-independence argument).
 _ROUND_CHUNK = 8
 
-#: SeedSequence tags separating the root draw, the task draws and the
-#: Monte-Carlo round chunks.
+#: SeedSequence tags separating the root draw, the task draws, the
+#: Monte-Carlo round chunks and the flattened-graph baseline draw.
 KEYED_ROOT_TAG = 0x726F6F74  # "root"
 KEYED_TASK_TAG = 0x7461736B  # "task"
 KEYED_ROUND_TAG = 0x726F6E64  # "rond"
+KEYED_FLAT_TAG = 0x666C6174  # "flat"
 
 
 def resolve_workers(workers) -> int | None:
@@ -260,6 +267,18 @@ def resolve_entropy(seed) -> int:
     if isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0:
         return int(seed)
     return int(as_generator(seed).integers(0, 2**63 - 1))
+
+
+def keyed_flat_entropy(seed) -> int:
+    """The entropy of the flattened-graph RR draw for ``seed``.
+
+    The IM/RIS baselines sample the topic-blind graph with the seed
+    that also keys the campaign's optimisation collection; deriving
+    their entropy under ``KEYED_FLAT_TAG`` gives that draw its own
+    roots instead of the collection's.
+    """
+    seq = np.random.SeedSequence((resolve_entropy(seed), KEYED_FLAT_TAG))
+    return int(seq.generate_state(1, np.uint64)[0])
 
 
 def keyed_block_roots(

@@ -105,3 +105,15 @@ class TestSinglePieceSemantics:
         )
         result = im_baseline(problem, mrr, seed=6, runtime=runtime)
         assert result.seeds == im_baseline(problem, mrr, seed=6).seeds
+
+    def test_im_samples_in_ram_under_a_disk_runtime(
+        self, topic_split_world, tmp_path
+    ):
+        """A disk runtime's shard settings do not reach the in-RAM flat
+        draw (the memory store rejects them)."""
+        problem, mrr = topic_split_world
+        runtime = Runtime(
+            store="disk", shard_dir=str(tmp_path), max_resident_bytes=1 << 20
+        )
+        result = im_baseline(problem, mrr, seed=6, runtime=runtime)
+        assert result.seeds == im_baseline(problem, mrr, seed=6).seeds

@@ -14,7 +14,12 @@ from repro.experiments.config import (
     ExperimentProfile,
     get_profile,
 )
-from repro.experiments.runner import prepare_instance, run_cell, run_methods
+from repro.experiments.runner import (
+    prepare_instance,
+    run_cell,
+    run_methods,
+    sample_seconds,
+)
 from repro.runtime import Runtime
 
 #: A deliberately tiny profile so harness tests stay fast.
@@ -63,28 +68,28 @@ class TestConfig:
 
 class TestRunner:
     @pytest.fixture(scope="class")
-    def instance(self):
+    def session(self):
         return prepare_instance(
             "lastfm", TINY_PROFILE, k=3, num_pieces=2, beta_over_alpha=0.5
         )
 
-    def test_prepare_instance_shapes(self, instance):
-        assert instance.problem.k == 3
-        assert instance.mrr_opt.theta == 400
-        assert instance.mrr_eval.theta == 800
-        assert instance.sample_seconds > 0
+    def test_prepare_instance_shapes(self, session):
+        assert session.problem.k == 3
+        assert session.mrr.theta == 400
+        assert session.mrr_eval.theta == 800
+        assert sample_seconds(session) > 0
 
     @pytest.mark.parametrize("method", ["IM", "TIM", "BAB", "BAB-P"])
-    def test_run_cell_every_method(self, instance, method):
-        cell = run_cell(instance, method, max_nodes=10)
+    def test_run_cell_every_method(self, session, method):
+        cell = run_cell(session, method, max_nodes=10)
         assert cell.method == method
         assert cell.utility >= 0.0
         assert cell.elapsed_seconds >= 0.0
         assert cell.k == 3
 
-    def test_unknown_method_rejected(self, instance):
+    def test_unknown_method_rejected(self, session):
         with pytest.raises(ExperimentError):
-            run_cell(instance, "MAGIC")
+            run_cell(session, "MAGIC")
 
     def test_run_methods_shares_instance(self):
         cells = run_methods("lastfm", TINY_PROFILE)
@@ -92,8 +97,8 @@ class TestRunner:
         ks = {c.k for c in cells.values()}
         assert ks == {TINY_PROFILE.default_k}
 
-    def test_cell_result_row(self, instance):
-        cell = run_cell(instance, "TIM")
+    def test_cell_result_row(self, session):
+        cell = run_cell(session, "TIM")
         row = cell.as_row()
         assert row[0] == "lastfm"
         assert row[1] == "TIM"
@@ -106,7 +111,28 @@ class TestRunner:
             "lastfm", TINY_PROFILE, k=2, num_pieces=2, beta_over_alpha=0.5
         )
         np.testing.assert_array_equal(a.problem.pool, b.problem.pool)
-        np.testing.assert_array_equal(a.mrr_opt.roots, b.mrr_opt.roots)
+        np.testing.assert_array_equal(a.mrr.roots, b.mrr.roots)
+
+    def test_run_methods_bytes_pinned(self):
+        # TIM/BAB/BAB-P utilities and BAB diagnostics as the hand-wired
+        # runner computed them before cells became Sessions; IM is not
+        # pinned (its flat draw has its own stream).  The batch engine
+        # is fixed because the python backend draws a different stream.
+        profile = TINY_PROFILE.with_overrides(runtime=Runtime(backend="batch"))
+        cells = run_methods("lastfm", profile)
+        pinned = ("TIM", "BAB", "BAB-P")
+        assert {m: cells[m].utility.hex() for m in pinned} == {
+            "TIM": "0x1.5ad3ace67814dp+2",
+            "BAB": "0x1.bb23215770f0cp+2",
+            "BAB-P": "0x1.aa369d53a2c26p+2",
+        }
+        assert [
+            (c.tau_evaluations, c.nodes_expanded, c.bounds_computed)
+            for c in (cells["BAB"], cells["BAB-P"])
+        ] == [(57, 0, 1), (26, 0, 1)]
+        # The timings come from the cell session's stage trace.
+        assert all(c.elapsed_seconds > 0 for c in cells.values())
+        assert all(c.sample_seconds > 0 for c in cells.values())
 
 
 class TestFigures:
@@ -158,10 +184,10 @@ class TestMixedModelAndStore:
 
     def test_prepare_instance_mixed_models(self):
         profile = TINY_PROFILE.with_overrides(model=("ic", "lt"))
-        instance = prepare_instance(
+        session = prepare_instance(
             "lastfm", profile, k=3, num_pieces=2, beta_over_alpha=0.5
         )
-        cell = run_cell(instance, "BAB-P", max_nodes=10)
+        cell = run_cell(session, "BAB-P", max_nodes=10)
         assert cell.utility >= 0.0
         # The LT piece really sampled under LT: a different model mix
         # with the same seed must change the collection.
@@ -169,7 +195,7 @@ class TestMixedModelAndStore:
             "lastfm", TINY_PROFILE, k=3, num_pieces=2, beta_over_alpha=0.5
         )
         assert not np.array_equal(
-            instance.mrr_opt.rr_set_sizes(1), ic_only.mrr_opt.rr_set_sizes(1)
+            session.mrr.rr_set_sizes(1), ic_only.mrr.rr_set_sizes(1)
         )
 
     def test_prepare_instance_disk_store(self, tmp_path):
@@ -183,13 +209,28 @@ class TestMixedModelAndStore:
         mem = prepare_instance(
             "lastfm", mem_profile, k=3, num_pieces=2, beta_over_alpha=0.5
         )
-        assert disk.mrr_opt.store.kind == "disk"
+        assert disk.mrr.store.kind == "disk"
         # Opt and eval collections shard into distinct subdirectories.
-        assert disk.mrr_opt.store.shard_dir != disk.mrr_eval.store.shard_dir
-        np.testing.assert_array_equal(disk.mrr_opt.roots, mem.mrr_opt.roots)
+        assert disk.mrr.store.shard_dir != disk.mrr_eval.store.shard_dir
+        np.testing.assert_array_equal(disk.mrr.roots, mem.mrr.roots)
         cell_disk = run_cell(disk, "BAB", max_nodes=10)
         cell_mem = run_cell(mem, "BAB", max_nodes=10)
         assert cell_disk.utility == cell_mem.utility
+
+    def test_disk_sweep_cells_do_not_share_shards(self, tmp_path):
+        # Regression: cells sharing l but not their seeds (a beta/alpha
+        # sweep) once wrote one shard directory, and the second cell
+        # raised StoreError.  Each disk cell must equal its memory run.
+        disk_profile = TINY_PROFILE.with_overrides(
+            runtime=Runtime(store="disk", shard_dir=str(tmp_path), workers=1)
+        )
+        mem_profile = TINY_PROFILE.with_overrides(runtime=Runtime(workers=1))
+        for ratio in (0.3, 0.5):
+            disk = run_methods("lastfm", disk_profile, beta_over_alpha=ratio)
+            mem = run_methods("lastfm", mem_profile, beta_over_alpha=ratio)
+            assert {m: c.utility for m, c in disk.items()} == {
+                m: c.utility for m, c in mem.items()
+            }
 
 
 class TestCli:

@@ -27,6 +27,7 @@ from repro.exceptions import ConfigError, SolverError
 from repro.im.baselines import im_baseline, tim_baseline
 from repro.runtime import Runtime
 from repro.sampling.mrr import MRRCollection
+from repro.sampling.parallel import keyed_flat_entropy
 
 
 @pytest.fixture()
@@ -79,7 +80,8 @@ class TestLegacyBitIdentity:
     def test_baselines_match_legacy(self, session, legacy_pipeline):
         problem, mrr = legacy_pipeline
         session.sample(300)
-        legacy_im = im_baseline(problem, mrr, seed=13)
+        # The flat draw keys its own stream off the session seed.
+        legacy_im = im_baseline(problem, mrr, seed=keyed_flat_entropy(13))
         got = session.solve("ris")
         assert got.plan.seed_sets == legacy_im.plan.seed_sets
         assert got.estimate == legacy_im.utility
@@ -89,12 +91,39 @@ class TestLegacyBitIdentity:
         assert got.plan.seed_sets == legacy_tim.plan.seed_sets
         assert got.estimate == legacy_tim.utility
         # Regression: solve()'s seed reaches solvers that declare one —
-        # solve("ris", seed=3) must match im_baseline(..., seed=3), not
+        # solve("ris", seed=3) must draw from seed 3's flat stream, not
         # silently fall back to the session seed.
-        legacy_seeded = im_baseline(problem, mrr, seed=3)
+        legacy_seeded = im_baseline(problem, mrr, seed=keyed_flat_entropy(3))
         got = session.solve("ris", seed=3)
         assert got.plan.seed_sets == legacy_seeded.plan.seed_sets
         assert got.estimate == legacy_seeded.utility
+
+    def test_flat_draw_does_not_reuse_collection_roots(
+        self, small_random_graph, small_campaign, adoption, monkeypatch
+    ):
+        # Regression: the flattened-graph RR draw was seeded like the
+        # optimisation collection and so redrew its exact roots.  The
+        # artifact cache is off so the solve really draws.
+        import repro.im.baselines as baselines
+
+        session = Session(
+            small_random_graph, small_campaign, adoption, k=4, seed=13,
+            runtime=Runtime(artifacts="off"),
+        )
+
+        drawn = []
+        keyed = baselines._keyed_rr_collection
+
+        def capture(*args):
+            drawn.append(keyed(*args))
+            return drawn[-1]
+
+        monkeypatch.setattr(baselines, "_keyed_rr_collection", capture)
+        session.sample(300)
+        session.solve("im")
+        (flat,) = drawn
+        assert flat.theta == session.mrr.theta
+        assert not np.array_equal(flat.roots, session.mrr.roots)
 
     def test_local_search_and_brute_force_match_legacy(
         self, session, legacy_pipeline
