@@ -10,9 +10,9 @@ size (n=2000, the :mod:`bench_micro_kernels` world):
 * batched IC RR sampling >= 5x over the Python reference loop;
 * batched LT RR sampling >= 5x over the reference weighted walk;
 * vectorized coverage marginal-gain >= 5x over the per-candidate loop;
-* bitset branch cloning (``CoverageState.copy`` + ``add_many``) >= 5x
-  over the dense bool baseline the seed shipped (the BAB branching
-  micro-benchmark);
+* copy-on-write branch cloning (``CoverageState.copy`` + ``add_many``
+  on per-piece byte rows) >= 5x over the dense bool baseline the seed
+  shipped (the BAB branching micro-benchmark);
 * greedy max-coverage seed sets identical across selection paths on
   every collection, and across sampling backends in the
   stream-preserving (single-root-block) configuration.
@@ -263,8 +263,8 @@ class _DenseCoverageState:
     """The seed's CoverageState: dense (theta, l) bool + int64 counts.
 
     Kept here verbatim as the branching baseline — `copy` materialises
-    the full matrix, exactly the per-node cost the bitset engine's
-    copy-on-write rows replaced.
+    the full matrix, exactly the per-node cost the copy-on-write
+    coverage rows replaced.
     """
 
     __slots__ = ("mrr", "covered", "counts")
@@ -296,6 +296,9 @@ class _DenseCoverageState:
 BRANCH_THETA = 200_000
 BRANCH_PIECES = 16
 BRANCH_OPS = 12
+#: Trails per timed sample: one trail of the row engine is ~1.5 ms, short
+#: enough that scheduler noise alone moved the ratio across the bar.
+BRANCH_TRAILS = 4
 
 
 def _branch_trail(state, ops):
@@ -306,15 +309,25 @@ def _branch_trail(state, ops):
     return clone
 
 
+def _timed_trails(state, ops):
+    start = time.perf_counter()
+    for _ in range(BRANCH_TRAILS):
+        clone = _branch_trail(state, ops)
+    return time.perf_counter() - start, clone
+
+
 def test_bitset_branch_speedup_target(worlds, artifact_dir):
-    """The branching bar: bitset ``copy`` + ``add_many`` >= 5x over the
-    dense bool baseline at theta=200k, l=16, with identical coverage.
+    """The branching bar: copy-on-write ``copy`` + ``add_many`` >= 5x
+    over the dense bool baseline at theta=200k, l=16, with identical
+    coverage.
 
     Each branch clones the node state and commits one (vertex, piece)
     assignment — exactly the include-child step of Algorithm 1.  The
     dense baseline pays the full (theta x l) bool copy per clone; the
-    bitset engine shares rows copy-on-write and only duplicates the one
-    row the branch dirties.
+    coverage engine shares its per-piece byte rows copy-on-write and
+    only duplicates the one row the branch dirties.  Each timed sample
+    runs the trail ``BRANCH_TRAILS`` times; the best of five samples
+    per side is compared.
     """
     graph, _, _, _ = worlds[LARGEST]
     campaign = Campaign.sample_unit(BRANCH_PIECES, 8, seed=47)
@@ -327,35 +340,33 @@ def test_bitset_branch_speedup_target(worlds, artifact_dir):
         )
         for _ in range(BRANCH_OPS)
     ]
-    bitset_state = CoverageState(mrr)
+    rows_state = CoverageState(mrr)
     dense_state = _DenseCoverageState(mrr)
     # Warm both (seed a little prior coverage so branches are typical).
     for vertices, piece in ops[:4]:
-        bitset_state.add_many(vertices, piece)
+        rows_state.add_many(vertices, piece)
         dense_state.add_many(vertices, piece)
-    dense_s, bitset_s = float("inf"), float("inf")
+    dense_s, rows_s = float("inf"), float("inf")
     for _ in range(5):
-        start = time.perf_counter()
-        dense_clone = _branch_trail(dense_state, ops)
-        dense_s = min(dense_s, time.perf_counter() - start)
-        start = time.perf_counter()
-        bitset_clone = _branch_trail(bitset_state, ops)
-        bitset_s = min(bitset_s, time.perf_counter() - start)
+        elapsed, dense_clone = _timed_trails(dense_state, ops)
+        dense_s = min(dense_s, elapsed)
+        elapsed, rows_clone = _timed_trails(rows_state, ops)
+        rows_s = min(rows_s, elapsed)
     np.testing.assert_array_equal(
-        np.asarray(bitset_clone.counts, dtype=np.int64), dense_clone.counts
+        np.asarray(rows_clone.counts, dtype=np.int64), dense_clone.counts
     )
     clone_piece = ops[-1][1]
     np.testing.assert_array_equal(
-        bitset_clone.bits.to_bool()[:, clone_piece],
+        rows_clone.bits.to_bool()[:, clone_piece],
         dense_clone.covered[:, clone_piece],
     )
-    speedup = dense_s / bitset_s
+    speedup = dense_s / rows_s
     per_branch_cols = [
         "theta",
         "pieces",
         "branches",
         "dense (ms)",
-        "bitset (ms)",
+        "cow rows (ms)",
         "speedup",
     ]
     text = format_table(
@@ -364,18 +375,19 @@ def test_bitset_branch_speedup_target(worlds, artifact_dir):
             [
                 BRANCH_THETA,
                 BRANCH_PIECES,
-                BRANCH_OPS,
+                BRANCH_OPS * BRANCH_TRAILS,
                 dense_s * 1e3,
-                bitset_s * 1e3,
+                rows_s * 1e3,
                 speedup,
             ]
         ],
-        title="BAB branching: bitset copy+add_many vs dense bool baseline",
+        title="BAB branching: copy-on-write rows copy+add_many vs dense "
+        "bool baseline",
     )
     write_artifact(artifact_dir, "bitset_branch_speedup", text)
     assert speedup >= 5.0, (
-        f"bitset branch cloning only {speedup:.1f}x faster than the dense "
-        f"baseline at theta={BRANCH_THETA}, l={BRANCH_PIECES}"
+        f"copy-on-write branch cloning only {speedup:.1f}x faster than the "
+        f"dense baseline at theta={BRANCH_THETA}, l={BRANCH_PIECES}"
     )
 
 

@@ -350,24 +350,46 @@ class Session:
     def _role_runtime(self, role: str, theta: int, seed):
         """The session runtime with a per-collection shard subdir.
 
-        The key includes the role *and* the collection's (theta, seed)
-        so re-sampling at a new size (``solve(theta=...)`` again) never
-        collides with an earlier collection's shards — while repeating
-        the exact same integer-seeded call reloads the finished
-        directory.  A non-reproducible draw (``None`` / Generator
-        seeds) can never be resumed or reloaded by anyone, so those get
-        a globally unique key under the configured root instead of a
-        collision — across generations *and* across process runs.
+        The key includes the role, the collection's (theta, seed) *and*
+        a short digest of the sampled inputs — graph, campaign, per-piece
+        diffusion models and canonical backend, the rest of what the
+        store fingerprint records — so re-sampling at a new size
+        (``solve(theta=...)`` again), with another model mix or on
+        another graph never collides with an earlier collection's
+        shards, while repeating the exact same integer-seeded call
+        reloads the finished directory.  A non-reproducible draw
+        (``None`` / Generator seeds) can never be resumed or reloaded by
+        anyone, so those get a globally unique key under the configured
+        root instead of a collision — across generations *and* across
+        process runs.
         """
         rt = resolve_runtime(
             self.runtime, seed=seed if seed is not None else self.seed
         )
+        if rt.shard_dir is None:
+            return rt
         parts = [role, f"theta{theta}"]
         if isinstance(rt.seed, int):
             parts.append(f"seed{rt.seed}")
+            parts.append(self._inputs_digest(rt))
         else:
             parts.append(f"run{uuid.uuid4().hex[:12]}")
         return rt.with_shard_subdir("-".join(parts))
+
+    def _inputs_digest(self, rt) -> str:
+        """Short digest of what, besides the seed, fixes a collection."""
+        from repro.sampling.batch import canonical_backend
+
+        models = resolve_models(rt.model, self.num_pieces)
+        text = ":".join(
+            (
+                self.graph.fingerprint(),
+                self.campaign.fingerprint(),
+                ",".join(models),
+                canonical_backend(rt.backend),
+            )
+        )
+        return hashlib.sha256(text.encode()).hexdigest()[:10]
 
     def _generate(self, rt, theta: int, detail: str):
         """Generate one collection under ``rt`` and trace its stages.

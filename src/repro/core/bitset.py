@@ -1,27 +1,27 @@
-"""Word-packed bitset primitives for the coverage engine.
+"""Coverage-set primitives for the coverage engine.
 
 The solvers' coverage bookkeeping is set membership over ``theta``
-samples, per piece.  The historical representation — a dense
-``(theta, l)`` bool matrix — costs ``theta * l`` bytes to copy on every
-branch-and-bound node, which ROADMAP flagged as the dominant branching
-cost.  This module packs each piece's coverage row into ``uint64``
-words (64 samples per word, 8x denser than bool) and layers
-copy-on-write on top, so cloning a state for a BAB branch is O(number
-of piece rows) and only rows the branch actually dirties are ever
-duplicated.
+samples, per piece.  Two containers hold it:
 
-Two containers:
-
-* :class:`SampleBitset` — a flat bitset over the ``theta`` samples of
-  one piece; the RIS max-coverage greedy's ``covered`` vector.
-* :class:`PieceBitMatrix` — one :class:`SampleBitset`-shaped row per
-  piece with per-row copy-on-write; the backing store of
+* :class:`PieceBitMatrix` — one ``theta``-long bool row per piece with
+  per-row copy-on-write; the backing store of
   :class:`repro.core.coverage.CoverageState` and
-  :class:`repro.core.upper_bound.TauState`.
+  :class:`repro.core.upper_bound.TauState`.  Cloning a state for a BAB
+  branch is O(number of piece rows), and only rows the branch actually
+  dirties are ever duplicated.  A row is one byte per cell, not one
+  bit: the bound loop tests and sets ~100-entry slabs, where the fixed
+  per-call cost of word packing (gather, shift, mask, grouped OR)
+  outweighed the data, while on bytes a test is one gather
+  (``row[samples]``) and a set is one scatter.  A dirtied row costs
+  ``theta`` bytes instead of ``theta / 8``.
+* :class:`SampleBitset` — a flat ``uint64``-word bitset over the
+  ``theta`` samples of one piece; the RIS max-coverage greedy's
+  ``covered`` vector.  It stays packed: it is a single row scanned over
+  whole candidate pools, and its words feed the compiled
+  ``uncovered_segment_counts`` kernel (:mod:`repro.native.kernels`).
 
-All index arrays are int64 sample ids; bit tests and sets are a gather,
-a shift, and (for sets) one segmented OR per touched word — one NumPy
-dispatch each, no Python loop over samples.
+All index arrays are int64 sample ids; every test and set is one NumPy
+dispatch (a few for packed words), with no Python loop over samples.
 """
 
 from __future__ import annotations
@@ -163,12 +163,12 @@ class SampleBitset:
 
 
 class CowCounts:
-    """Copy-on-write per-sample counts — the bit rows' scalar sibling.
+    """Copy-on-write per-sample counts — the coverage rows' scalar sibling.
 
     The coverage states carry one O(theta) ``counts`` array next to the
-    packed rows; eagerly duplicating it on every branch clone (and
-    twice per :class:`~repro.core.upper_bound.TauState` construction)
-    was the last O(theta)-per-branch copy the ROADMAP flagged.  Like
+    cell rows; eagerly duplicating it on every branch clone (and twice
+    per :class:`~repro.core.upper_bound.TauState` construction) would
+    cost O(theta) per branch.  Like
     :meth:`PieceBitMatrix.copy`, :meth:`clone` shares the backing array
     and marks both holders shared; the first mutation on either side —
     via :meth:`own` — pays the one copy, and read-only holders (a
@@ -206,24 +206,23 @@ class CowCounts:
 
 
 class PieceBitMatrix:
-    """Per-piece packed coverage rows with copy-on-write cloning.
+    """Per-piece bool coverage rows with copy-on-write cloning.
 
     :meth:`copy` shares every row between parent and clone and marks
     them shared; the first mutation of a row — on either side — pays
-    one ``theta / 8``-byte row duplication, and untouched rows are
-    never copied.  A BAB branch that dirties one piece therefore costs
-    O(words of one row) instead of O(theta * l), while both states stay
-    fully independent: no write is ever visible across the share.
+    one ``theta``-byte row duplication, and untouched rows are never
+    copied.  A BAB branch that dirties one piece therefore costs one
+    row instead of O(theta * l), while both states stay fully
+    independent: no write is ever visible across the share.
     """
 
-    __slots__ = ("num_pieces", "num_samples", "num_words", "_rows", "_shared")
+    __slots__ = ("num_pieces", "num_samples", "_rows", "_shared")
 
     def __init__(self, num_pieces: int, num_samples: int) -> None:
         self.num_pieces = int(num_pieces)
         self.num_samples = int(num_samples)
-        self.num_words = _num_words(num_samples)
         self._rows = [
-            np.zeros(self.num_words, dtype=np.uint64)
+            np.zeros(self.num_samples, dtype=bool)
             for _ in range(self.num_pieces)
         ]
         self._shared = [False] * self.num_pieces
@@ -233,7 +232,6 @@ class PieceBitMatrix:
         clone = PieceBitMatrix.__new__(PieceBitMatrix)
         clone.num_pieces = self.num_pieces
         clone.num_samples = self.num_samples
-        clone.num_words = self.num_words
         clone._rows = list(self._rows)
         clone._shared = [True] * self.num_pieces
         self._shared = [True] * self.num_pieces
@@ -246,29 +244,25 @@ class PieceBitMatrix:
             self._shared[piece] = False
         return self._rows[piece]
 
-    def row(self, piece: int) -> np.ndarray:
-        """Read-only view of one piece's words (do not mutate)."""
-        return self._rows[piece]
-
     def test(self, piece: int, samples: np.ndarray) -> np.ndarray:
-        """Membership mask of ``samples`` in ``piece``'s row."""
-        return test_bits(self._rows[piece], samples)
+        """Membership mask of ``samples`` in ``piece``'s row (one gather)."""
+        return self._rows[piece][samples]
 
     def set_many(self, piece: int, samples: np.ndarray) -> None:
         """Set ``samples`` in ``piece``'s row (idempotent, CoW-safe)."""
         if samples.size == 0:
             return
-        set_bits(self._own_row(piece), samples)
+        self._own_row(piece)[samples] = True
 
     def count_cells(self) -> int:
         """Total set cells across all pieces (the repr diagnostic)."""
-        return sum(popcount(row) for row in self._rows)
+        return sum(int(np.count_nonzero(row)) for row in self._rows)
 
     def to_bool(self) -> np.ndarray:
         """Materialise the dense ``(num_samples, num_pieces)`` bool view."""
         out = np.empty((self.num_samples, self.num_pieces), dtype=bool)
-        for j in range(self.num_pieces):
-            out[:, j] = unpack_words(self._rows[j], self.num_samples)
+        for j, row in enumerate(self._rows):
+            out[:, j] = row
         return out
 
     def __repr__(self) -> str:

@@ -4,12 +4,15 @@ Every solver needs the same two quantities, updated as assignments are
 added: which (sample, piece) cells are already covered, and how many
 distinct pieces cover each sample (``counts``).  :class:`CoverageState`
 maintains both with O(index lookup) updates; the cell set lives in a
-word-packed :class:`~repro.core.bitset.PieceBitMatrix` with per-piece
-copy-on-write rows, and ``counts`` in a matching
+:class:`~repro.core.bitset.PieceBitMatrix` — one ``theta``-byte bool row
+per piece, copy-on-write — and ``counts`` in a matching
 :class:`~repro.core.bitset.CowCounts`, so :meth:`CoverageState.copy` —
 the branch-and-bound branching operation — is O(piece rows) instead of
-the historical O(theta * l) dense bool copy, and a branch only ever
-pays for the rows (or the counts array) it actually dirties.  A small
+an O(theta * l) dense copy, and a branch only ever pays for the rows
+(or the counts array) it actually dirties.  Rows are bytes, not packed
+bits, because every test and commit here touches one short slab: a
+byte row answers it with one gather or one scatter, where packed words
+paid several dispatches per call.  A small
 ``count_hist`` histogram (how many samples sit at each coverage count)
 rides along, maintained incrementally, so the tau bound can anchor its
 majorants in O(l) instead of an O(theta) per-sample gather.
@@ -22,11 +25,13 @@ segmented sum — one NumPy dispatch for the whole candidate pool.  The
 gathers run through :meth:`MRRCollection.iter_index_slabs`, which
 chunks them to the sample store's resident budget: on the in-RAM store
 that is one dispatch exactly as before, while on a disk-sharded store a
-whole-pool scan builds its bit rows shard-by-shard without ever
+whole-pool scan builds its coverage rows shard-by-shard without ever
 materialising the dense slab concatenation.  The RIS greedy, the
 baselines, and the tau bound all drive their marginal-gain scans
 through these kernels; ``covered`` may be either a dense bool vector or
-a packed :class:`~repro.core.bitset.SampleBitset`.
+a packed :class:`~repro.core.bitset.SampleBitset`.  The RIS greedy's
+single row stays packed: its scans are whole-pool, and its words feed
+the compiled ``uncovered_segment_counts`` kernel.
 """
 
 from __future__ import annotations
@@ -136,7 +141,7 @@ class CoverageState:
 
     @property
     def covered(self) -> np.ndarray:
-        """Dense ``(theta, l)`` bool view of the packed cell set.
+        """Dense ``(theta, l)`` bool copy of the cell set.
 
         Materialised on demand for inspection and the historical API;
         mutating the returned array does not affect the state — use
@@ -147,7 +152,7 @@ class CoverageState:
     def copy(self) -> "CoverageState":
         """Independent copy (used when branching).
 
-        Both the packed rows and the counts array are shared
+        Both the cell rows and the counts array are shared
         copy-on-write — O(l) now, one row (or counts) duplication per
         side that later dirties it — so no mutation of either state can
         ever reach the other through a shared slab.
@@ -200,7 +205,7 @@ class CoverageState:
 
         Vectorized commit: index gathers over all vertices replace
         per-vertex :meth:`add` calls, chunked to the store's resident
-        budget so a disk-backed commit sets its bit rows shard-by-shard.
+        budget so a disk-backed commit sets its coverage rows shard-by-shard.
         Returns the sample ids newly covered for ``piece``, sorted
         ascending (each reported once, even when several of the
         vertices share it).

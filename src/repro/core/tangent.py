@@ -146,6 +146,9 @@ class MajorantTable:
         extracted once so a tau state's anchor sum is an O(l) dot with
         the coverage state's count histogram instead of an O(theta)
         per-sample gather.
+    flat_gains:
+        ``gains`` flattened row-major (a view), so :meth:`gains_at` reads
+        a whole slab's gains with one ``take``.
     """
 
     __slots__ = (
@@ -154,6 +157,7 @@ class MajorantTable:
         "method",
         "values",
         "gains",
+        "flat_gains",
         "anchor_diag",
     )
 
@@ -187,6 +191,7 @@ class MajorantTable:
             self.values[base, :base] = row[0]
             if base < l:
                 self.gains[base, base:l] = np.diff(row)
+        self.flat_gains = self.gains.ravel()
         diag = np.arange(l + 1)
         self.anchor_diag = self.values[diag, diag].copy()
 
@@ -246,6 +251,17 @@ class MajorantTable:
     def gain(self, base: int, count: int) -> float:
         """``phi_base(count+1) - phi_base(count)`` (0 once count hits l)."""
         return float(self.gains[base, count])
+
+    def gains_at(self, base: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """``gains[base, counts]`` elementwise, as one flat ``take``.
+
+        The flat index ``base * (l + 1) + counts`` is built in ``intp``:
+        the solvers' int16 count arrays would overflow it from l = 181 on.
+        """
+        flat = base.astype(np.intp)
+        flat *= self.num_pieces + 1
+        flat += counts
+        return self.flat_gains.take(flat)
 
     def __repr__(self) -> str:
         return (

@@ -25,6 +25,12 @@ nothing.
 Every gain is one kernel: a slab's majorant gains, zeroed where the
 cell is already covered, summed left to right (``np.add.reduceat``, the
 reduction :func:`~repro.utils.frontier.segment_sums` applies per slab).
+A slab of ~100 entries costs little as data, so its per-call dispatch
+count sets the price: the covered cells are one gather from the piece's
+byte row (:class:`~repro.core.bitset.PieceBitMatrix`), and the majorant
+gains are one ``take`` on the flattened table
+(:meth:`~repro.core.tangent.MajorantTable.gains_at`) instead of a 2-D
+fancy index, then the covered entries are zeroed in place.
 :meth:`TauState.marginal_gain` is the one-slab case of the batched
 :meth:`TauState.marginal_gains` and :meth:`TauState.pool_gains`, so a
 cached scan gain and a later re-evaluation of the same cell round
@@ -32,8 +38,8 @@ identically.  Only :meth:`TauState.add` sums its fresh subset pairwise,
 which is what ``tau.value`` has always accumulated.  A commit directly
 after :meth:`TauState.marginal_gain` of the same pair (the BAB-P sweep's
 pattern, and CELF's when a re-evaluated entry tops its heap) reuses that
-call's slab, fresh mask and gathered values: ``values[fresh]`` are the
-floats a fresh gather returns, in the same order, so the pairwise sum
+call's slab, covered mask and gathered values: ``values[~covered]``
+are the floats a fresh gather returns, in the same order, so the pairwise sum
 and every count are unchanged.  Any commit clears the remembered call.
 
 :class:`PoolIndex` is the branch-and-bound solver's per-solve slab
@@ -161,7 +167,7 @@ class TauState:
     those fixed majorants, which is exactly what keeps the function
     submodular throughout one ``ComputeBound`` invocation.
 
-    The base coverage is consumed: its packed rows and counts are
+    The base coverage is consumed: its cell rows and counts are
     shared copy-on-write with this state, so the base itself is never
     mutated through the share, but callers must not mutate the base
     while relying on this state's ``base_counts`` staying anchored.
@@ -200,7 +206,7 @@ class TauState:
         self.table = table
         self.adoption = adoption
         self.index = index
-        # Copy-on-write clones of the base's packed cell set and counts:
+        # Copy-on-write clones of the base's cell rows and counts:
         # O(l) here, and greedy growth only duplicates what it touches —
         # the base coverage is never written through the share.  The
         # frozen anchor counts are a second clone that is never mutated,
@@ -238,7 +244,7 @@ class TauState:
 
     @property
     def covered(self) -> np.ndarray:
-        """Dense ``(theta, l)`` bool view of the packed cell set.
+        """Dense ``(theta, l)`` bool copy of the cell set.
 
         Materialised on demand (inspection / historical API); mutating
         the returned array does not affect the state.
@@ -257,15 +263,14 @@ class TauState:
     def _slab_values(
         self, piece: int, samples: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """``(fresh, values)``: which of ``samples``' cells are uncovered,
-        and their majorant gains, zero where covered."""
-        fresh = ~self.bits.test(piece, samples)
-        values = np.where(
-            fresh,
-            self.table.gains[self.base_counts[samples], self.counts[samples]],
-            0.0,
+        """``(covered, values)``: which of ``samples``' cells are already
+        covered, and their majorant gains, zero where covered."""
+        covered = self.bits.test(piece, samples)
+        values = self.table.gains_at(
+            self._base_counts.array[samples], self._counts.array[samples]
         )
-        return fresh, values
+        values[covered] = 0.0
+        return covered, values
 
     def _scan(self, piece: int, chunks, size: int) -> np.ndarray:
         gains = np.zeros(size, dtype=np.float64)
@@ -281,7 +286,7 @@ class TauState:
 
         Each call is one tau evaluation (Theorem 4's unit of work).  The
         one-slab case of :meth:`marginal_gains`: bit-identical to
-        ``marginal_gains([vertex], piece)[0]``.  The slab, its fresh
+        ``marginal_gains([vertex], piece)[0]``.  The slab, its covered
         mask and values are remembered for an :meth:`add` of the same
         pair that follows before any other commit.
         """
@@ -289,8 +294,8 @@ class TauState:
         samples = self._slab(piece, vertex)
         if samples.size == 0:
             return 0.0
-        fresh, vals = self._slab_values(piece, samples)
-        self._memo = (vertex, piece, samples, fresh, vals)
+        covered, vals = self._slab_values(piece, samples)
+        self._memo = (vertex, piece, samples, covered, vals)
         return float(self.scale * np.add.reduceat(vals, _FIRST)[0])
 
     def marginal_gains(self, vertices, piece: int) -> np.ndarray:
@@ -332,23 +337,24 @@ class TauState:
         """Commit ``(vertex, piece)``; return the realised ``tau`` gain.
 
         Directly after :meth:`marginal_gain` of the same pair (no commit
-        between), its remembered evaluation is reused: ``values[fresh]``
+        between), its remembered evaluation is reused: ``values[~covered]``
         holds exactly the floats a fresh gather would, in slab order, so
         the sum is unchanged.
         """
         memo, self._memo = self._memo, None
         if memo is not None and memo[0] == vertex and memo[1] == piece:
-            _, _, samples, mask, values = memo
-            fresh = samples[mask]
-            gains = values[mask]
+            _, _, samples, covered, values = memo
+            fresh_mask = ~covered
+            fresh = samples[fresh_mask]
+            gains = values[fresh_mask]
         else:
             samples = self._slab(piece, vertex)
             if samples.size == 0:
                 return 0.0
             fresh = samples[~self.bits.test(piece, samples)]
-            gains = self.table.gains[
+            gains = self.table.gains_at(
                 self.base_counts[fresh], self.counts[fresh]
-            ]
+            )
         if fresh.size == 0:
             return 0.0
         gain = float(self.scale * gains.sum())

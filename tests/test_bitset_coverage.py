@@ -2,9 +2,10 @@
 
 Three layers of guarantees:
 
-* the packed primitives (:mod:`repro.core.bitset`) agree with dense
-  bool arrays on every operation, including duplicate / unsorted bit
-  batches and word-boundary positions;
+* the primitives (:mod:`repro.core.bitset`) agree with dense bool
+  arrays on every operation, including duplicate / unsorted id batches,
+  empty batches and word-boundary positions, and the flat majorant-gain
+  lookup agrees with the 2-D table at every count up to l = 250;
 * copy-on-write cloning is *isolating* — no mutation of a clone ever
   reaches its parent (the BAB-branch regression) and no mutation of the
   parent ever reaches a clone, for the cell rows and the counts alike;
@@ -24,6 +25,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.bab import BranchAndBoundSolver, SolverDiagnostics
 from repro.core.bitset import (
@@ -105,6 +108,75 @@ class TestBitsetPrimitives:
             dense[samples, j] = True
         np.testing.assert_array_equal(matrix.to_bool(), dense)
         assert matrix.count_cells() == int(dense.sum())
+
+
+@st.composite
+def _matrix_scripts(draw):
+    """A (theta, l) shape and a script of copy / set_many / test ops.
+
+    Each op names a state by index (modulo the states alive when it
+    runs), so writes and reads land on both sides of every clone.
+    """
+    theta = draw(st.integers(1, 200))
+    pieces = draw(st.integers(1, 4))
+    ids = st.lists(st.integers(0, theta - 1), max_size=24)
+    op = st.tuples(
+        st.sampled_from(["copy", "set", "test"]),
+        st.integers(0, 7),
+        st.integers(0, pieces - 1),
+        ids,
+    )
+    return theta, pieces, draw(st.lists(op, max_size=40))
+
+
+@settings(max_examples=150, deadline=None)
+@given(script=_matrix_scripts())
+def test_matrix_matches_dense_oracle_across_clones(script):
+    """Byte-row ``PieceBitMatrix`` vs a dense ``(theta, l)`` bool oracle
+    under interleaved copy / set_many / test on parents and clones,
+    with duplicate, unsorted and empty id batches."""
+    theta, pieces, ops = script
+    states = [(PieceBitMatrix(pieces, theta), np.zeros((theta, pieces), bool))]
+    for kind, which, piece, ids in ops:
+        matrix, dense = states[which % len(states)]
+        samples = np.asarray(ids, dtype=np.int64)
+        if kind == "copy":
+            states.append((matrix.copy(), dense.copy()))
+        elif kind == "set":
+            matrix.set_many(piece, samples)
+            dense[samples, piece] = True
+        else:
+            np.testing.assert_array_equal(
+                matrix.test(piece, samples), dense[samples, piece]
+            )
+    for matrix, dense in states:
+        np.testing.assert_array_equal(matrix.to_bool(), dense)
+        assert matrix.count_cells() == int(dense.sum())
+
+
+@pytest.mark.parametrize("method", ["tangent", "chord"])
+@pytest.mark.parametrize("pieces", [1, 5, 180, 181, 250])
+def test_flat_gains_lookup_matches_table(method, pieces):
+    """``gains_at`` equals ``gains[b, c]`` on int16 count arrays, also
+    past l = 181, where ``b * (l + 1) + c`` no longer fits in int16."""
+    table = MajorantTable(
+        AdoptionModel.from_ratio(0.3), pieces, method=method
+    )
+    base, count = np.meshgrid(
+        np.arange(pieces + 1), np.arange(pieces + 1), indexing="ij"
+    )
+    keep = base <= count  # a sample's count never drops below its base
+    base = base[keep].astype(np.int16)
+    count = count[keep].astype(np.int16)
+    got = table.gains_at(base, count)
+    np.testing.assert_array_equal(got, table.gains[base, count])
+    assert got.dtype == np.float64
+    # The real gains are ~0 at high counts, where a wrapped index would
+    # also read ~0; distinct entries expose any misplaced read.
+    table.gains[...] = np.arange(table.gains.size).reshape(table.gains.shape)
+    np.testing.assert_array_equal(
+        table.gains_at(base, count), table.gains[base, count]
+    )
 
 
 # ----------------------------------------------------------------------

@@ -24,8 +24,12 @@ from repro.core.local_search import local_search
 from repro.core.problem import OIPAProblem
 from repro.diffusion.adoption import AdoptionModel
 from repro.exceptions import ConfigError, SolverError
+from repro.graph.generators import (
+    build_topic_graph,
+    preferential_attachment_digraph,
+)
 from repro.im.baselines import im_baseline, tim_baseline
-from repro.runtime import Runtime
+from repro.runtime import Runtime, resolve_runtime
 from repro.sampling.mrr import MRRCollection
 from repro.sampling.parallel import keyed_flat_entropy
 
@@ -218,15 +222,52 @@ class TestSessionFlow:
         session.sample(120)
         assert session.mrr.store.kind == "disk"
         session.sample_evaluation(120)
-        # opt and eval collections get per-collection shard subdirs
-        assert (tmp_path / "opt-theta120-seed13").is_dir()
-        assert (tmp_path / "eval-theta120-seed14").is_dir()
+        # opt and eval collections get per-collection shard subdirs,
+        # keyed by role, theta, seed and a digest of the sampled inputs
+        digest = session._inputs_digest(resolve_runtime(rt))
+        assert len(digest) == 10
+        assert (tmp_path / f"opt-theta120-seed13-{digest}").is_dir()
+        assert (tmp_path / f"eval-theta120-seed14-{digest}").is_dir()
         # Regression: re-sampling at a new theta (advertised by
         # solve(theta=...)) must not collide with the earlier shards.
         session.solve("bab-p", theta=240, max_nodes=10)
         assert session.mrr.theta == 240
         # ...and repeating the identical call reloads the finished dir.
         assert session.sample(120).theta == 120
+
+    def test_shard_subdir_keyed_by_model_mix_and_graph(
+        self, small_random_graph, small_campaign, adoption, tmp_path
+    ):
+        # Regression: the subdir used to be keyed by role, theta and
+        # seed only, so the same seeded call with another model mix or
+        # on another graph hit the first run's finished directory and
+        # raised StoreError ("holds a different collection").
+        def sample(graph, **runtime):
+            rt = Runtime(
+                store="disk", shard_dir=str(tmp_path), seed=5, **runtime
+            )
+            session = Session(graph, small_campaign, adoption, k=3, runtime=rt)
+            return session.sample(120)
+
+        ic = sample(small_random_graph)
+        mixed = sample(small_random_graph, model=("ic", "lt", "ic"))
+        src, dst = preferential_attachment_digraph(60, 3, seed=21)
+        other = build_topic_graph(
+            60, src, dst, 4, topics_per_edge=2.0, prob_mean=0.2, seed=22
+        )
+        moved = sample(other)
+        assert len(list(tmp_path.glob("opt-theta120-seed5-*"))) == 3
+        # Each still reloads its own finished directory.
+        for graph, runtime, first in (
+            (small_random_graph, {}, ic),
+            (small_random_graph, {"model": ("ic", "lt", "ic")}, mixed),
+            (other, {}, moved),
+        ):
+            again = sample(graph, **runtime)
+            for j in range(3):
+                np.testing.assert_array_equal(
+                    again.store.rr_arrays(j)[1], first.store.rr_arrays(j)[1]
+                )
 
     def test_unseeded_disk_session_resamples_without_collision(
         self, small_random_graph, small_campaign, adoption, tmp_path
