@@ -100,7 +100,7 @@ def test_small_delta_update_beats_full_resample(world, tmp_path, artifact_dir):
         graph, campaign, k=K, seed=7, runtime=_runtime(tmp_path, "lineage")
     )
     t0 = time.perf_counter()
-    session.sample_incremental(THETA)
+    session.sample(THETA)
     session.solve("celf-mrr")
     t_lineage = time.perf_counter() - t0
 
@@ -117,7 +117,7 @@ def test_small_delta_update_beats_full_resample(world, tmp_path, artifact_dir):
         runtime=_runtime(tmp_path, "cold"),
     )
     t0 = time.perf_counter()
-    cold_mrr = cold.sample_incremental(THETA)
+    cold_mrr = cold.sample(THETA)
     cold_result = cold.solve("celf-mrr")
     t_cold = time.perf_counter() - t0
 

@@ -55,6 +55,7 @@ from repro.exceptions import ConfigError, SolverError
 from repro.graph.digraph import TopicGraph
 from repro.im.baselines import _best_single_piece_plan, im_baseline, tim_baseline
 from repro.im.greedy import celf_greedy_im
+from repro.incremental.update import IncrementalState, update_session
 from repro.pipeline import PipelineTrace
 from repro.runtime import Runtime, as_runtime, resolve_runtime
 from repro.sampling.mrr import MRRCollection, resolve_models
@@ -148,6 +149,11 @@ class SessionResult:
         return self.plan.seed_sets
 
 
+def _private_subdir(role: str, theta: int) -> str:
+    """A shard subdirectory name no other collection ever computes."""
+    return f"{role}-theta{theta}-run{uuid.uuid4().hex[:12]}"
+
+
 class Session:
     """One OIPA pipeline: problem, samples, solvers, evaluation.
 
@@ -225,8 +231,8 @@ class Session:
         self._eval_seed = None  # the draw the eval collection used
         self._trace = PipelineTrace()
         self._mrr_key: ArtifactKey | None = None  # sample-stage artifact
-        #: Incremental-lineage state (set by :meth:`sample_incremental`).
-        self._inc = None
+        #: Incremental-lineage state (set by every :meth:`sample`).
+        self._inc: IncrementalState | None = None
         #: The last celf-mrr run's WarmGains record (warm re-solves).
         self._celf_gains = None
         #: The last solve's normalized method (update's default).
@@ -368,13 +374,11 @@ class Session:
         )
         if rt.shard_dir is None:
             return rt
-        parts = [role, f"theta{theta}"]
-        if isinstance(rt.seed, int):
-            parts.append(f"seed{rt.seed}")
-            parts.append(self._inputs_digest(rt))
-        else:
-            parts.append(f"run{uuid.uuid4().hex[:12]}")
-        return rt.with_shard_subdir("-".join(parts))
+        if not isinstance(rt.seed, int):
+            return rt.with_shard_subdir(_private_subdir(role, theta))
+        return rt.with_shard_subdir(
+            f"{role}-theta{theta}-seed{rt.seed}-{self._inputs_digest(rt)}"
+        )
 
     def _inputs_digest(self, rt) -> str:
         """Short digest of what, besides the seed, fixes a collection."""
@@ -394,8 +398,8 @@ class Session:
     def _generate(self, rt, theta: int, detail: str):
         """Generate one collection under ``rt`` and trace its stages.
 
-        The shared body of :meth:`sample`, :meth:`sample_evaluation`
-        and :meth:`sample_incremental`; returns
+        The shared body of :meth:`sample` and
+        :meth:`sample_evaluation`; returns
         ``MRRCollection.generate_traced``'s ``(collection, events,
         key)``.
         """
@@ -432,9 +436,23 @@ class Session:
         ``seed`` defaults to the session seed — the same value a legacy
         hand-wired ``MRRCollection.generate(..., seed=...)`` call would
         use, which is what keeps facade and legacy paths bit-identical.
+
+        Every call starts a fresh incremental lineage on the new
+        collection (a previous one, and its warm state, is discarded):
+        the stream entropy is pinned, so :meth:`update` can later absorb
+        graph deltas and theta growth — kept shards are reused verbatim,
+        appended and invalidated ones are regenerated bit-identically to
+        a cold generate.
         """
+        if seed is None:
+            seed = self.seed
         rt = self._role_runtime("opt", theta, seed)
-        self._mrr, _events, self._mrr_key = self._generate(rt, theta, "opt")
+        self._mrr, events, self._mrr_key = self._generate(rt, theta, "opt")
+        # an unreproducible draw always runs and reports its entropy
+        entropy = (
+            rt.seed if isinstance(rt.seed, int) else events[0].extra["entropy"]
+        )
+        self._inc = IncrementalState(entropy=int(entropy), seed=seed)
         return self._mrr
 
     def sample_evaluation(self, theta: int, *, seed=None) -> MRRCollection:
@@ -452,18 +470,10 @@ class Session:
         return self._mrr_eval
 
     def sample_incremental(self, theta: int, *, seed=None) -> MRRCollection:
-        """:meth:`sample`, plus an incremental lineage for :meth:`update`.
-
-        Draws exactly the collection :meth:`sample` draws for the same
-        seed, and pins its stream entropy and (piece, block) geometry
-        so the session can absorb graph deltas and theta growth through
-        :meth:`update` — kept shards are reused verbatim, appended and
-        invalidated ones are regenerated bit-identically to a cold
-        generate.
-        """
-        from repro.incremental.update import sample_incremental
-
-        return sample_incremental(self, theta, seed=seed)
+        """Alias of :meth:`sample` for the ``update-stream`` benchmark
+        (``perfbench/wl_update.py``); it goes once that workload calls
+        :meth:`sample`."""
+        return self.sample(theta, seed=seed)
 
     def update(
         self,
@@ -477,17 +487,17 @@ class Session:
     ):
         """Absorb a :class:`~repro.incremental.delta.GraphDelta` and re-solve.
 
-        Requires an incremental collection (:meth:`sample_incremental`).
-        Regenerates only the delta-touched shards (plus any appended by
-        ``theta`` growth), rebuilds the problem on the updated graph,
-        and re-solves warm from the previous run's state.  Returns an
-        :class:`~repro.incremental.update.UpdateResult` whose ``result``
+        Requires a lineage, which every :meth:`sample` (and so every
+        ``solve(theta=...)`` / ``run(theta=...)``) starts.  Regenerates
+        only the delta-touched shards (plus any appended by ``theta``
+        growth), rebuilds the problem on the updated graph, and
+        re-solves warm from the previous run's state — with ``method``,
+        else the session's last solve method, else ``celf-mrr``.  Returns
+        an :class:`~repro.incremental.update.UpdateResult` whose ``result``
         is the usual :class:`SessionResult` and whose ``trace`` is the
         :class:`~repro.incremental.update.IncrementalTrace` accounting
         of what was reused.
         """
-        from repro.incremental.update import update_session
-
         return update_session(
             self,
             delta,

@@ -15,7 +15,8 @@ Production graphs change under traffic; this subsystem makes the
   from the previous run's marginal gains with a tracked staleness
   bound, plus incumbent-primed branch and bound;
 - :meth:`Session.update(delta=...) <repro.api.Session.update>` — the
-  end-to-end surface, returning a ``SessionResult`` plus an
+  end-to-end surface on the lineage every ``Session.sample`` starts,
+  returning a ``SessionResult`` plus an
   :class:`IncrementalTrace` of shards kept/invalidated/appended and
   pipeline stages skipped.
 
@@ -32,7 +33,6 @@ from repro.incremental.delta import (
 from repro.incremental.update import (
     IncrementalTrace,
     UpdateResult,
-    sample_incremental,
     update_session,
 )
 
@@ -43,6 +43,5 @@ __all__ = [
     "UpdateResult",
     "apply_delta",
     "piece_dirty_heads",
-    "sample_incremental",
     "update_session",
 ]

@@ -1,8 +1,7 @@
 """Delta-aware resampling and warm re-solve: the update engine.
 
-``sample_incremental`` generates a session's optimisation collection
-(the one coordinate-keyed stream of :mod:`repro.sampling.parallel`,
-exactly as ``Session.sample`` draws it) and pins an
+Every ``Session.sample`` draws the optimisation collection on the one
+coordinate-keyed stream of :mod:`repro.sampling.parallel` and pins an
 :class:`IncrementalState` on the session; ``update_session`` then
 carries the whole pipeline across a :class:`GraphDelta`:
 
@@ -29,14 +28,16 @@ shard directory is never mutated — kept shards are hard-linked into a
 staging directory, the holes are filled there, and the result commits
 under the *new* graph's content address (sound precisely because of
 the kept-shard ≡ cold contract), so later cold opens of the updated
-graph hit the cache.
+graph hit the cache.  Otherwise the update is in place, and a lineage
+still at its ``sample`` directory name under a configured shard root
+first moves to a private name: post-delta shards must never sit where
+a cold ``sample`` of the original inputs would reopen them.
 """
 
 from __future__ import annotations
 
 import os
 import time
-import uuid
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +46,7 @@ from repro.artifacts import piece_graphs_digest
 from repro.exceptions import SolverError
 from repro.incremental.delta import GraphDelta, apply_delta, piece_dirty_heads
 from repro.incremental.warm import WarmGains, staleness_bound
+from repro.runtime import resolve_runtime
 from repro.sampling.mrr import (
     MRRCollection,
     generate_keyed,
@@ -59,31 +61,27 @@ __all__ = [
     "IncrementalState",
     "IncrementalTrace",
     "UpdateResult",
-    "sample_incremental",
     "update_session",
 ]
 
 
 @dataclass
 class IncrementalState:
-    """The session-pinned identity of an incremental sampling lineage."""
+    """What a lineage pins beyond its collection.
+
+    The rest is read off the session: block size and theta from
+    ``session.mrr``, artifact hosting from the sample key
+    (:func:`_hosted`), and the default re-solve method from the
+    session's last solve.
+    """
 
     #: Root entropy of the coordinate-keyed streams.
     entropy: int
-    #: Block size pinned at first generation; every append reuses it.
-    block_size: int
-    #: Current theta of the lineage.
-    theta: int
     #: The seed the lineage was sampled under — updates must resolve
     #: their runtime with the same seed or the artifact keys drift.
     seed: object = None
-    #: Whether the live shard directory is artifact-owned (read-only;
-    #: updates go copy-on-write).
-    hosted: bool = False
     #: Previous solve's marginal-gain record (celf-mrr warm start).
     warm: WarmGains | None = None
-    #: Method of the previous solve on this lineage.
-    warm_method: str | None = None
     #: Previous solve's plan (local-search start / BAB incumbent).
     plan: object | None = None
     #: Accumulated staleness bound since the warm record was written.
@@ -139,21 +137,30 @@ class UpdateResult:
         return self.result.seed_sets
 
 
-def _lineage_runtime(session, seed):
-    """The session runtime with a per-lineage shard subdirectory.
+def _leave_sample_name(session, seed) -> None:
+    """Move a lineage still at its ``sample`` directory to a private one.
 
-    Keyed by the seed, *not* theta — unlike the per-collection role
-    runtimes, an incremental lineage keeps one directory across theta
-    growth and deltas.
+    ``Session.sample`` names an integer-seeded collection's directory
+    under a configured shard root after its inputs, so a repeated cold
+    ``sample`` reloads it; after an in-place update that directory
+    would hold post-delta shards under the pre-delta name.  One
+    ``os.rename`` moves it (the store keeps its RAM state and open
+    handles; only ``shard_dir`` changes).  Artifact-hosted, in-RAM,
+    private-temp and already-moved lineages stay where they are.
     """
-    from repro.runtime import resolve_runtime
+    from repro.api import _private_subdir
 
-    rt = resolve_runtime(session.runtime, seed=seed)
-    part = (
-        f"inc-ent{rt.seed}" if isinstance(rt.seed, int)
-        else f"inc-run{uuid.uuid4().hex[:12]}"
+    store = session.mrr.store
+    if not isinstance(store, ShardStore):
+        return
+    theta = store.theta
+    if store.shard_dir != session._role_runtime("opt", theta, seed).shard_dir:
+        return
+    private = os.path.join(
+        os.path.dirname(store.shard_dir), _private_subdir("opt", theta)
     )
-    return rt.with_shard_subdir(part)
+    os.rename(store.shard_dir, private)
+    store.shard_dir = private
 
 
 def _hosted(collection, key) -> bool:
@@ -192,35 +199,6 @@ def _clone_shard_dir(src: str, dst: str) -> None:
             shutil.copy2(path, target)
 
 
-def sample_incremental(session, theta: int, *, seed=None) -> MRRCollection:
-    """Generate the optimisation collection and start a lineage.
-
-    The same draw as ``Session.sample`` for the same seed — every
-    collection is coordinate-keyed — plus an :class:`IncrementalState`
-    pinning the lineage's entropy and block size, so the session can
-    later absorb graph deltas and theta growth through
-    ``Session.update`` instead of resampling from scratch.  Starts a
-    fresh lineage — a previous one (and its warm state) is discarded.
-    """
-    seed = seed if seed is not None else session.seed
-    rt = _lineage_runtime(session, seed)
-    collection, events, key = session._generate(rt, theta, "opt")
-    if isinstance(rt.seed, int):
-        entropy = rt.seed
-    else:  # an unreproducible draw always runs and reports its entropy
-        entropy = events[0].extra["entropy"]
-    session._mrr = collection
-    session._mrr_key = key
-    session._inc = IncrementalState(
-        entropy=int(entropy),
-        block_size=collection.store.block_size,
-        theta=collection.theta,
-        seed=seed,
-        hosted=_hosted(collection, key),
-    )
-    return collection
-
-
 #: Warm-start option injection per solver method: how a previous
 #: lineage state primes the re-solve.
 _WARM_OPTION = {
@@ -250,19 +228,22 @@ def update_session(
     the :class:`IncrementalTrace` accounting of what was reused.
 
     ``theta`` may grow the collection (never shrink it); ``method``
-    defaults to the lineage's previous solve method, then the session's
-    last solve, then ``celf-mrr``.  ``evaluate=True`` scores the plan
-    on a fresh independent collection of the *new* graph.
+    defaults to the session's last solve method, then ``celf-mrr``.
+    ``evaluate=True`` scores the plan on a fresh independent collection
+    of the *new* graph.
     """
-    state: IncrementalState | None = getattr(session, "_inc", None)
+    state: IncrementalState | None = session._inc
     if state is None:
         raise SolverError(
-            "no incremental lineage — call session.sample_incremental("
-            "theta) before session.update(delta=...)"
+            "no incremental lineage — call session.sample(theta) (or "
+            "solve/run with theta=) before session.update(delta=...)"
         )
     if not isinstance(delta, GraphDelta):
         delta = GraphDelta.from_payload(delta)
-    theta_old = state.theta
+    store = session.mrr.store
+    block_size = store.block_size
+    hosted = _hosted(session.mrr, session._mrr_key)
+    theta_old = session.mrr.theta
     theta_new = int(theta) if theta is not None else theta_old
     if theta_new < theta_old:
         raise SolverError(
@@ -281,8 +262,9 @@ def update_session(
         np.unique(np.concatenate([d for d in dirty] or [np.zeros(0, np.int64)])).size
     )
     new_graph = apply_delta(old_graph, delta)
+    # before the graph swap changes the inputs digest of the name
+    _leave_sample_name(session, state.seed)
 
-    store = session.mrr.store
     old_blocks = store.num_blocks
     pairs = set()
     for j in range(num_pieces):
@@ -302,13 +284,13 @@ def update_session(
     session._mrr_eval = None  # sampled on the old graph
     session._eval_seed = None
 
-    rt = _lineage_runtime(session, state.seed)
+    rt = resolve_runtime(session.runtime, seed=state.seed)
     piece_graphs = session.piece_graphs  # re-projected on the new graph
     models = resolve_models(rt.model, num_pieces)
     new_fp = new_graph.fingerprint()
     pieces_fp = piece_graphs_digest(piece_graphs)
-    roots = keyed_roots(state.entropy, new_graph.n, theta_new, state.block_size)
-    num_blocks_new = -(-theta_new // state.block_size)
+    roots = keyed_roots(state.entropy, new_graph.n, theta_new, block_size)
+    num_blocks_new = -(-theta_new // block_size)
     total_new = num_pieces * num_blocks_new
     appended = num_pieces * (num_blocks_new - old_blocks)
 
@@ -319,17 +301,17 @@ def update_session(
     # Nothing dropped or resampled unless the fill below runs.
     kept, resampled, invalidated = total_new, 0, 0
     try:
-        if state.hosted:
+        if hosted:
             # The live directory is artifact-owned: never mutate it.
             if art_store is None or not art_store.hosts_directories:
                 raise SolverError(
                     "the incremental collection is artifact-hosted but "
                     "the session runtime no longer has a directory-"
                     "hosting artifact store — resample with "
-                    "sample_incremental() before updating"
+                    "sample() before updating"
                 )
             key = sample_key(
-                rt, new_fp, campaign, theta_new, pieces_fp, state.block_size
+                rt, new_fp, campaign, theta_new, pieces_fp, block_size
             )
             hit = art_store.get(key)
             if hit is not None:
@@ -349,7 +331,7 @@ def update_session(
                     staged, max_resident_bytes=rt.max_resident_bytes
                 )
                 work.begin(
-                    new_graph.n, num_pieces, theta_old, state.block_size,
+                    new_graph.n, num_pieces, theta_old, block_size,
                     fingerprint=old_fingerprint,
                 )
                 store = work
@@ -380,11 +362,11 @@ def update_session(
                 workers=rt.pool_width or 1,
                 executor=rt.executor,
                 store=store,
-                block_size=state.block_size,
+                block_size=block_size,
                 graph_fingerprint=new_fp,
                 pieces_fingerprint=pieces_fp,
             )
-            if state.hosted:
+            if hosted:
                 publish_collection(art_store, key, collection)
             from repro.pipeline import TraceEvent
 
@@ -408,24 +390,20 @@ def update_session(
     session._record_events(events, "opt", time.perf_counter() - start)
     session._mrr = collection
     session._mrr_key = key
-    state.hosted = _hosted(collection, key)
 
     # -- staleness accounting ------------------------------------------
     changed_rows = 0
     for j, b in pairs:
-        lo = b * state.block_size
-        changed_rows += max(0, min(lo + state.block_size, theta_old) - lo)
+        lo = b * block_size
+        changed_rows += max(0, min(lo + block_size, theta_old) - lo)
     bound = staleness_bound(
         new_graph.n, theta_old, theta_new,
         changed_rows, theta_new - theta_old,
     )
-    state.theta = theta_new
     state.staleness += bound
 
     # -- warm re-solve --------------------------------------------------
-    chosen = method or state.warm_method or getattr(
-        session, "_last_solve", None
-    ) or "celf-mrr"
+    chosen = method or session._last_solve or "celf-mrr"
     warm_slot = _WARM_OPTION.get(chosen)
     if warm_slot == "warm" and state.warm is not None:
         options.setdefault("warm", state.warm)
@@ -442,7 +420,6 @@ def update_session(
     if chosen == "celf-mrr" and record is not None:
         state.warm = record
         state.staleness = 0.0  # the record is fresh on this collection
-    state.warm_method = chosen
     state.plan = result.plan
 
     trace = IncrementalTrace(

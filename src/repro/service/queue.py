@@ -97,6 +97,12 @@ def execute_spec(spec: JobSpec, *, runtime=None) -> tuple[dict, list]:
             evaluate=False,
             **spec.options,
         )
+    return _job_payload(session, result)
+
+
+def _job_payload(session: Session, result, **extra) -> tuple[dict, list]:
+    """The ``(result_payload, trace_payload)`` JSON of one finished job;
+    ``extra`` keys are appended to the result payload."""
     payload = {
         "method": result.method,
         "seed_sets": [sorted(int(v) for v in s) for s in result.seed_sets],
@@ -105,6 +111,7 @@ def execute_spec(spec: JobSpec, *, runtime=None) -> tuple[dict, list]:
             None if result.evaluation is None else float(result.evaluation)
         ),
         "diagnostics": _jsonable(result.diagnostics),
+        **extra,
     }
     trace = [
         {
@@ -123,16 +130,16 @@ def _execute_update(session: Session, spec: JobSpec) -> tuple[dict, list]:
     """The incremental execution path of a ``delta``-carrying spec.
 
     Self-contained rather than stateful: the worker replays the base
-    campaign as an incremental lineage (the same draw as the base job,
-    so every completed stage is a cache hit when an artifact store is
-    shared), then absorbs the composed delta
+    campaign's ``sample`` (which starts the lineage; the same draw as
+    the base job, so every completed stage is a cache hit when an
+    artifact store is shared), then absorbs the composed delta
     through :meth:`~repro.api.Session.update` — regenerating only the
     delta-touched shards and re-solving warm.  The result payload gains
     an ``"incremental"`` block with the update's reuse accounting.
     """
     from repro.incremental.delta import GraphDelta
 
-    session.sample_incremental(spec.theta)
+    session.sample(spec.theta)
     session.solve(spec.method, evaluate=False, **spec.options)
     update = session.update(
         GraphDelta.from_payload(spec.delta),
@@ -141,16 +148,10 @@ def _execute_update(session: Session, spec: JobSpec) -> tuple[dict, list]:
         eval_theta=spec.eval_theta,
         **spec.options,
     )
-    result = update.result
-    payload = {
-        "method": result.method,
-        "seed_sets": [sorted(int(v) for v in s) for s in result.seed_sets],
-        "estimate": float(result.estimate),
-        "evaluation": (
-            None if result.evaluation is None else float(result.evaluation)
-        ),
-        "diagnostics": _jsonable(result.diagnostics),
-        "incremental": {
+    return _job_payload(
+        session,
+        update.result,
+        incremental={
             "theta_old": update.trace.theta_old,
             "theta_new": update.trace.theta_new,
             "shards_total": update.trace.shards_total,
@@ -161,18 +162,7 @@ def _execute_update(session: Session, spec: JobSpec) -> tuple[dict, list]:
             "dirty_vertices": update.trace.dirty_vertices,
             "staleness": update.trace.staleness,
         },
-    }
-    trace = [
-        {
-            "stage": e.stage,
-            "action": e.action,
-            "detail": e.detail,
-            "seconds": e.seconds,
-            "extra": _jsonable(e.extra),
-        }
-        for e in session.stage_trace
-    ]
-    return payload, trace
+    )
 
 
 class JobQueue:

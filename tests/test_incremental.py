@@ -3,7 +3,7 @@
 The three contracts this suite pins:
 
 1. **Append = cold.** Growing theta through ``Session.update`` appends
-   keyed shards bit-identical to a cold ``sample_incremental`` at the
+   keyed shards bit-identical to a cold ``Session.sample`` at the
    larger theta — across memory/disk stores and worker counts.
 2. **Update = cold on the new graph.** After a delta, the updated
    collection (kept shards + regenerated holes) is bit-identical to a
@@ -39,6 +39,7 @@ from repro.incremental import (
     apply_delta,
     piece_dirty_heads,
 )
+from repro.incremental.update import _hosted
 from repro.incremental.warm import (
     WarmGains,
     celf_assign,
@@ -238,14 +239,14 @@ class TestThetaAppend:
         grown = make_session(
             small_random_graph, small_campaign, runtime=runtime("grow")
         )
-        grown.sample_incremental(500)
+        grown.sample(500)
         grown.solve("celf-mrr")
         update = grown.update(GraphDelta(()), theta=900)
 
         cold = make_session(
             small_random_graph, small_campaign, runtime=runtime("cold")
         )
-        cold_mrr = cold.sample_incremental(900)
+        cold_mrr = cold.sample(900)
 
         assert collection_digest(grown.mrr) == collection_digest(cold_mrr)
         assert update.trace.theta_new == 900
@@ -260,7 +261,7 @@ class TestThetaAppend:
         self, small_random_graph, small_campaign
     ):
         session = make_session(small_random_graph, small_campaign)
-        session.sample_incremental(512)  # exact multiple of block 256
+        session.sample(512)  # exact multiple of block 256
         old_blocks = session.mrr.store.num_blocks
         pieces = session.num_pieces
         update = session.update(GraphDelta(()), theta=1024)
@@ -275,17 +276,18 @@ class TestThetaAppend:
     ):
         runtime = Runtime(store="disk", shard_dir=str(tmp_path / "shards"))
         session = make_session(small_random_graph, small_campaign, runtime=runtime)
-        session.sample_incremental(500)
-        path = os.path.join(session.mrr.store.shard_dir, "roots.npy")
+        session.sample(500)
 
         def file_stamp():
-            st = os.stat(path)
+            # the first update moves the directory off its sample name;
+            # a rename keeps the file's inode and mtime
+            st = os.stat(os.path.join(session.mrr.store.shard_dir, "roots.npy"))
             return st.st_ino, st.st_mtime_ns
 
         def keyed(theta):
-            state = session._inc
             return keyed_roots(
-                state.entropy, session.graph.n, theta, state.block_size
+                session._inc.entropy, session.graph.n, theta,
+                session.mrr.store.block_size,
             )
 
         before = file_stamp()
@@ -358,7 +360,7 @@ class TestDeltaInvalidation:
             store="disk", shard_dir=str(tmp_path / "shards"), workers=2
         )
         session = make_session(graph, campaign, runtime=runtime)
-        session.sample_incremental(1024)
+        session.sample(1024)
         return session
 
     def test_update_regenerates_exactly_touched_shards(self, big_session):
@@ -369,9 +371,10 @@ class TestDeltaInvalidation:
         total = session.num_pieces * session.mrr.store.num_blocks
         assert len(expected) < total, "pick a rarer head for a real test"
 
-        shard_dir = session.mrr.store.shard_dir
-
         def shard_mtimes():
+            # read where the store lives now: the update moves the
+            # directory off its sample name (a rename keeps mtimes)
+            shard_dir = session.mrr.store.shard_dir
             return {
                 name: os.stat(os.path.join(shard_dir, name)).st_mtime_ns
                 for name in os.listdir(shard_dir)
@@ -399,19 +402,79 @@ class TestDeltaInvalidation:
         # and the result equals a cold keyed generate on the new graph
         # (session.graph is already the post-delta graph after update)
         cold = make_session(session.graph, session.campaign)
-        cold_mrr = cold.sample_incremental(1024)
+        cold_mrr = cold.sample(1024)
         assert collection_digest(session.mrr) == collection_digest(cold_mrr)
         cold_result = cold.solve("celf-mrr")
         assert update.plan == cold_result.plan
 
     def test_update_requires_a_lineage(self, session):
-        with pytest.raises(SolverError, match="sample_incremental"):
+        # no sample yet: the error names the call that starts a lineage
+        with pytest.raises(SolverError, match=r"session\.sample\(theta\)"):
             session.update(GraphDelta(()))
 
     def test_update_cannot_shrink_theta(self, session):
-        session.sample_incremental(400)
+        session.sample(400)
         with pytest.raises(SolverError, match="shrink"):
             session.update(GraphDelta(()), theta=300)
+
+
+# -- lineage start and directory -------------------------------------------
+
+
+class TestLineageStart:
+    """Every ``sample`` starts a lineage; an in-place update first moves
+    a named shard directory off its ``sample`` name."""
+
+    def test_update_after_solve_with_theta(
+        self, session, small_random_graph, small_campaign
+    ):
+        session.solve("celf-mrr", theta=400)
+        update = session.update(GraphDelta(()))
+        cold = make_session(small_random_graph, small_campaign).sample(400)
+        assert collection_digest(session.mrr) == collection_digest(cold)
+        assert update.trace.shards_resampled == 0
+        assert update.result.method == "celf-mrr"
+
+    def test_rerun_into_one_shard_root(
+        self, small_random_graph, small_campaign, tmp_path
+    ):
+        runtime = Runtime(store="disk", shard_dir=str(tmp_path / "shards"))
+        delta = GraphDelta((EdgeOp("add", 57, 58, topics={0: 0.3}),))
+        digests = []
+        for _ in range(2):  # the same script, run twice into one root
+            session = make_session(
+                small_random_graph, small_campaign, runtime=runtime
+            )
+            session.sample(512)
+            assert session.stage_trace.actions("sample") == ["run"]
+            named = session.mrr.store.shard_dir
+            session.solve("celf-mrr")
+            session.update(delta)
+            moved = session.mrr.store.shard_dir
+            assert moved != named and not os.path.exists(named)
+            assert os.path.dirname(moved) == os.path.dirname(named)
+            session.update(GraphDelta(()), theta=900)
+            assert session.mrr.store.shard_dir == moved  # moved once only
+            digests.append(collection_digest(session.mrr))
+        assert digests[0] == digests[1]
+
+    def test_model_mix_never_reopens_another_lineage(
+        self, small_random_graph, small_campaign, tmp_path
+    ):
+        root = str(tmp_path / "shards")
+        dirs = []
+        for model in ("ic", ("ic", "lt", "ic")):
+            session = Session(
+                small_random_graph, small_campaign, k=3,
+                runtime=Runtime(
+                    store="disk", shard_dir=root, model=model, seed=5
+                ),
+            )
+            session.sample(120)
+            assert session.stage_trace.actions("sample") == ["run"]
+            dirs.append(session.mrr.store.shard_dir)
+            session.update(GraphDelta(()))
+        assert dirs[0] != dirs[1]
 
 
 # -- artifact-hosted updates (copy-on-write) -------------------------------
@@ -425,8 +488,8 @@ class TestHostedUpdate:
         session = make_session(
             small_random_graph, small_campaign, runtime=runtime
         )
-        session.sample_incremental(500)
-        assert session._inc.hosted
+        session.sample(500)
+        assert _hosted(session.mrr, session._mrr_key)
         old_dir = session.mrr.store.shard_dir
 
         delta = GraphDelta((EdgeOp("add", 57, 58, topics={0: 0.3}),))
@@ -447,7 +510,7 @@ class TestHostedUpdate:
             small_campaign,
             runtime=runtime,
         )
-        mrr = fresh.sample_incremental(800)
+        mrr = fresh.sample(800)
         assert fresh.stage_trace.actions("sample") == ["hit"]
         assert collection_digest(mrr) == collection_digest(session.mrr)
 
@@ -460,7 +523,7 @@ class TestWarmSolve:
         assert "celf-mrr" in available_solvers()
 
     def test_warm_celf_selects_the_cold_plan(self, session):
-        session.sample_incremental(600)
+        session.sample(600)
         cold_plan, record, cold_diag = celf_assign(
             session.problem, session.mrr
         )
@@ -474,7 +537,7 @@ class TestWarmSolve:
         assert warm_diag["evaluations"] <= cold_diag["evaluations"]
 
     def test_warm_gains_validate_shapes(self, session):
-        session.sample_incremental(400)
+        session.sample(400)
         pool = session.problem.pool
         with pytest.raises(SolverError, match="shape"):
             WarmGains(pool, np.zeros((2, pool.size + 1)))
@@ -494,7 +557,7 @@ class TestWarmSolve:
             staleness_bound(100, 10, 5, 0, 0)
 
     def test_update_reuses_the_previous_method(self, session):
-        session.sample_incremental(400)
+        session.sample(400)
         session.solve("local-search")
         update = session.update(GraphDelta(()))
         assert update.result.method == "local-search"

@@ -1,10 +1,11 @@
 """One sampling stream: every MRR collection draws coordinate-keyed.
 
 For a given integer seed, every entry point — ``MRRCollection.generate``,
-``Session.sample`` and ``Session.sample_incremental`` — draws the same
-roots and RR sets on every store, worker count and executor.  A
-``Generator`` seed contributes exactly one integer, and bad seeds fail
-at the runtime boundary with :class:`ConfigError`.
+``Session.sample`` and the lineage it starts, carried through an empty
+``Session.update`` — draws the same roots and RR sets on every store,
+worker count and executor.  A ``Generator`` seed contributes exactly
+one integer, and bad seeds fail at the runtime boundary with
+:class:`ConfigError`.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import pytest
 
 from repro.api import Session
 from repro.exceptions import ConfigError
+from repro.incremental import GraphDelta
 from repro.runtime import Runtime
 from repro.sampling.mrr import MRRCollection
 from repro.sampling.store import MemoryStore
@@ -69,16 +71,18 @@ def test_every_entry_point_draws_one_stream(
     )
     sampled = session.sample(THETA)
     assert collection_digest(sampled) == reference
-    lineage = session.sample_incremental(THETA)
+    assert session._inc.entropy == SEED
+    session.update(GraphDelta(()))
+    lineage = session.mrr
     assert collection_digest(lineage) == reference
     assert generated.store.kind == sampled.store.kind == lineage.store.kind
     assert collection_digest(generated) == reference
 
 
 def test_keyed_lineage_bytes_are_pinned(small_random_graph, small_campaign):
-    """A ``sample_incremental`` lineage keeps the bytes it had before
-    every collection moved onto its stream (digests recorded from the
-    incremental tier prior to the unification)."""
+    """A lineage keeps the bytes it had before every collection moved
+    onto its stream (digests recorded from the incremental tier prior to
+    the unification)."""
     pinned = {
         "batch": "ad2672a06bdfc9dfa78b95487fa0efb3"
         "9b0886b93c5ef61fc694155698af2513",
@@ -90,7 +94,6 @@ def test_keyed_lineage_bytes_are_pinned(small_random_graph, small_campaign):
             small_random_graph, small_campaign, k=4, seed=SEED,
             runtime=Runtime(backend=backend, artifacts="off"),
         )
-        assert collection_digest(session.sample_incremental(THETA)) == digest
         assert collection_digest(session.sample(THETA)) == digest
 
 
@@ -115,7 +118,7 @@ def test_generator_seed_consumes_exactly_one_integer(
         small_random_graph, small_campaign, k=3,
         runtime=Runtime(artifacts="off"),
     )
-    lineage = session.sample_incremental(THETA, seed=np.random.default_rng(5))
+    lineage = session.sample(THETA, seed=np.random.default_rng(5))
     assert session._inc.entropy == entropy
     assert collection_digest(lineage) == collection_digest(keyed)
 
@@ -142,7 +145,7 @@ def test_bad_seeds_fail_at_the_boundary(
         )
     session = Session(small_random_graph, small_campaign, k=3)
     with pytest.raises(ConfigError, match="seed"):
-        session.sample_incremental(100, seed=seed)
+        session.sample(100, seed=seed)
     with pytest.raises(ConfigError, match="seed"):
         MRRCollection.generate(
             small_random_graph, small_campaign, 100,
@@ -161,7 +164,7 @@ def test_cached_arrays_hit_keeps_block_geometry(
     cold.sample(THETA)
     warm = Session(small_random_graph, small_campaign, k=3, seed=SEED,
                    runtime=runtime)
-    warm.sample_incremental(THETA)
+    warm.sample(THETA)
     assert warm.stage_trace.actions("sample") == ["hit"]
     store = warm.mrr.store
     assert isinstance(store, MemoryStore)
