@@ -1,6 +1,7 @@
-"""Benchmarks of the batched sampling engine vs the reference backend.
+"""Benchmarks of the batched sampling engine vs the reference loops.
 
-Times ``sample_many`` under both backends (IC *and* LT) across graph
+Times ``sample_many`` of the batch engines against the per-vertex
+oracle of :mod:`repro.sampling.reference` (IC *and* LT) across graph
 sizes, full MRR-collection construction across piece counts, and the
 vectorized coverage marginal-gain kernel against its per-candidate loop
 reference, so every batch-engine speedup is recorded in the perf
@@ -14,8 +15,8 @@ size (n=2000, the :mod:`bench_micro_kernels` world):
   on per-piece byte rows) >= 5x over the dense bool baseline the seed
   shipped (the BAB branching micro-benchmark);
 * greedy max-coverage seed sets identical across selection paths on
-  every collection, and across sampling backends in the
-  stream-preserving (single-root-block) configuration.
+  every collection, and between the batch engine and the reference
+  loop in the stream-preserving (single-root-block) configuration.
 
 The speedup tables also record the (adaptive) block size each batch
 sampler chose, so block-heuristic changes show up in the artifacts.
@@ -34,19 +35,16 @@ import pytest
 from conftest import write_artifact
 from repro.core.coverage import CoverageState, coverage_gains
 from repro.diffusion.projection import project_campaign
-from repro.diffusion.threshold import (
-    LinearThresholdSampler,
-    normalize_lt_weights,
-)
+from repro.diffusion.threshold import normalize_lt_weights
 from repro.graph.generators import (
     build_topic_graph,
     preferential_attachment_digraph,
 )
 from repro.im.ris import max_coverage_seeds
-from repro.sampling.batch import BatchLTSampler, BatchRRSampler
+from repro.sampling import reference
+from repro.sampling.batch import BACKENDS, BatchLTSampler, BatchRRSampler
 from repro.runtime import Runtime
 from repro.sampling.mrr import MRRCollection
-from repro.sampling.rr import ReverseReachableSampler
 from repro.topics.distributions import Campaign
 from repro.utils.rng import as_generator
 from repro.utils.tables import format_table
@@ -74,18 +72,35 @@ def worlds():
     return built
 
 
+def _ic_engines(pg):
+    """The reference reverse BFS and the batch engine, as
+    ``sample_many(roots, rng)`` callables."""
+    return {
+        "reference": lambda roots, rng: reference.ic_rr_sets(pg, roots, rng),
+        "batch": BatchRRSampler(pg).sample_many,
+    }
+
+
+def _lt_engines(pg):
+    """The reference weighted walk and the batch LT engine."""
+    return {
+        "reference": lambda roots, rng: reference.lt_rr_sets(pg, roots, rng),
+        "batch": BatchLTSampler(pg).sample_many,
+    }
+
+
 @pytest.mark.parametrize("n", SIZES)
-@pytest.mark.parametrize("backend", ["python", "batch"])
-def test_sample_many_backend(benchmark, worlds, n, backend):
+@pytest.mark.parametrize("engine", ["reference", "batch"])
+def test_sample_many_backend(benchmark, worlds, n, engine):
     _, _, piece_graphs, roots = worlds[n]
-    sampler = ReverseReachableSampler(piece_graphs[0], backend=backend)
+    sample_many = _ic_engines(piece_graphs[0])[engine]
     rng = as_generator(7)
-    ptr, _ = benchmark(sampler.sample_many, roots, rng)
+    ptr, _ = benchmark(sample_many, roots, rng)
     assert ptr[-1] >= roots.size  # every RR set holds at least its root
 
 
 @pytest.mark.parametrize("pieces", PIECE_COUNTS)
-@pytest.mark.parametrize("backend", ["python", "batch"])
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_mrr_generate_backend(benchmark, worlds, pieces, backend):
     graph, campaign, piece_graphs, _ = worlds[LARGEST]
     sub_campaign = Campaign(list(campaign)[:pieces])
@@ -101,12 +116,12 @@ def test_mrr_generate_backend(benchmark, worlds, pieces, backend):
     assert mrr.theta == THETA
 
 
-def _best_time(sampler, roots, repeats=5) -> float:
+def _best_time(sample_many, roots, repeats=5) -> float:
     best = float("inf")
     for _ in range(repeats):
         rng = as_generator(7)
         start = time.perf_counter()
-        sampler.sample_many(roots, rng)
+        sample_many(roots, rng)
         best = min(best, time.perf_counter() - start)
     return best
 
@@ -118,12 +133,16 @@ def test_batch_speedup_target(worlds, artifact_dir, kernel_bench):
     for n in SIZES:
         _, _, piece_graphs, roots = worlds[n]
         pg = piece_graphs[0]
-        python_s = _best_time(ReverseReachableSampler(pg, backend="python"), roots)
+        reference_s = _best_time(
+            lambda roots, rng: reference.ic_rr_sets(pg, roots, rng), roots
+        )
         engine = BatchRRSampler(pg)
-        batch_s = _best_time(engine, roots)
-        speedups[n] = python_s / batch_s
+        batch_s = _best_time(engine.sample_many, roots)
+        speedups[n] = reference_s / batch_s
         if n == LARGEST:
-            kernel_bench("rr_sample_many", "python", python_s, theta=THETA, n=n)
+            kernel_bench(
+                "rr_sample_many", "reference", reference_s, theta=THETA, n=n
+            )
             kernel_bench(
                 "rr_sample_many", "batch", batch_s,
                 speedup=speedups[n], theta=THETA, n=n,
@@ -133,13 +152,13 @@ def test_batch_speedup_target(worlds, artifact_dir, kernel_bench):
                 n,
                 pg.num_edges,
                 engine.block_size,  # the adaptive choice for this batch
-                python_s * 1e3,
+                reference_s * 1e3,
                 batch_s * 1e3,
                 speedups[n],
             ]
         )
     text = format_table(
-        ["n", "edges", "block", "python (ms)", "batch (ms)", "speedup"],
+        ["n", "edges", "block", "reference (ms)", "batch (ms)", "speedup"],
         rows,
         title=f"sample_many backends, theta={THETA} roots",
     )
@@ -159,12 +178,12 @@ def lt_worlds(worlds):
 
 
 @pytest.mark.parametrize("n", SIZES)
-@pytest.mark.parametrize("backend", ["python", "batch"])
-def test_lt_sample_many_backend(benchmark, worlds, lt_worlds, n, backend):
+@pytest.mark.parametrize("engine", ["reference", "batch"])
+def test_lt_sample_many_backend(benchmark, worlds, lt_worlds, n, engine):
     _, _, _, roots = worlds[n]
-    sampler = LinearThresholdSampler(lt_worlds[n], backend=backend)
+    sample_many = _lt_engines(lt_worlds[n])[engine]
     rng = as_generator(7)
-    ptr, _ = benchmark(sampler.sample_many, roots, rng)
+    ptr, _ = benchmark(sample_many, roots, rng)
     assert ptr[-1] >= roots.size  # every walk holds at least its root
 
 
@@ -175,14 +194,16 @@ def test_lt_batch_speedup_target(worlds, lt_worlds, artifact_dir, kernel_bench):
     for n in SIZES:
         _, _, _, roots = worlds[n]
         pg = lt_worlds[n]
-        python_s = _best_time(
-            LinearThresholdSampler(pg, backend="python"), roots
+        reference_s = _best_time(
+            lambda roots, rng: reference.lt_rr_sets(pg, roots, rng), roots
         )
         engine = BatchLTSampler(pg)
-        batch_s = _best_time(engine, roots)
-        speedups[n] = python_s / batch_s
+        batch_s = _best_time(engine.sample_many, roots)
+        speedups[n] = reference_s / batch_s
         if n == LARGEST:
-            kernel_bench("lt_sample_many", "python", python_s, theta=THETA, n=n)
+            kernel_bench(
+                "lt_sample_many", "reference", reference_s, theta=THETA, n=n
+            )
             kernel_bench(
                 "lt_sample_many", "batch", batch_s,
                 speedup=speedups[n], theta=THETA, n=n,
@@ -192,13 +213,13 @@ def test_lt_batch_speedup_target(worlds, lt_worlds, artifact_dir, kernel_bench):
                 n,
                 pg.num_edges,
                 engine.block_size,  # the adaptive choice for this batch
-                python_s * 1e3,
+                reference_s * 1e3,
                 batch_s * 1e3,
                 speedups[n],
             ]
         )
     text = format_table(
-        ["n", "edges", "block", "python (ms)", "batch (ms)", "speedup"],
+        ["n", "edges", "block", "reference (ms)", "batch (ms)", "speedup"],
         rows,
         title=f"LT sample_many backends, theta={THETA} walks",
     )
@@ -547,47 +568,51 @@ def test_store_peak_rss_bounded(artifact_dir, tmp_path_factory):
 
 
 def test_greedy_seed_sets_identical_across_backends(worlds, lt_worlds):
-    """Pinned instances: identical greedy seed sets across sampling
-    backends in the stream-preserving configuration, and across
-    selection paths on every collection.
+    """Pinned instances: identical greedy seed sets between the batch
+    engine and the reference loop in the stream-preserving
+    configuration, and across selection paths on every collection.
 
     Multi-root batch blocks interleave the roots' rng draws, so their
-    sample *realisations* legitimately differ from the python loop's
-    (they agree in distribution only).  Cross-backend seed identity is
-    therefore asserted where the engines are bit-for-bit equal — a
-    ``block_size=1`` batch engine against the python reference — for
-    both IC and LT; lazy-vs-dense selection identity is asserted on
-    the default multi-root collections as well.
+    sample *realisations* legitimately differ from the reference loop's
+    (they agree in distribution only).  Engine-vs-reference seed
+    identity is therefore asserted where the two are bit-for-bit equal
+    — a ``block_size=1`` batch engine against the reference — for both
+    IC and LT; lazy-vs-dense selection identity is asserted on the
+    default multi-root collections as well.
     """
-    from repro.diffusion.threshold import LinearThresholdSampler
-    from repro.sampling.batch import BatchLTSampler, BatchRRSampler
-    from repro.sampling.rr import ReverseReachableSampler
-
     graph, campaign, piece_graphs, _ = worlds[LARGEST]
     pool = np.arange(0, graph.n, 4, dtype=np.int64)
     roots = as_generator(31).integers(0, graph.n, size=500)
     single_block = {
         "ic": (
-            lambda pg: ReverseReachableSampler(pg, backend="python"),
-            lambda pg: BatchRRSampler(pg, block_size=1),
+            reference.ic_rr_sets,
+            lambda pg, *args: BatchRRSampler(pg, block_size=1).sample_many(
+                *args
+            ),
         ),
         "lt": (
-            lambda pg: LinearThresholdSampler(pg, backend="python"),
-            lambda pg: BatchLTSampler(pg, block_size=1),
+            reference.lt_rr_sets,
+            lambda pg, *args: BatchLTSampler(pg, block_size=1).sample_many(
+                *args
+            ),
         ),
     }
     for model, pg in (("ic", piece_graphs[0]), ("lt", lt_worlds[LARGEST])):
-        make_python, make_batch = single_block[model]
+        make_reference, make_batch = single_block[model]
         seeds_by_backend = {}
-        for name, make in (("python", make_python), ("batch", make_batch)):
-            ptr, nodes = make(pg).sample_many(roots, as_generator(13))
+        for name, draw in (
+            ("reference", make_reference), ("batch", make_batch)
+        ):
+            ptr, nodes = draw(pg, roots, as_generator(13))
             mrr = MRRCollection(graph.n, roots, [ptr], [nodes])
             lazy, s_lazy = max_coverage_seeds(mrr, 0, pool, 8, lazy=True)
             dense, s_dense = max_coverage_seeds(mrr, 0, pool, 8, lazy=False)
             assert lazy == dense, (model, name)
             assert s_lazy == pytest.approx(s_dense)
             seeds_by_backend[name] = lazy
-        assert seeds_by_backend["python"] == seeds_by_backend["batch"], model
+        assert seeds_by_backend["reference"] == seeds_by_backend["batch"], (
+            model
+        )
     for model, pgs in (("ic", piece_graphs[:1]), ("lt", [lt_worlds[LARGEST]])):
         mrr = MRRCollection.generate(
             graph,

@@ -4,9 +4,8 @@ The ``executor="spawned"`` topology's reason to exist is wall-clock:
 N independent worker processes filling one shard directory must beat
 one process doing the same generation.  This benchmark runs the same
 theta=200k disk-store generation twice — ``workers=1`` serial and a
-4-process spawned group — on a sampling-dominated workload (the
-reference ``python`` backend, whose per-root cost dwarfs the store and
-index machinery), asserts the collections are bit-identical, gates
+4-process spawned group — with the default sampling engine, asserts
+the collections are bit-identical, gates
 
     spawned(4) >= 2.5x serial wall-clock
 
@@ -88,16 +87,13 @@ def test_spawned_group_beats_serial(world, tmp_path, artifact_dir):
 
     serial, t_serial = generate(
         "serial",
-        Runtime(
-            workers=1, backend="python", store="disk",
-            shard_dir=str(tmp_path / "serial"),
-        ),
+        Runtime(workers=1, store="disk", shard_dir=str(tmp_path / "serial")),
     )
     spawned, t_spawned = generate(
         "spawned",
         Runtime(
-            workers=WORKERS, executor="spawned", backend="python",
-            store="disk", shard_dir=str(tmp_path / "spawned"),
+            workers=WORKERS, executor="spawned", store="disk",
+            shard_dir=str(tmp_path / "spawned"),
         ),
     )
 
@@ -109,7 +105,6 @@ def test_spawned_group_beats_serial(world, tmp_path, artifact_dir):
         "theta": THETA,
         "pieces": PIECES,
         "workers": WORKERS,
-        "backend": "python",
         "serial_seconds": round(t_serial, 3),
         "spawned_seconds": round(t_spawned, 3),
         "speedup": round(speedup, 3),
@@ -122,7 +117,7 @@ def test_spawned_group_beats_serial(world, tmp_path, artifact_dir):
         artifact_dir,
         "distributed_sampling",
         "Distributed sampling (spawned worker group vs serial)\n"
-        f"theta={THETA}, pieces={PIECES}, backend=python\n"
+        f"theta={THETA}, pieces={PIECES}\n"
         f"serial      {t_serial:8.2f} s\n"
         f"spawned({WORKERS})  {t_spawned:8.2f} s\n"
         f"speedup     {speedup:8.2f} x (gate >= {GATE}x)",

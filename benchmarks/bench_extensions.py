@@ -21,10 +21,11 @@ from conftest import write_artifact
 from repro.core.bab import solve_bab, solve_bab_progressive
 from repro.core.local_search import local_search
 from repro.diffusion.projection import project_campaign
-from repro.diffusion.threshold import LinearThresholdSampler, normalize_lt_weights
+from repro.diffusion.threshold import normalize_lt_weights
 from repro.experiments.runner import prepare_instance
 from repro.im.baselines import im_baseline, tim_baseline
 from repro.im.heuristics import max_degree_baseline, random_baseline
+from repro.sampling.batch import BatchLTSampler
 from repro.sampling.mrr import MRRCollection
 from repro.utils.rng import as_generator
 from repro.utils.tables import format_table
@@ -111,7 +112,7 @@ def test_oipa_on_linear_threshold(benchmark, session, artifact_dir):
         roots = rng.integers(0, graph.n, size=2500)
         ptrs, node_arrays = [], []
         for pg in piece_graphs:
-            sampler = LinearThresholdSampler(pg)
+            sampler = BatchLTSampler(pg)
             ptr, nodes = sampler.sample_many(roots, rng)
             ptrs.append(ptr)
             node_arrays.append(nodes)

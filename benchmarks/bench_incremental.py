@@ -9,7 +9,7 @@ sampled head, and times
     Session.update(delta)          — regenerate touched shards, warm solve
     cold resample on the new graph — full generate + cold solve
 
-on the same disk-store, python-backend runtime.  Bit-identity of the
+on the same disk-store runtime, with the default sampling engine.  Bit-identity of the
 two collections is asserted *before* any timing is trusted (a fast
 wrong answer is not a speedup), the trace must show real shard reuse,
 and the wall-clock gate is
@@ -63,10 +63,7 @@ def world():
 
 
 def _runtime(tmp_path, tag) -> Runtime:
-    return Runtime(
-        backend="python", store="disk", workers=1,
-        shard_dir=str(tmp_path / tag),
-    )
+    return Runtime(store="disk", workers=1, shard_dir=str(tmp_path / tag))
 
 
 def _digest(collection) -> str:
@@ -137,7 +134,6 @@ def test_small_delta_update_beats_full_resample(world, tmp_path, artifact_dir):
         "n": N,
         "theta": THETA,
         "pieces": PIECES,
-        "backend": "python",
         "shards_total": trace.shards_total,
         "shards_kept": trace.shards_kept,
         "kept_fraction": round(trace.kept_fraction, 4),
@@ -154,7 +150,7 @@ def test_small_delta_update_beats_full_resample(world, tmp_path, artifact_dir):
         artifact_dir,
         "incremental_update",
         "Incremental update vs full resample (one-edge delta)\n"
-        f"n={N}, theta={THETA}, pieces={PIECES}, backend=python\n"
+        f"n={N}, theta={THETA}, pieces={PIECES}\n"
         f"shards kept    {trace.shards_kept}/{trace.shards_total} "
         f"({trace.kept_fraction:.0%})\n"
         f"full resample  {t_cold:8.2f} s\n"

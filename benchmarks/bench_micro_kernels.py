@@ -35,7 +35,6 @@ from repro.sampling.batch import (
     NativeRRSampler,
 )
 from repro.sampling.mrr import MRRCollection
-from repro.sampling.rr import ReverseReachableSampler
 from repro.topics.distributions import Campaign
 from repro.utils.rng import as_generator
 
@@ -55,7 +54,7 @@ def kernel_world():
 def test_rr_set_sampling_throughput(benchmark, kernel_world):
     graph, campaign, _, _ = kernel_world
     pg = project_campaign(graph, campaign)[0]
-    sampler = ReverseReachableSampler(pg)
+    sampler = BatchRRSampler(pg)
     rng = as_generator(45)
     roots = np.arange(0, 2000, 4)
 

@@ -58,7 +58,6 @@ from repro.sampling import (
     BatchRRSampler,
     MemoryStore,
     MRRCollection,
-    ReverseReachableSampler,
     ShardStore,
 )
 from repro.core import (
@@ -140,7 +139,6 @@ __all__ = [
     "BatchRRSampler",
     "MRRCollection",
     "MemoryStore",
-    "ReverseReachableSampler",
     "ShardStore",
     # core
     "AssignmentPlan",

@@ -357,9 +357,9 @@ class Session:
         """The session runtime with a per-collection shard subdir.
 
         The key includes the role, the collection's (theta, seed) *and*
-        a short digest of the sampled inputs — graph, campaign, per-piece
-        diffusion models and canonical backend, the rest of what the
-        store fingerprint records — so re-sampling at a new size
+        a short digest of the sampled inputs — graph, campaign and
+        per-piece diffusion models, the rest of what the store
+        fingerprint records — so re-sampling at a new size
         (``solve(theta=...)`` again), with another model mix or on
         another graph never collides with an earlier collection's
         shards, while repeating the exact same integer-seeded call
@@ -382,15 +382,12 @@ class Session:
 
     def _inputs_digest(self, rt) -> str:
         """Short digest of what, besides the seed, fixes a collection."""
-        from repro.sampling.batch import canonical_backend
-
         models = resolve_models(rt.model, self.num_pieces)
         text = ":".join(
             (
                 self.graph.fingerprint(),
                 self.campaign.fingerprint(),
                 ",".join(models),
-                canonical_backend(rt.backend),
             )
         )
         return hashlib.sha256(text.encode()).hexdigest()[:10]
@@ -563,6 +560,13 @@ class Session:
             "solve", action, key, seconds=time.perf_counter() - start
         )
         self._last_solve = key
+        if action == "run" and self._inc is not None:
+            # What the lineage's next update warm-starts from; a cache
+            # hit ran nothing on this collection, so it records nothing.
+            self._inc.plan = plan
+            if key == "celf-mrr":
+                self._inc.warm = self._celf_gains
+                self._inc.staleness = 0.0  # the record is fresh here
         evaluation = None
         if evaluate:
             evaluation = self.evaluate(plan, theta=eval_theta)

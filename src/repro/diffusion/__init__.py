@@ -7,7 +7,6 @@ from repro.diffusion.interdependent import (
     simulate_interdependent_utility,
 )
 from repro.diffusion.threshold import (
-    LinearThresholdSampler,
     normalize_lt_weights,
     simulate_lt_cascade,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "simulate_adoption_utility",
     "InteractionMatrix",
     "simulate_interdependent_utility",
-    "LinearThresholdSampler",
     "normalize_lt_weights",
     "simulate_lt_cascade",
 ]

@@ -124,9 +124,7 @@ def simulate_interdependent_utility(
         received = np.zeros((n, l), dtype=bool)
         for j, (pg, seeds) in enumerate(zip(piece_graphs, seed_lists)):
             if seeds:
-                received[:, j] = simulate_cascade(
-                    pg, seeds, rng, backend=rt.backend
-                )
+                received[:, j] = simulate_cascade(pg, seeds, rng)
             # Complementary boosts from earlier pieces: users holding
             # piece j' get an extra adoption-side exposure chance.
             for j_prev in range(j):

@@ -39,8 +39,6 @@ def simulate_cascade(
     piece_graph: PieceGraph,
     seeds: Iterable[int],
     rng,
-    *,
-    backend: str | None = None,
 ) -> np.ndarray:
     """Run one independent-cascade trial; return the activation mask.
 
@@ -48,50 +46,17 @@ def simulate_cascade(
     to activate each out-neighbour, succeeding with the edge's projected
     probability (Sec. III-A).  Returns a boolean array of length ``n``.
 
-    ``backend="batch"`` (the default) and ``backend="native"`` route
-    through the vectorized frontier-at-a-time kernel of
-    :mod:`repro.sampling.batch` (single forward trials are not a
-    compiled hot loop); ``backend="python"`` runs the per-vertex
-    reference loop below.  The variants consume the rng stream
-    identically, so for the same seeded ``rng`` the activation masks
-    are bit-for-bit equal.
+    Runs the frontier-at-a-time kernel
+    :func:`repro.sampling.batch.simulate_cascade_batch`, which consumes
+    the rng stream exactly like the per-vertex oracle
+    :func:`repro.sampling.reference.ic_cascade`: for the same seeded
+    ``rng`` the two masks are bit-for-bit equal.
     """
     # Imported lazily: repro.sampling pulls in this module through the
     # diffusion package, so a module-level import would be circular.
-    from repro.sampling.batch import check_backend, simulate_cascade_batch
+    from repro.sampling.batch import simulate_cascade_batch
 
-    if check_backend(backend) != "python":
-        return simulate_cascade_batch(piece_graph, seeds, rng)
-    n = piece_graph.n
-    active = np.zeros(n, dtype=bool)
-    frontier: list[int] = []
-    for s in seeds:
-        s = int(s)
-        if not (0 <= s < n):
-            raise ParameterError(f"seed {s} outside [0, {n})")
-        if not active[s]:
-            active[s] = True
-            frontier.append(s)
-    out_ptr, out_dst, out_prob = (
-        piece_graph.out_ptr,
-        piece_graph.out_dst,
-        piece_graph.out_prob,
-    )
-    while frontier:
-        next_frontier: list[int] = []
-        for u in frontier:
-            lo, hi = out_ptr[u], out_ptr[u + 1]
-            if lo == hi:
-                continue
-            draws = rng.random(hi - lo)
-            hits = np.flatnonzero(draws < out_prob[lo:hi])
-            for k in hits:
-                v = int(out_dst[lo + k])
-                if not active[v]:
-                    active[v] = True
-                    next_frontier.append(v)
-        frontier = next_frontier
-    return active
+    return simulate_cascade_batch(piece_graph, seeds, rng)
 
 
 def simulate_model_cascade(
@@ -100,17 +65,15 @@ def simulate_model_cascade(
     rng,
     *,
     model: str | None = None,
-    backend: str | None = None,
     check_weights: bool = True,
 ) -> np.ndarray:
     """One forward trial under the named diffusion model.
 
     Dispatches to :func:`simulate_cascade` (``model="ic"``, the default)
     or :func:`repro.diffusion.threshold.simulate_lt_cascade`
-    (``model="lt"``); ``backend`` is forwarded to the chosen kernel.
-    ``check_weights=False`` skips the per-trial LT feasibility check —
-    the Monte-Carlo loops below validate each immutable graph once
-    instead of once per trial.
+    (``model="lt"``).  ``check_weights=False`` skips the per-trial LT
+    feasibility check — the Monte-Carlo loops below validate each
+    immutable graph once instead of once per trial.
     """
     from repro.sampling.batch import check_model
 
@@ -119,13 +82,9 @@ def simulate_model_cascade(
         from repro.diffusion.threshold import simulate_lt_cascade
 
         return simulate_lt_cascade(
-            piece_graph,
-            seeds,
-            rng,
-            backend=backend,
-            check_weights=check_weights,
+            piece_graph, seeds, rng, check_weights=check_weights
         )
-    return simulate_cascade(piece_graph, seeds, rng, backend=backend)
+    return simulate_cascade(piece_graph, seeds, rng)
 
 
 def _keyed_rounds(trial, rounds: int, rt, *, pool=None) -> np.ndarray:
@@ -177,8 +136,8 @@ def simulate_piece_spread(
     """Monte-Carlo estimate of the classical influence spread sigma_im(S).
 
     Averages the number of activated users over ``rounds`` independent
-    cascade trials.  Execution policy (cascade backend, diffusion model,
-    the parallel Monte-Carlo runtime) lives on one
+    cascade trials.  Execution policy (diffusion model, the parallel
+    Monte-Carlo runtime) lives on one
     :class:`repro.runtime.Runtime` passed as ``runtime=`` and resolved
     with the centralized order (Runtime field > ``REPRO_*`` env >
     default; a per-call ``seed`` beats ``Runtime.seed``).  LT graphs
@@ -205,7 +164,6 @@ def simulate_piece_spread(
             seeds,
             rng,
             model=model,
-            backend=rt.backend,
             check_weights=False,
         ).sum()
 
@@ -245,7 +203,7 @@ def simulate_adoption_utility(
         Also return the standard error of the estimate.
     runtime:
         One :class:`repro.runtime.Runtime` carrying the execution policy
-        — cascade backend, per-piece diffusion model(s) (``"ic"`` /
+        — per-piece diffusion model(s) (``"ic"`` /
         ``"lt"``, scalar or a per-piece sequence for heterogeneous
         multiplex campaigns), and the parallel Monte-Carlo runtime
         (fixed-size chunks of rounds, each on its own keyed stream — see
@@ -287,7 +245,6 @@ def simulate_adoption_utility(
                     seeds,
                     rng,
                     model=piece_model,
-                    backend=rt.backend,
                     check_weights=False,
                 )
         return float(adoption.probability(counts).sum())

@@ -12,13 +12,13 @@ LT semantics as well:
   (the LT feasibility condition);
 * :func:`simulate_lt_cascade` — forward LT simulation with uniform
   random thresholds;
-* :class:`LinearThresholdSampler` — RR-set sampling under LT via the
-  classic single-in-neighbour random walk (Mossel-Roch equivalence: in
-  the live-edge view of LT, each vertex keeps at most one incoming edge,
-  chosen with probability equal to its weight).
 
-Because both samplers emit plain RR sets, the whole OIPA stack — MRR
-collections, tau bounds, BAB/BAB-P — runs unchanged on LT influence.
+RR-set sampling under LT is the classic single-in-neighbour random walk
+(Mossel-Roch equivalence: in the live-edge view of LT, each vertex
+keeps at most one incoming edge, chosen with probability equal to its
+weight), run by :class:`repro.sampling.batch.BatchLTSampler`.  Because
+it emits plain RR sets, the whole OIPA stack — MRR collections, tau
+bounds, BAB/BAB-P — runs unchanged on LT influence.
 """
 
 from __future__ import annotations
@@ -26,13 +26,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.diffusion.projection import PieceGraph
-from repro.exceptions import ParameterError, SamplingError
-from repro.utils.frontier import Int64Buffer, segment_sums
+from repro.exceptions import ParameterError
+from repro.utils.frontier import segment_sums
 
 __all__ = [
     "normalize_lt_weights",
     "simulate_lt_cascade",
-    "LinearThresholdSampler",
 ]
 
 
@@ -77,7 +76,6 @@ def simulate_lt_cascade(
     seeds,
     rng,
     *,
-    backend: str | None = None,
     check_weights: bool = True,
 ) -> np.ndarray:
     """One LT trial: uniform thresholds, weighted in-neighbour sums.
@@ -89,191 +87,15 @@ def simulate_lt_cascade(
     callers validate the immutable graph once and hoist the check out
     of their trial loops.
 
-    ``backend="batch"`` (the default) and ``backend="native"`` route
-    through the vectorized frontier-at-a-time kernel of
-    :mod:`repro.sampling.batch` (the forward cascade has no separate
-    compiled form — RR sampling is the hot loop, not single trials);
-    ``backend="python"`` runs the per-vertex reference loop below.  Both
-    consume the rng stream identically (one ``rng.random(n)`` threshold
-    draw), but internal pressure bookkeeping differs in two harmless
-    ways (frontier ordering, and accumulation past activation), so the
-    activation masks agree up to last-ulp float rounding rather than by
-    construction — see
-    :func:`repro.sampling.batch.simulate_lt_cascade_batch` for the
-    precise contract.
+    Runs the frontier-at-a-time kernel
+    :func:`repro.sampling.batch.simulate_lt_cascade_batch`; the
+    per-vertex loop it replaced is kept as the test oracle
+    :func:`repro.sampling.reference.lt_cascade`.
     """
     # Imported lazily: repro.sampling pulls in this module through the
     # diffusion package, so a module-level import would be circular.
-    from repro.sampling.batch import (
-        check_backend,
-        check_lt_feasible,
-        simulate_lt_cascade_batch,
+    from repro.sampling.batch import simulate_lt_cascade_batch
+
+    return simulate_lt_cascade_batch(
+        piece_graph, seeds, rng, check_weights=check_weights
     )
-
-    if check_backend(backend) != "python":
-        return simulate_lt_cascade_batch(
-            piece_graph, seeds, rng, check_weights=check_weights
-        )
-    n = piece_graph.n
-    if check_weights:
-        check_lt_feasible(piece_graph)
-    thresholds = rng.random(n)
-    active = np.zeros(n, dtype=bool)
-    pressure = np.zeros(n, dtype=np.float64)
-    frontier = []
-    for s in seeds:
-        s = int(s)
-        if not (0 <= s < n):
-            raise ParameterError(f"seed {s} outside [0, {n})")
-        if not active[s]:
-            active[s] = True
-            frontier.append(s)
-    out_ptr, out_dst, out_prob = (
-        piece_graph.out_ptr,
-        piece_graph.out_dst,
-        piece_graph.out_prob,
-    )
-    while frontier:
-        next_frontier = []
-        for u in frontier:
-            lo, hi = out_ptr[u], out_ptr[u + 1]
-            for s in range(lo, hi):
-                v = int(out_dst[s])
-                if active[v]:
-                    continue
-                pressure[v] += out_prob[s]
-                if pressure[v] >= thresholds[v]:
-                    active[v] = True
-                    next_frontier.append(v)
-        frontier = next_frontier
-    return active
-
-
-class LinearThresholdSampler:
-    """RR-set sampler under LT: a weighted single-predecessor walk.
-
-    In LT's live-edge formulation each vertex keeps exactly one incoming
-    edge ``(u, v)`` with probability ``w(u, v)`` (and none with the
-    remaining mass), so a reverse-reachable set is the path followed by
-    repeatedly sampling one predecessor until the walk stops or cycles.
-    Drop-in compatible with :class:`repro.sampling.rr.
-    ReverseReachableSampler` (same ``sample`` / ``sample_many`` API,
-    including the ``backend`` knob: ``"batch"`` routes ``sample_many``
-    through :class:`repro.sampling.batch.BatchLTSampler`, ``"native"``
-    through the compiled :class:`repro.sampling.batch.NativeLTSampler`
-    (bit-identical to batch), ``"python"`` keeps the per-walk reference
-    loop below).
-    """
-
-    __slots__ = ("_graph", "_mark", "_stamp", "_backend", "_batch")
-
-    def __init__(
-        self,
-        piece_graph: PieceGraph,
-        *,
-        backend: str | None = None,
-        check_weights: bool = True,
-    ) -> None:
-        # Lazy import — see simulate_lt_cascade for the cycle note.
-        from repro.sampling.batch import check_backend, check_lt_feasible
-
-        # Fail loudly on un-normalised weights: with excess incoming
-        # mass the walk always finds a predecessor and every RR-based
-        # estimate silently inflates.  ``check_weights=False`` is for
-        # callers that validated the graph once for many samplers (a
-        # generation builds one per task); the engines built below
-        # never repeat the check.
-        if check_weights:
-            check_lt_feasible(piece_graph)
-        self._graph = piece_graph
-        self._backend = check_backend(backend)
-        # Engine cache keyed by engine class — see ReverseReachableSampler.
-        self._batch = {}
-        self._mark = np.zeros(piece_graph.n, dtype=np.int64)
-        self._stamp = 0
-
-    @property
-    def graph(self) -> PieceGraph:
-        """The underlying (weight-normalised) piece graph."""
-        return self._graph
-
-    @property
-    def backend(self) -> str:
-        """Which sampling engine ``sample_many`` routes through."""
-        return self._backend
-
-    def _batch_engine(self, backend: str):
-        from repro.sampling.batch import BatchLTSampler, NativeLTSampler
-
-        cls = NativeLTSampler if backend == "native" else BatchLTSampler
-        engine = self._batch.get(cls)
-        if engine is None:
-            engine = self._batch[cls] = cls(self._graph, check_weights=False)
-        return engine
-
-    def sample(self, root: int, rng) -> np.ndarray:
-        n = self._graph.n
-        if not (0 <= root < n):
-            raise SamplingError(f"root {root} outside [0, {n})")
-        self._stamp += 1
-        stamp = self._stamp
-        mark = self._mark
-        in_ptr, in_src, in_prob = (
-            self._graph.in_ptr,
-            self._graph.in_src,
-            self._graph.in_prob,
-        )
-        path = [root]
-        mark[root] = stamp
-        current = root
-        while True:
-            lo, hi = in_ptr[current], in_ptr[current + 1]
-            if lo == hi:
-                break
-            weights = in_prob[lo:hi]
-            draw = rng.random()
-            cumulative = 0.0
-            chosen = -1
-            for idx in range(weights.size):
-                cumulative += weights[idx]
-                if draw < cumulative:
-                    chosen = idx
-                    break
-            if chosen < 0:
-                break  # the "no live incoming edge" mass
-            nxt = int(in_src[lo + chosen])
-            if mark[nxt] == stamp:
-                break  # walked into a cycle: stop
-            mark[nxt] = stamp
-            path.append(nxt)
-            current = nxt
-        return np.asarray(path, dtype=np.int64)
-
-    def sample_many(
-        self, roots, rng, *, backend: str | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """CSR-flattened batch form, mirroring the IC sampler.
-
-        ``backend`` overrides the sampler's configured engine for this
-        call (``"batch"``/``"native"``/``"python"``).
-        """
-        from repro.sampling.batch import check_backend
-
-        backend = self._backend if backend is None else check_backend(backend)
-        roots = np.asarray(roots, dtype=np.int64)
-        if backend != "python":
-            return self._batch_engine(backend).sample_many(roots, rng)
-        ptr = np.zeros(len(roots) + 1, dtype=np.int64)
-        nodes = Int64Buffer(2 * len(roots) + 16)
-        for i, root in enumerate(roots):
-            rr = self.sample(int(root), rng)
-            nodes.extend(rr)
-            ptr[i + 1] = ptr[i] + rr.size
-        return ptr, nodes.to_array()
-
-    def sample_group(self, tasks):
-        """One ``(ptr, nodes)`` per ``(roots, rng)`` task, mirroring
-        :meth:`repro.sampling.rr.ReverseReachableSampler.sample_group`."""
-        if self._backend == "python":
-            return [self.sample_many(roots, rng) for roots, rng in tasks]
-        return self._batch_engine(self._backend).sample_group(tasks)

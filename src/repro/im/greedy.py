@@ -38,15 +38,11 @@ def celf_greedy_im(
     through :func:`repro.diffusion.simulate.simulate_piece_spread` with
     fresh entropy drawn from the one generator of ``seed``: evaluations
     draw independent numbers, not common random numbers.  Execution
-    policy (cascade kernel backend, diffusion model, the parallel
-    Monte-Carlo runtime) lives on one :class:`repro.runtime.Runtime`
-    passed as ``runtime=`` and resolved with the centralized order
-    (Runtime field > ``REPRO_*`` env > default; a per-call ``seed``
-    beats ``Runtime.seed``).  Under IC the backend choice never changes
-    the selected seeds (identical rng streams); under LT the masks can
-    differ at last-ulp rounding (see
-    :func:`repro.diffusion.threshold.simulate_lt_cascade`), and LT
-    graphs must be weight-normalised first.  Every evaluation draws the
+    policy (diffusion model, the parallel Monte-Carlo runtime) lives on
+    one :class:`repro.runtime.Runtime` passed as ``runtime=`` and
+    resolved with the centralized order (Runtime field > ``REPRO_*`` env
+    > default; a per-call ``seed`` beats ``Runtime.seed``).  LT graphs
+    must be weight-normalised first.  Every evaluation draws the
     keyed round chunks of the Monte-Carlo stream, so selections are
     identical for every worker count, inline included.
 

@@ -80,9 +80,11 @@ class IncrementalState:
     #: The seed the lineage was sampled under — updates must resolve
     #: their runtime with the same seed or the artifact keys drift.
     seed: object = None
-    #: Previous solve's marginal-gain record (celf-mrr warm start).
+    #: The last celf-mrr solve's marginal-gain record (its warm start).
+    #: ``warm``, ``plan`` and the staleness reset are recorded by
+    #: ``Session.solve`` whenever a solver runs on the lineage.
     warm: WarmGains | None = None
-    #: Previous solve's plan (local-search start / BAB incumbent).
+    #: The last solve's plan (local-search start / BAB incumbent).
     plan: object | None = None
     #: Accumulated staleness bound since the warm record was written.
     staleness: float = 0.0
@@ -339,7 +341,7 @@ def update_session(
             store.retarget(
                 theta_new,
                 fingerprint=store_fingerprint(
-                    new_graph.n, roots, models, rt.backend,
+                    new_graph.n, roots, models,
                     graph=new_fp, pieces=pieces_fp, entropy=state.entropy,
                 ),
             )
@@ -412,15 +414,10 @@ def update_session(
         options.setdefault("margin", 2.0 * state.staleness)
     elif warm_slot in ("start", "incumbent") and state.plan is not None:
         options.setdefault(warm_slot, state.plan)
+    # Session.solve records the new warm state on the lineage.
     result = session.solve(
         chosen, evaluate=evaluate, eval_theta=eval_theta, **options
     )
-
-    record = getattr(session, "_celf_gains", None)
-    if chosen == "celf-mrr" and record is not None:
-        state.warm = record
-        state.staleness = 0.0  # the record is fresh on this collection
-    state.plan = result.plan
 
     trace = IncrementalTrace(
         theta_old=theta_old,

@@ -72,7 +72,7 @@ __all__ = [
 # of defining their own, so one registry feeds validation everywhere.
 # --------------------------------------------------------------------------
 
-BACKENDS = ("python", "batch", "native")
+BACKENDS = ("batch", "native")
 MODELS = ("ic", "lt")
 EXECUTORS = ("thread", "spawned")
 STORES = ("memory", "disk")
@@ -361,11 +361,11 @@ class Runtime(_ShardDirKeying):
     Fields
     ------
     backend:
-        Sampling/cascade kernel engine — ``"batch"`` (vectorized,
-        default), ``"python"`` (reference loops), or ``"native"``
-        (Numba-compiled tier; falls back to ``"batch"`` with a
-        one-time warning when Numba is not importable — see
-        :mod:`repro.native`).
+        RR-sampling engine — ``"batch"`` (vectorized NumPy, default) or
+        ``"native"`` (Numba-compiled tier, bit-identical to batch;
+        falls back to ``"batch"`` with a one-time warning when Numba is
+        not importable — see :mod:`repro.native`).  The choice moves
+        speed only, never a sample byte.
     model:
         Diffusion model(s): ``"ic"`` (default) / ``"lt"``, or a
         per-piece sequence for heterogeneous multiplex campaigns.
@@ -498,9 +498,12 @@ class ResolvedRuntime(_ShardDirKeying):
     def cache_key(self) -> str:
         """The cache-relevant slice of this runtime, as a stable string.
 
-        Only knobs that can change *results* participate: ``backend``
-        (kernel engine), ``model`` (diffusion semantics), and ``seed``
-        (the draw).  ``workers``/``executor`` are excluded because the
+        Only knobs that can change *results* participate: ``model``
+        (diffusion semantics) and ``seed`` (the draw).  ``backend`` is
+        excluded because the two engines are bit-identical by contract
+        (same draw order, same float accumulation — see
+        :mod:`repro.native`), so they share sample artifacts.
+        ``workers``/``executor`` are excluded because the
         parallel runtime is bit-identical across pool sizes and
         executors — ``"spawned"`` (the distributed topology) folds in
         with the thread pool for the same reason: the
@@ -509,16 +512,9 @@ class ResolvedRuntime(_ShardDirKeying):
         ``store``/``shard_dir``/``max_resident_bytes``
         because the memory and disk stores hold the same collection —
         so a sweep may vary any of those and still share artifacts.
-        ``"native"`` keys as ``"batch"``: the compiled tier is
-        bit-identical to the batch kernels by contract (same draw
-        order, same float accumulation — see :mod:`repro.native`), so
-        the two engines share sample artifacts; ``"python"`` stays a
-        distinct key because its multi-root realisations legitimately
-        differ.  A non-integer seed is an unreproducible draw and keys
-        as such; callers gate cache *writes* on reproducibility
-        separately.
+        A non-integer seed is an unreproducible draw and keys as such;
+        callers gate cache *writes* on reproducibility separately.
         """
-        backend = "batch" if self.backend == "native" else self.backend
         model = self.model if self.model is not None else DEFAULT_MODEL
         if not isinstance(model, str):
             model = ",".join(model)
@@ -526,7 +522,7 @@ class ResolvedRuntime(_ShardDirKeying):
             seed = str(self.seed)
         else:
             seed = "unreproducible"
-        return f"backend={backend}:model={model}:seed={seed}"
+        return f"model={model}:seed={seed}"
 
     def artifact_store(self):
         """The resolved artifact store instance, or ``None`` (off)."""

@@ -1,6 +1,5 @@
 """Reverse-reachable sampling: RR sets, MRR collections, theta bounds."""
 
-from repro.sampling.rr import ReverseReachableSampler
 from repro.sampling.batch import (
     BACKENDS,
     DEFAULT_BACKEND,
@@ -51,7 +50,6 @@ __all__ = [
     "BatchLTSampler",
     "BatchRRSampler",
     "MemoryStore",
-    "ReverseReachableSampler",
     "MRRCollection",
     "SampleStore",
     "ShardStore",

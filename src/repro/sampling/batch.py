@@ -1,10 +1,12 @@
 """Batched sampling engine: frontier-at-a-time NumPy kernels.
 
-The reference kernels in :mod:`repro.sampling.rr` and
-:mod:`repro.diffusion.simulate` walk adjacency slabs in per-hit Python
+The reference loops, kept as the test oracle
+:mod:`repro.sampling.reference`, walk adjacency slabs in per-hit Python
 loops — the hot loop of the whole reproduction, and the reason the
 paper's ``theta = 1e6`` is out of reach at pure-Python speed.  This
-module replaces those loops with slab-level vectorized kernels:
+module replaces those loops with slab-level vectorized kernels, which
+every entry point runs (``backend="batch"``; ``"native"`` is the
+bit-identical compiled tier of :mod:`repro.native`):
 
 * :class:`BatchRRSampler` draws RR sets for a whole block of roots at
   once.  Each BFS level gathers every frontier vertex's reverse
@@ -14,7 +16,7 @@ module replaces those loops with slab-level vectorized kernels:
   survivors per root — one NumPy dispatch per level instead of one
   Python iteration per vertex.
 * :func:`simulate_cascade_batch` is the matching forward-cascade
-  kernel over ``out_ptr``, shared with
+  kernel over ``out_ptr``, behind
   :func:`repro.diffusion.simulate.simulate_cascade`.
 
 Levels are many and tiny, so the cost is per-level fixed work, and a
@@ -39,9 +41,10 @@ be preserved the agreement is exact: ``simulate_cascade_batch`` keeps
 frontiers in discovery order and therefore consumes the rng stream
 bit-for-bit identically to the Python loop, and a
 ``BatchRRSampler(block_size=1)`` does the same relative to
-``ReverseReachableSampler.sample`` (multi-root blocks interleave the
-roots' draws, which is where the speed comes from).  Grouping moves no
-byte: every task of a group gets exactly what it gets drawn alone.
+:func:`repro.sampling.reference.ic_rr_sets` (multi-root blocks
+interleave the roots' draws, which is where the speed comes from).
+Grouping moves no byte: every task of a group gets exactly what it gets
+drawn alone.
 """
 
 from __future__ import annotations
@@ -74,7 +77,6 @@ __all__ = [
     "NativeLTSampler",
     "NativeRRSampler",
     "adaptive_block_size",
-    "canonical_backend",
     "check_backend",
     "check_lt_feasible",
     "check_model",
@@ -142,19 +144,6 @@ def check_backend(backend: str | None) -> str:
         _native.warn_fallback_once()
         return "batch"
     return backend
-
-
-def canonical_backend(backend: str | None) -> str:
-    """The backend name as recorded in cache keys and fingerprints.
-
-    ``"native"`` canonicalises to ``"batch"``: the two engines are
-    bit-identical by contract (see :mod:`repro.native`), so sample
-    artifacts and shard directories written under either are
-    interchangeable.  ``"python"`` stays distinct — its multi-root
-    block realisations legitimately differ from the batch engine's.
-    """
-    backend = check_backend(backend)
-    return "batch" if backend == "native" else backend
 
 
 def check_model(model: str | None) -> str:
@@ -500,9 +489,8 @@ class _BlockedSampler:
 class BatchRRSampler(_BlockedSampler):
     """RR-set sampler drawing a whole block of roots per kernel pass.
 
-    Drop-in compatible with
-    :class:`~repro.sampling.rr.ReverseReachableSampler` (same ``sample``
-    / ``sample_many`` contract, CSR-flattened output); the difference is
+    Same CSR-flattened output as the reference reverse BFS
+    (:func:`repro.sampling.reference.ic_rr_sets`); the difference is
     purely mechanical: a block of roots shares each frontier expansion,
     so the per-vertex Python overhead is amortized away.  Blocks are
     sized adaptively from the batch at hand unless ``block_size`` pins
@@ -545,11 +533,11 @@ def simulate_cascade_batch(
 ) -> np.ndarray:
     """One independent-cascade trial, frontier-at-a-time (Sec. III-A).
 
-    Vectorized counterpart of
-    :func:`repro.diffusion.simulate.simulate_cascade`: the whole
-    frontier's out-slabs are coin-flipped in one draw per level.
-    Frontiers are kept in discovery order, so for the same seeded ``rng``
-    the activation mask is bit-for-bit identical to the Python loop.
+    Vectorized counterpart of the reference loop
+    :func:`repro.sampling.reference.ic_cascade`: the whole frontier's
+    out-slabs are coin-flipped in one draw per level.  Frontiers are
+    kept in discovery order, so for the same seeded ``rng`` the
+    activation mask is bit-for-bit identical to the Python loop.
     """
     n = piece_graph.n
     active = np.zeros(n, dtype=bool)
@@ -579,8 +567,8 @@ class BatchLTSampler(_BlockedSampler):
 
     Under LT's live-edge view each vertex keeps at most one incoming
     edge, so an RR set is the path of a weighted single-predecessor walk
-    (see :class:`repro.diffusion.threshold.LinearThresholdSampler`, the
-    per-vertex reference).  This engine advances a whole block of walks
+    (see :func:`repro.sampling.reference.lt_rr_sets`, the per-vertex
+    reference).  This engine advances a whole block of walks
     per step: every live walk's reverse slab is gathered into one flat
     array, the inverse-CDF predecessor choice is resolved with one
     segment-local cumulative sum, and cycles are cut with the same
@@ -755,8 +743,8 @@ def simulate_lt_cascade_batch(
 ) -> np.ndarray:
     """One Linear Threshold trial, frontier-at-a-time.
 
-    Vectorized counterpart of
-    :func:`repro.diffusion.threshold.simulate_lt_cascade`: thresholds
+    Vectorized counterpart of the reference loop
+    :func:`repro.sampling.reference.lt_cascade`: thresholds
     are drawn with the same single ``rng.random(n)`` call (identical
     stream consumption), and each level accumulates the whole frontier's
     out-slab weights onto inactive targets with one unbuffered

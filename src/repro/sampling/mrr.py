@@ -759,7 +759,6 @@ def generate_keyed(
         n,
         roots,
         models,
-        backend,
         graph=graph_fingerprint,
         pieces=pieces_fingerprint,
         entropy=entropy,

@@ -60,6 +60,13 @@ import numpy as np
 
 from repro.exceptions import ConfigError, ParameterError, SamplingError
 from repro.runtime import DEFAULT_EXECUTOR, DEFAULT_WORKERS, EXECUTORS
+from repro.sampling.batch import (
+    BatchLTSampler,
+    BatchRRSampler,
+    NativeLTSampler,
+    NativeRRSampler,
+    check_backend,
+)
 from repro.utils.rng import as_generator
 
 __all__ = [
@@ -225,20 +232,19 @@ def _drain(pool, fn, items):
 
 
 def _task_sampler(piece_graph, model: str, backend, *, check_weights=True):
-    """One task's sampler; cheap, as the stamp scratch is per thread.
+    """One task's engine; cheap, as the stamp scratch is per thread.
 
-    ``check_weights=False`` skips the O(m) LT feasibility check, for
-    tasks whose piece graph the generation already validated.  Imports
-    are deferred to dodge the sampling <-> diffusion cycle.
+    ``backend`` picks the NumPy engines or their bit-identical compiled
+    tier (which degrades to NumPy when Numba is missing, see
+    :func:`~repro.sampling.batch.check_backend`).  ``check_weights=False``
+    skips the O(m) LT feasibility check, for tasks whose piece graph the
+    generation already validated.
     """
-    from repro.diffusion.threshold import LinearThresholdSampler
-    from repro.sampling.rr import ReverseReachableSampler
-
+    native = check_backend(backend) == "native"
     if model == "lt":
-        return LinearThresholdSampler(
-            piece_graph, backend=backend, check_weights=check_weights
-        )
-    return ReverseReachableSampler(piece_graph, backend=backend)
+        cls = NativeLTSampler if native else BatchLTSampler
+        return cls(piece_graph, check_weights=check_weights)
+    return (NativeRRSampler if native else BatchRRSampler)(piece_graph)
 
 
 def _sample_group(args):

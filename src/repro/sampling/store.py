@@ -152,7 +152,6 @@ def store_fingerprint(
     n: int,
     roots: np.ndarray,
     models,
-    backend,
     *,
     graph: str | None = None,
     pieces: str | None = None,
@@ -161,15 +160,12 @@ def store_fingerprint(
     """Identity of one generation run, recorded in shard manifests.
 
     Two runs produce identical shards iff their graph, root draw,
-    per-piece diffusion models, sampling backend and stream entropy
-    agree — the fingerprint captures exactly that, so resuming against
-    a shard directory from a *different* run fails loudly instead of
-    silently mixing samples.  The backend is recorded *canonical* (``None``
-    means the ``REPRO_BACKEND`` default, and ``"native"`` records as
-    ``"batch"`` — the two engines are bit-identical by contract, so
-    their shard directories are interchangeable), while a directory
-    written under one env default still cannot be reloaded under a
-    non-equivalent one.
+    per-piece diffusion models and stream entropy agree — the
+    fingerprint captures exactly that, so resuming against a shard
+    directory from a *different* run fails loudly instead of silently
+    mixing samples.  The sampling backend is not recorded: the batch
+    and native engines are bit-identical by contract, so their shard
+    directories are interchangeable.
 
     ``graph``/``pieces`` are the content fingerprints of the topic
     graph and the projected piece graphs, and ``entropy`` keys every
@@ -181,13 +177,11 @@ def store_fingerprint(
     callers that only know the dimensions may omit them (the segments
     are then absent and never compared).
     """
-    from repro.sampling.batch import canonical_backend
-
     roots = np.asarray(roots, dtype=np.int64)
     crc = zlib.crc32(roots.tobytes())
     fingerprint = (
         f"v{_FORMAT}:n={int(n)}:theta={roots.size}:roots={crc:08x}"
-        f":models={','.join(models)}:backend={canonical_backend(backend)}"
+        f":models={','.join(models)}"
     )
     if graph is not None:
         fingerprint += f":graph={graph[:16]}"

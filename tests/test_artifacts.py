@@ -130,6 +130,8 @@ class TestRuntimeCacheKey:
     def test_execution_knobs_do_not_invalidate(self, tmp_path):
         base = self._key(seed=7)
         assert self._key(seed=7, workers=4) == base
+        # the batch and native engines are bit-identical
+        assert self._key(seed=7, backend="batch") == base
         assert self._key(seed=7, workers="auto", executor="thread") == base
         # store placement is a bit-identity contract, not an input
         assert (
@@ -147,11 +149,6 @@ class TestRuntimeCacheKey:
     def test_cache_relevant_fields_invalidate(self):
         base = self._key(seed=7)
         assert self._key(seed=8) != base
-        # a backend that differs from the resolved default (REPRO_BACKEND
-        # may already make the default "python")
-        default = resolve_runtime(Runtime(seed=7)).backend
-        other = "batch" if default == "python" else "python"
-        assert self._key(seed=7, backend=other) != base
         assert self._key(seed=7, model="lt") != base
 
     def test_model_normalisation(self):
@@ -178,7 +175,7 @@ def _mk_key(**overrides) -> ArtifactKey:
     fields = dict(
         graph="g" * 64,
         campaign="c" * 64,
-        runtime="backend=batch:model=ic:seed=7",
+        runtime="model=ic:seed=7",
         stage="sample",
         extra=("theta=100",),
     )
@@ -189,7 +186,7 @@ def _mk_key(**overrides) -> ArtifactKey:
 class TestArtifactKey:
     def test_token_and_digest(self):
         key = _mk_key()
-        assert key.token.startswith("v4:graph=")
+        assert key.token.startswith("v5:graph=")
         assert "stage=sample" in key.token
         assert key.token.endswith("theta=100")
         assert key.digest == _mk_key().digest
@@ -199,7 +196,7 @@ class TestArtifactKey:
         base = _mk_key().digest
         assert _mk_key(graph="h" * 64).digest != base
         assert _mk_key(campaign="d" * 64).digest != base
-        assert _mk_key(runtime="backend=batch:model=ic:seed=8").digest != base
+        assert _mk_key(runtime="model=ic:seed=8").digest != base
         assert _mk_key(stage="solve").digest != base
         assert _mk_key(extra=("theta=200",)).digest != base
 

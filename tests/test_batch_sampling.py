@@ -1,12 +1,12 @@
-"""The batched sampling engine: backend equivalence and validation bugs.
+"""The batched sampling engine: oracle equivalence and validation bugs.
 
 Three groups of guarantees:
 
 * **Exact stream equality** where draw order is preserved — the batch
   forward cascade and a single-root-block RR sampler consume the rng
-  stream bit-for-bit like the reference Python loops, so outputs must be
-  identical, not just statistically close (property-tested over random
-  instances).
+  stream bit-for-bit like the reference Python loops of
+  :mod:`repro.sampling.reference`, so outputs must be identical, not
+  just statistically close (property-tested over random instances).
 * **Distributional equivalence** for real (multi-root) blocks — matched
   sample counts must agree on mean RR-set size, membership
   probabilities, and AU estimates within Monte-Carlo tolerance.
@@ -52,7 +52,7 @@ from repro.sampling import parallel as parallel_mod
 from repro.sampling.mrr import MRRCollection
 from repro.sampling.parallel import make_pool
 from repro.runtime import Runtime
-from repro.sampling.rr import ReverseReachableSampler
+from repro.sampling import reference
 from repro.topics.distributions import Campaign, unit_piece
 from repro.utils.frontier import (
     Int64Buffer,
@@ -106,8 +106,7 @@ class TestExactStreamEquality:
         """block_size=1 preserves draw order: bitwise-equal CSR output."""
         pg = build_piece_graph(params)
         roots = as_generator(params["seed"]).integers(0, pg.n, size=40)
-        ref = ReverseReachableSampler(pg, backend="python")
-        ref_ptr, ref_nodes = ref.sample_many(roots, as_generator(3))
+        ref_ptr, ref_nodes = reference.ic_rr_sets(pg, roots, as_generator(3))
         batch = BatchRRSampler(pg, block_size=1)
         ptr, nodes = batch.sample_many(roots, as_generator(3))
         assert np.array_equal(ref_ptr, ptr)
@@ -119,7 +118,7 @@ class TestExactStreamEquality:
         """The batch cascade kernel is bitwise-equal to the Python loop."""
         pg = build_piece_graph(params)
         seeds = as_generator(params["seed"]).integers(0, pg.n, size=3)
-        ref = simulate_cascade(pg, seeds, as_generator(17), backend="python")
+        ref = reference.ic_cascade(pg, seeds, as_generator(17))
         batch = simulate_cascade_batch(pg, seeds, as_generator(17))
         assert np.array_equal(ref, batch)
         default = simulate_cascade(pg, seeds, as_generator(17))
@@ -212,18 +211,15 @@ class TestDistributionalEquivalence:
         graph, campaign = world
         pg = project_campaign(graph, campaign)[0]
         roots = as_generator(1).integers(0, graph.n, size=3000)
-        p_ptr, _ = ReverseReachableSampler(pg, backend="python").sample_many(
-            roots, as_generator(2)
-        )
-        b_ptr, _ = ReverseReachableSampler(pg, backend="batch").sample_many(
-            roots, as_generator(3)
-        )
+        p_ptr, _ = reference.ic_rr_sets(pg, roots, as_generator(2))
+        b_ptr, _ = BatchRRSampler(pg).sample_many(roots, as_generator(3))
         p_mean = float(np.diff(p_ptr).mean())
         b_mean = float(np.diff(b_ptr).mean())
         assert b_mean == pytest.approx(p_mean, rel=0.1)
 
     def test_au_estimates_agree_between_backends(self, world):
-        """Matched theta: both backends estimate the same plan utility."""
+        """Matched theta: the engine and the reference loop estimate the
+        same plan utility."""
         graph, campaign = world
         adoption = AdoptionModel(alpha=2.0, beta=1.0)
         plan = [[0, 5, 9], [1, 7], [2, 11, 20]]
@@ -234,6 +230,15 @@ class TestDistributionalEquivalence:
                 runtime=Runtime(backend=backend),
             )
             estimates[backend] = mrr.estimate(plan, adoption)
+        roots = mrr.roots
+        rng = as_generator(10)
+        csr = [
+            reference.ic_rr_sets(pg, roots, rng)
+            for pg in project_campaign(graph, campaign)
+        ]
+        estimates["reference"] = MRRCollection(
+            graph.n, roots, [p for p, _ in csr], [v for _, v in csr]
+        ).estimate(plan, adoption)
         sim = simulate_adoption_utility(
             project_campaign(graph, campaign),
             plan,
@@ -241,8 +246,9 @@ class TestDistributionalEquivalence:
             rounds=400,
             seed=9,
         )
+        assert estimates["native"] == estimates["batch"]
         assert estimates["batch"] == pytest.approx(
-            estimates["python"], rel=0.1
+            estimates["reference"], rel=0.1
         )
         assert estimates["batch"] == pytest.approx(sim, rel=0.15)
 
@@ -258,11 +264,8 @@ class TestBackendSelection:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ParameterError):
             check_backend("numba")
-        pg = project([], 2)
-        with pytest.raises(ParameterError):
-            ReverseReachableSampler(pg, backend="numba")
-        with pytest.raises(ParameterError):
-            simulate_cascade(pg, [0], as_generator(0), backend="numba")
+        with pytest.raises(ParameterError, match="batch"):
+            check_backend("python")
 
     def test_default_backend_follows_env(self):
         """Default is batch, unless the REPRO_BACKEND CI matrix overrides."""
@@ -277,28 +280,9 @@ class TestBackendSelection:
         if expected == "native" and not native.compiled():
             expected = "batch"
         assert check_backend(None) == expected
-        pg = project([], 2)
-        assert ReverseReachableSampler(pg).backend == expected
-
-    def test_per_call_backend_override(self):
-        pg = project([(0, 1, {0: 1.0})], 2)
-        sampler = ReverseReachableSampler(pg, backend="batch")
-        ptr, nodes = sampler.sample_many(
-            np.array([1]), as_generator(0), backend="python"
-        )
-        assert set(nodes[ptr[0] : ptr[1]].tolist()) == {0, 1}
 
 
-class TestLegacyPythonPath:
-    def test_csr_layout_preserved(self):
-        pg = project([(0, 1, {0: 1.0})], 2)
-        sampler = ReverseReachableSampler(pg, backend="python")
-        ptr, nodes = sampler.sample_many(np.array([0, 1, 1]), as_generator(0))
-        assert ptr.shape == (4,)
-        assert ptr[-1] == nodes.size
-        assert nodes[ptr[0] : ptr[1]].tolist() == [0]
-        assert set(nodes[ptr[1] : ptr[2]].tolist()) == {0, 1}
-
+class TestFrontierHelpers:
     def test_int64_buffer_growth(self):
         buf = Int64Buffer(1)
         chunks = [np.arange(k, dtype=np.int64) for k in (1, 5, 17, 63)]

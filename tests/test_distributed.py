@@ -164,7 +164,7 @@ class TestSharedWriter:
     def test_out_of_order_and_foreign_pid_shards(self, tmp_path):
         """Blocks arriving in any order, from writers the coordinator's
         manifest never saw, finalize into one valid store."""
-        fp = store_fingerprint(8, np.zeros(6, dtype=np.int64), ("rr",), None)
+        fp = store_fingerprint(8, np.zeros(6, dtype=np.int64), ("rr",))
         coord = ShardStore(str(tmp_path))
         coord.begin(8, 1, 6, 2, fingerprint=fp)
         # A "foreign" shared writer commits blocks 2 and 0 (reverse
@@ -193,7 +193,7 @@ class TestSharedWriter:
         )
 
     def test_shared_writer_never_touches_manifest(self, tmp_path):
-        fp = store_fingerprint(8, np.zeros(4, dtype=np.int64), ("rr",), None)
+        fp = store_fingerprint(8, np.zeros(4, dtype=np.int64), ("rr",))
         coord = ShardStore(str(tmp_path))
         coord.begin(8, 1, 4, 2, fingerprint=fp)
         manifest = os.path.join(str(tmp_path), "manifest.json")
@@ -210,7 +210,7 @@ class TestSharedWriter:
     def test_duplicate_completion_is_benign(self, tmp_path):
         """Two writers racing the same block: both commits succeed and
         the surviving bytes are the (identical) payload."""
-        fp = store_fingerprint(8, np.zeros(4, dtype=np.int64), ("rr",), None)
+        fp = store_fingerprint(8, np.zeros(4, dtype=np.int64), ("rr",))
         coord = ShardStore(str(tmp_path))
         coord.begin(8, 1, 4, 2, fingerprint=fp)
         ptr = np.array([0, 1, 2], dtype=np.int64)
@@ -373,7 +373,7 @@ class TestSpawnedGenerate:
         piece_graphs = list(project_campaign(graph, campaign))
         models = resolve_models(None, campaign.num_pieces)
         roots = keyed_roots(21, graph.n, THETA, task_block_size(THETA))
-        fp = store_fingerprint(graph.n, roots, models, None, entropy=21)
+        fp = store_fingerprint(graph.n, roots, models, entropy=21)
         store = ShardStore(shard_dir)
         store.begin(
             graph.n,

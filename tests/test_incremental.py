@@ -196,13 +196,11 @@ class TestKeyedSampler:
 
     def test_fingerprint_carries_entropy(self):
         roots = np.zeros(10, dtype=np.int64)
-        base = store_fingerprint(100, roots, ["ic"], "python")
-        keyed = store_fingerprint(100, roots, ["ic"], "python", entropy=42)
+        base = store_fingerprint(100, roots, ["ic"])
+        keyed = store_fingerprint(100, roots, ["ic"], entropy=42)
         assert keyed.startswith(base)
         assert keyed.endswith(":entropy=42")
-        assert keyed != store_fingerprint(
-            100, roots, ["ic"], "python", entropy=43
-        )
+        assert keyed != store_fingerprint(100, roots, ["ic"], entropy=43)
 
     def test_bad_theta_raises(self):
         from repro.exceptions import SamplingError
@@ -555,6 +553,26 @@ class TestWarmSolve:
             staleness_bound(100, 0, 10, 0, 0)
         with pytest.raises(SolverError, match="theta pair"):
             staleness_bound(100, 10, 5, 0, 0)
+
+    def test_first_update_after_a_direct_solve_is_warm(
+        self, small_random_graph, small_campaign
+    ):
+        """``Session.solve`` leaves the warm record, so the first update
+        after a direct solve re-solves warm, not only the second."""
+        session = make_session(
+            small_random_graph,
+            small_campaign,
+            runtime=Runtime(artifacts="off"),  # a cache hit runs nothing
+        )
+        session.sample(2000)
+        cold = session.solve("celf-mrr")
+        assert cold.diagnostics["warm"] is False
+        first = session.update(GraphDelta(()))
+        second = session.update(GraphDelta(()))
+        assert first.result.diagnostics["warm"] is True
+        assert second.result.diagnostics["warm"] is True
+        assert first.plan == cold.plan
+        assert second.plan == cold.plan
 
     def test_update_reuses_the_previous_method(self, session):
         session.sample(400)

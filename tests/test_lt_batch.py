@@ -1,13 +1,14 @@
-"""The batched LT engine: cross-backend equivalence and model wiring.
+"""The batched LT engine: oracle equivalence and model wiring.
 
 Mirrors ``tests/test_batch_sampling.py`` for the Linear Threshold
 substrate:
 
 * **Exact stream equality** — a ``block_size=1`` :class:`BatchLTSampler`
   consumes the rng stream bit-for-bit like the reference
-  single-predecessor walk, and the batched LT forward cascade draws the
-  same thresholds and produces the same activation mask as the
-  per-vertex loop (property-tested over random normalised instances).
+  single-predecessor walk of :mod:`repro.sampling.reference`, and the
+  batched LT forward cascade draws the same thresholds and produces the
+  same activation mask as the per-vertex loop (property-tested over
+  random normalised instances).
 * **Distributional equivalence** for real (multi-walk) blocks — matched
   sample counts must agree on the RR-set size histogram (chi-square
   homogeneity) and on membership probabilities with exact values.
@@ -37,11 +38,10 @@ from repro.diffusion.simulate import (
     simulate_piece_spread,
 )
 from repro.diffusion.threshold import (
-    LinearThresholdSampler,
     normalize_lt_weights,
     simulate_lt_cascade,
 )
-from repro.exceptions import ParameterError, SamplingError
+from repro.exceptions import ConfigError, ParameterError, SamplingError
 from repro.graph.digraph import TopicGraph
 from repro.graph.generators import (
     build_topic_graph,
@@ -53,10 +53,13 @@ from repro.sampling.batch import (
     BACKENDS,
     DEFAULT_MODEL,
     BatchLTSampler,
+    NativeLTSampler,
     check_model,
     simulate_lt_cascade_batch,
 )
+from repro.sampling import reference
 from repro.sampling.mrr import MRRCollection, resolve_models
+from repro.sampling.parallel import _task_sampler
 from repro.topics.distributions import Campaign, unit_piece
 from repro.utils.rng import as_generator
 
@@ -132,8 +135,7 @@ class TestExactStreamEquality:
         """block_size=1 preserves draw order: bitwise-equal CSR output."""
         pg = build_lt_piece_graph(params)
         roots = as_generator(params["seed"]).integers(0, pg.n, size=40)
-        ref = LinearThresholdSampler(pg, backend="python")
-        ref_ptr, ref_nodes = ref.sample_many(roots, as_generator(3))
+        ref_ptr, ref_nodes = reference.lt_rr_sets(pg, roots, as_generator(3))
         batch = BatchLTSampler(pg, block_size=1)
         ptr, nodes = batch.sample_many(roots, as_generator(3))
         assert np.array_equal(ref_ptr, ptr)
@@ -145,7 +147,7 @@ class TestExactStreamEquality:
         """The batch LT kernel draws the same thresholds, same mask."""
         pg = build_lt_piece_graph(params)
         seeds = as_generator(params["seed"]).integers(0, pg.n, size=3)
-        ref = simulate_lt_cascade(pg, seeds, as_generator(17), backend="python")
+        ref = reference.lt_cascade(pg, seeds, as_generator(17))
         batch = simulate_lt_cascade_batch(pg, seeds, as_generator(17))
         assert np.array_equal(ref, batch)
         default = simulate_lt_cascade(pg, seeds, as_generator(17))
@@ -242,9 +244,7 @@ class TestDistributionalEquivalence:
         _, _, pgs = lt_world
         pg = pgs[0]
         roots = as_generator(1).integers(0, pg.n, size=4000)
-        p_ptr, _ = LinearThresholdSampler(pg, backend="python").sample_many(
-            roots, as_generator(2)
-        )
+        p_ptr, _ = reference.lt_rr_sets(pg, roots, as_generator(2))
         b_ptr, _ = BatchLTSampler(pg).sample_many(roots, as_generator(3))
         stat, df = chi2_homogeneity(np.diff(p_ptr), np.diff(b_ptr))
         assert stat < chi2_critical(df), (
@@ -254,9 +254,8 @@ class TestDistributionalEquivalence:
     def test_mean_walk_length_agrees_between_backends(self, lt_world):
         _, _, pgs = lt_world
         roots = as_generator(4).integers(0, pgs[0].n, size=3000)
-        sampler = LinearThresholdSampler(pgs[0])
-        p_ptr, _ = sampler.sample_many(roots, as_generator(5), backend="python")
-        b_ptr, _ = sampler.sample_many(roots, as_generator(6), backend="batch")
+        p_ptr, _ = reference.lt_rr_sets(pgs[0], roots, as_generator(5))
+        b_ptr, _ = BatchLTSampler(pgs[0]).sample_many(roots, as_generator(6))
         assert float(np.diff(b_ptr).mean()) == pytest.approx(
             float(np.diff(p_ptr).mean()), rel=0.1
         )
@@ -277,12 +276,18 @@ class TestDistributionalEquivalence:
                 runtime=Runtime(backend=backend, model="lt"),
             )
             estimates[backend] = mrr.estimate(plan, adoption)
+        rng = as_generator(10)
+        csr = [reference.lt_rr_sets(pg, mrr.roots, rng) for pg in pgs]
+        estimates["reference"] = MRRCollection(
+            graph.n, mrr.roots, [p for p, _ in csr], [v for _, v in csr]
+        ).estimate(plan, adoption)
         sim = simulate_adoption_utility(
             pgs, plan, adoption, rounds=400, seed=9,
             runtime=Runtime(model="lt"),
         )
+        assert estimates["native"] == estimates["batch"]
         assert estimates["batch"] == pytest.approx(
-            estimates["python"], rel=0.1
+            estimates["reference"], rel=0.1
         )
         assert estimates["batch"] == pytest.approx(sim, rel=0.15)
 
@@ -370,26 +375,17 @@ class TestBackendSelection:
     def test_unknown_backend_rejected(self):
         pg = project([], 2)
         with pytest.raises(ParameterError):
-            LinearThresholdSampler(pg, backend="numba")
+            _task_sampler(pg, "lt", "numba")
         with pytest.raises(ParameterError):
-            simulate_lt_cascade(pg, [0], as_generator(0), backend="numba")
-
-    def test_per_call_backend_override(self):
-        pg = project([(0, 1, {0: 1.0})], 2)
-        sampler = LinearThresholdSampler(pg, backend="batch")
-        assert sampler.backend == "batch"
-        ptr, nodes = sampler.sample_many(
-            np.array([1]), as_generator(0), backend="python"
-        )
-        assert nodes[ptr[0] : ptr[1]].tolist() == [1, 0]
+            _task_sampler(pg, "lt", "python")
 
     def test_repro_backend_env_sets_default(self):
-        """The CI matrix knob: REPRO_BACKEND overrides the default."""
+        """The env knob: REPRO_BACKEND overrides the default."""
         code = (
             "import repro.sampling.batch as b; "
-            "assert b.DEFAULT_BACKEND == 'python', b.DEFAULT_BACKEND"
+            "assert b.DEFAULT_BACKEND == 'native', b.DEFAULT_BACKEND"
         )
-        env = dict(os.environ, REPRO_BACKEND="python")
+        env = dict(os.environ, REPRO_BACKEND="native")
         env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
         proc = subprocess.run(
             [sys.executable, "-c", code],
@@ -428,6 +424,26 @@ class TestBackendSelection:
         assert proc.returncode != 0
         assert b"REPRO_BACKEND" in proc.stderr
 
+    def test_repro_backend_env_rejects_python(self):
+        """The per-vertex loops are a test oracle, not an engine: the
+        retired ``python`` value fails at import, naming the legal
+        values."""
+        env = dict(os.environ, REPRO_BACKEND="python")
+        env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", "import repro"],
+            env=env,
+            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            capture_output=True,
+        )
+        assert proc.returncode != 0
+        assert b"ConfigError" in proc.stderr
+        assert b"REPRO_BACKEND must be one of ('batch', 'native')" in (
+            proc.stderr
+        )
+        with pytest.raises(ConfigError, match="batch"):
+            Runtime(backend="python")
+
 
 class TestFeasibilityValidation:
     def test_samplers_reject_unnormalized_weights(self):
@@ -435,14 +451,14 @@ class TestFeasibilityValidation:
         estimate (the walk always finds a predecessor) — fail loudly."""
         pg = project([(0, 2, {0: 0.8}), (1, 2, {0: 0.8})], 3)
         with pytest.raises(ParameterError, match="normalise"):
-            LinearThresholdSampler(pg)
+            reference.lt_rr_sets(pg, [2], as_generator(0))
         with pytest.raises(ParameterError, match="normalise"):
             BatchLTSampler(pg)
         with pytest.raises(ParameterError, match="normalise"):
             ris_influence_maximization(pg, 1, theta=10, seed=0,
             runtime=Runtime(model="lt")),
         norm = normalize_lt_weights(pg)
-        assert LinearThresholdSampler(norm).sample(2, as_generator(0)).size
+        assert reference.lt_rr_sets(norm, [2], as_generator(0))[1].size
         assert BatchLTSampler(norm).sample(2, as_generator(0)).size
 
 
@@ -494,9 +510,8 @@ class TestFeasibilityCheckedOnce:
 
     def test_direct_sampler_checks_once(self, calls):
         pg = project([(0, 1, {0: 0.6}), (1, 2, {0: 0.4})], 3)
-        sampler = LinearThresholdSampler(pg)
-        sampler.sample_many(np.arange(3), as_generator(0), backend="batch")
-        BatchLTSampler(pg)
+        BatchLTSampler(pg).sample_many(np.arange(3), as_generator(0))
+        NativeLTSampler(pg)
         assert len(calls) == 2
 
     def test_generate_still_rejects_infeasible_weights(self, lt_world):

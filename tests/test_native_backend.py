@@ -25,10 +25,7 @@ from repro import Session, native
 from repro.core.bitset import SampleBitset
 from repro.core.coverage import coverage_gains
 from repro.diffusion.projection import project_campaign
-from repro.diffusion.threshold import (
-    LinearThresholdSampler,
-    normalize_lt_weights,
-)
+from repro.diffusion.threshold import normalize_lt_weights
 from repro.exceptions import ConfigError
 from repro.graph.generators import (
     build_topic_graph,
@@ -41,11 +38,10 @@ from repro.sampling.batch import (
     BatchRRSampler,
     NativeLTSampler,
     NativeRRSampler,
-    canonical_backend,
     check_backend,
 )
 from repro.sampling.mrr import MRRCollection
-from repro.sampling.rr import ReverseReachableSampler
+from repro.sampling.parallel import _task_sampler
 from repro.sampling.store import store_fingerprint
 from repro.topics.distributions import Campaign
 from repro.utils.frontier import segment_sums
@@ -109,17 +105,11 @@ class TestBackendResolution:
         with pytest.warns(RuntimeWarning):
             check_backend("native")
 
-    def test_canonical_backend_folds_native_into_batch(self, force_compiled):
-        assert canonical_backend("native") == "batch"
-        assert canonical_backend("batch") == "batch"
-        assert canonical_backend("python") == "python"
-
     def test_cache_key_identical_native_vs_batch(self, force_compiled):
         native_key = resolve_runtime(Runtime(backend="native")).cache_key()
         batch_key = resolve_runtime(Runtime(backend="batch")).cache_key()
-        python_key = resolve_runtime(Runtime(backend="python")).cache_key()
         assert native_key == batch_key
-        assert python_key != batch_key
+        assert "backend" not in batch_key
 
     def test_cache_key_identical_even_without_numba(self, force_uncompiled):
         with pytest.warns(RuntimeWarning):
@@ -133,17 +123,15 @@ class TestBackendResolution:
     def test_store_fingerprint_identical_native_vs_batch(
         self, force_compiled
     ):
+        # the engines are bit-identical, so the fingerprint names none
         roots = np.arange(10, dtype=np.int64)
-        fp_native = store_fingerprint(50, roots, ("ic",), "native")
-        fp_batch = store_fingerprint(50, roots, ("ic",), "batch")
-        fp_python = store_fingerprint(50, roots, ("ic",), "python")
-        assert fp_native == fp_batch
-        assert fp_python != fp_batch
+        fp = store_fingerprint(50, roots, ("ic",))
+        assert "backend" not in fp
 
     def test_sampler_falls_back_without_numba(self, piece, force_uncompiled):
         with pytest.warns(RuntimeWarning):
-            sampler = ReverseReachableSampler(piece, backend="native")
-        assert sampler.backend == "batch"
+            sampler = _task_sampler(piece, "ic", "native")
+        assert type(sampler) is BatchRRSampler
         roots = as_generator(5).integers(0, piece.n, size=60)
         ptr, nodes = sampler.sample_many(roots, as_generator(9))
         ref = BatchRRSampler(piece)
@@ -186,15 +174,10 @@ class TestEngineBitIdentity:
     def test_sampler_facades_route_to_native_engine(
         self, piece, force_compiled
     ):
-        rr = ReverseReachableSampler(piece, backend="native")
-        roots = as_generator(5).integers(0, piece.n, size=80)
-        rr.sample_many(roots, as_generator(7))
-        assert NativeRRSampler in rr._batch
-        lt = LinearThresholdSampler(
-            normalize_lt_weights(piece), backend="native"
-        )
-        lt.sample_many(roots, as_generator(7))
-        assert any(cls.__name__ == "NativeLTSampler" for cls in lt._batch)
+        assert type(_task_sampler(piece, "ic", "native")) is NativeRRSampler
+        lt = _task_sampler(normalize_lt_weights(piece), "lt", "native")
+        assert type(lt) is NativeLTSampler
+        assert type(_task_sampler(piece, "ic", "batch")) is BatchRRSampler
 
     @pytest.mark.parametrize("workers", [1, 4])
     @pytest.mark.parametrize("store", ["memory", "disk"])
@@ -336,7 +319,7 @@ class TestSampleStageTraceExtras:
         ]
         assert runs
         extra = runs[0].extra
-        assert extra["backend"] in ("python", "batch", "native")
+        assert extra["backend"] in ("batch", "native")
         assert extra["entropy"] == 7  # an int seed is the entropy
         assert extra["task_block"] >= 1
         assert 1 <= extra["block_roots"] <= extra["task_block"]

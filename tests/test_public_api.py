@@ -50,7 +50,6 @@ PUBLIC_EXPORTS = [
     "PieceGraph",
     "PipelineTrace",
     "ReproError",
-    "ReverseReachableSampler",
     "Runtime",
     "STAGES",
     "SamplingError",

@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro import native
 import repro.runtime as runtime_mod
 import repro.sampling.batch as batch_mod
 import repro.sampling.parallel as parallel_mod
@@ -131,6 +132,7 @@ class TestRuntimeConstruction:
             {"store": "s3"},
             {"max_resident_bytes": 0},
             {"max_resident_bytes": "lots"},
+            {"backend": "python"},  # the reference loops are no engine
         ],
     )
     def test_bad_field_fails_at_construction(self, kwargs):
@@ -139,7 +141,7 @@ class TestRuntimeConstruction:
 
     def test_good_fields_accepted(self, tmp_path):
         rt = Runtime(
-            backend="python",
+            backend="native",
             model=["ic", "lt"],
             workers="auto",
             executor="spawned",
@@ -153,10 +155,10 @@ class TestRuntimeConstruction:
         assert Runtime(store=MemoryStore()).store.kind == "memory"
 
     def test_frozen_and_replace(self):
-        rt = Runtime(backend="python")
+        rt = Runtime(backend="native")
         with pytest.raises(AttributeError):
             rt.backend = "batch"
-        assert rt.replace(workers=2) == Runtime(backend="python", workers=2)
+        assert rt.replace(workers=2) == Runtime(backend="native", workers=2)
         with pytest.raises(ConfigError):
             rt.replace(backend="numba")
 
@@ -181,17 +183,18 @@ class TestResolutionOrder:
     def test_env_layer_beats_default(self, monkeypatch):
         # The module globals are the parsed-once env layer (see
         # repro.runtime); patching them models REPRO_* being set.
-        monkeypatch.setattr(batch_mod, "DEFAULT_BACKEND", "python")
+        monkeypatch.setattr(native, "COMPILED", True)
+        monkeypatch.setattr(batch_mod, "DEFAULT_BACKEND", "native")
         monkeypatch.setattr(parallel_mod, "DEFAULT_WORKERS", 3)
         monkeypatch.setattr(parallel_mod, "DEFAULT_EXECUTOR", "spawned")
         monkeypatch.setattr(store_mod, "DEFAULT_STORE", "disk")
         rt = resolve_runtime(None)
         assert (rt.backend, rt.workers, rt.executor, rt.store) == (
-            "python", 3, "spawned", "disk"
+            "native", 3, "spawned", "disk"
         )
 
     def test_runtime_field_beats_env(self, monkeypatch):
-        monkeypatch.setattr(batch_mod, "DEFAULT_BACKEND", "python")
+        monkeypatch.setattr(batch_mod, "DEFAULT_BACKEND", "native")
         monkeypatch.setattr(parallel_mod, "DEFAULT_WORKERS", 3)
         monkeypatch.setattr(store_mod, "DEFAULT_STORE", "disk")
         rt = resolve_runtime(
@@ -200,14 +203,15 @@ class TestResolutionOrder:
         assert (rt.backend, rt.workers, rt.store) == ("batch", 0, "memory")
 
     def test_resolved_runtime_is_idempotent(self, monkeypatch):
-        rt = resolve_runtime(Runtime(workers=0, backend="python"))
+        monkeypatch.setattr(native, "COMPILED", True)
+        rt = resolve_runtime(Runtime(workers=0, backend="native"))
         # Flipping the env layer afterwards must not leak back in: a
         # ResolvedRuntime's fields are concrete.
         monkeypatch.setattr(batch_mod, "DEFAULT_BACKEND", "batch")
         monkeypatch.setattr(parallel_mod, "DEFAULT_WORKERS", 8)
         again = resolve_runtime(rt)
         assert isinstance(again, ResolvedRuntime)
-        assert (again.backend, again.workers) == ("python", 0)
+        assert (again.backend, again.workers) == ("native", 0)
 
     def test_seed_policy(self):
         assert resolve_runtime(Runtime(seed=5)).seed == 5
@@ -218,10 +222,12 @@ class TestResolutionOrder:
         # A fresh interpreter with REPRO_* set must resolve through the
         # env layer — and an explicit Runtime field must still win.
         code = (
+            "from repro import native\n"
             "from repro.runtime import Runtime, resolve_runtime\n"
+            "native.COMPILED = True  # keep 'native' without numba\n"
             "rt = resolve_runtime(None)\n"
             "assert (rt.backend, rt.workers, rt.executor, rt.store) == "
-            "('python', 2, 'spawned', 'disk'), rt\n"
+            "('native', 2, 'spawned', 'disk'), rt\n"
             "rt = resolve_runtime(Runtime(backend='batch', "
             "workers='serial', executor='thread', store='memory'))\n"
             "assert (rt.backend, rt.workers, rt.executor, rt.store) == "
@@ -234,7 +240,7 @@ class TestResolutionOrder:
                 "PYTHONPATH": str(
                     pathlib.Path(repro.__file__).parents[1]
                 ),
-                "REPRO_BACKEND": "python",
+                "REPRO_BACKEND": "native",
                 "REPRO_WORKERS": "2",
                 "REPRO_EXECUTOR": "spawned",
                 "REPRO_STORE": "disk",

@@ -86,8 +86,6 @@ def test_keyed_lineage_bytes_are_pinned(small_random_graph, small_campaign):
     pinned = {
         "batch": "ad2672a06bdfc9dfa78b95487fa0efb3"
         "9b0886b93c5ef61fc694155698af2513",
-        "python": "7be8adf980228d3b91aec8fa99e0f27b"
-        "9d628f6661854fc5632aa15e4b20c015",
     }
     for backend, digest in pinned.items():
         session = Session(

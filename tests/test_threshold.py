@@ -7,12 +7,12 @@ import pytest
 
 from repro.diffusion.projection import PieceGraph
 from repro.diffusion.threshold import (
-    LinearThresholdSampler,
     normalize_lt_weights,
     simulate_lt_cascade,
 )
 from repro.exceptions import ParameterError, SamplingError
 from repro.graph.digraph import TopicGraph
+from repro.sampling.reference import lt_cascade, lt_rr_sets
 from repro.topics.distributions import unit_piece
 from repro.utils.rng import as_generator
 
@@ -20,6 +20,12 @@ from repro.utils.rng import as_generator
 def project(edges, n, topics=1):
     g = TopicGraph.from_edges(n, topics, edges)
     return PieceGraph.project(g, unit_piece(0, topics))
+
+
+def walks(pg, roots, rng):
+    """The reference LT RR sets of ``roots``, as a list of arrays."""
+    ptr, nodes = lt_rr_sets(pg, roots, rng)
+    return [nodes[ptr[i] : ptr[i + 1]] for i in range(len(roots))]
 
 
 class TestNormalizeWeights:
@@ -101,13 +107,10 @@ class TestLTSampler:
     def test_membership_matches_forward_activation(self):
         """The LT RR equivalence on a two-hop path."""
         pg = project([(0, 1, {0: 0.6}), (1, 2, {0: 0.5})], 3)
-        sampler = LinearThresholdSampler(pg)
         rng = as_generator(3)
         trials = 6000
-        rr_hits = sum(0 in sampler.sample(2, rng) for _ in range(trials))
-        fwd = sum(
-            simulate_lt_cascade(pg, [0], rng)[2] for _ in range(trials)
-        )
+        rr_hits = sum(0 in rr for rr in walks(pg, [2] * trials, rng))
+        fwd = sum(lt_cascade(pg, [0], rng)[2] for _ in range(trials))
         # Exact probability 0.6 * 0.5 = 0.3 under LT live-edge semantics.
         assert rr_hits / trials == pytest.approx(0.3, abs=0.03)
         assert fwd / trials == pytest.approx(0.3, abs=0.03)
@@ -116,29 +119,24 @@ class TestLTSampler:
         pg = project(
             [(0, 1, {0: 0.9}), (1, 2, {0: 0.9}), (2, 0, {0: 0.9})], 3
         )
-        sampler = LinearThresholdSampler(pg)
-        rr = sampler.sample(0, as_generator(4))
+        rr = walks(pg, [0], as_generator(4))[0]
         # Cycle is cut: no vertex repeats.
         assert len(set(rr.tolist())) == rr.size
 
     def test_root_always_first(self):
         pg = project([(0, 1, {0: 0.5})], 2)
-        sampler = LinearThresholdSampler(pg)
         for _ in range(10):
-            rr = sampler.sample(1, as_generator(5))
+            rr = walks(pg, [1], as_generator(5))[0]
             assert rr[0] == 1
 
     def test_root_validated(self):
         pg = project([], 2)
         with pytest.raises(SamplingError):
-            LinearThresholdSampler(pg).sample(7, as_generator(0))
+            lt_rr_sets(pg, [7], as_generator(0))
 
     def test_sample_many_layout(self):
         pg = project([(0, 1, {0: 1.0})], 2)
-        sampler = LinearThresholdSampler(pg)
-        ptr, nodes = sampler.sample_many(
-            np.array([0, 1]), as_generator(6)
-        )
+        ptr, nodes = lt_rr_sets(pg, np.array([0, 1]), as_generator(6))
         assert ptr.tolist()[0] == 0
         assert ptr[-1] == nodes.size
 
@@ -148,10 +146,9 @@ class TestLTSampler:
         from repro.sampling.mrr import MRRCollection
 
         pg = project([(0, 1, {0: 1.0}), (1, 2, {0: 1.0})], 3)
-        sampler = LinearThresholdSampler(pg)
         rng = as_generator(7)
         roots = rng.integers(0, 3, size=600)
-        ptr, nodes = sampler.sample_many(roots, rng)
+        ptr, nodes = lt_rr_sets(pg, roots, rng)
         mrr = MRRCollection(3, roots, [ptr], [nodes])
         adoption = AdoptionModel(alpha=1.0, beta=1.0)
         est = mrr.estimate([[0]], adoption)
