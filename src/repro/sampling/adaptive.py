@@ -57,9 +57,9 @@ def generate_adaptive(
     ``probe_plan``'s utility within ``epsilon * n`` of each other, or
     (b) the Hoeffding worst-case count (or ``max_theta``) is reached.
     ``runtime`` (a :class:`repro.runtime.Runtime`) carries the execution
-    policy — backend, models, workers, store — for every generated
-    collection.  A configured ``shard_dir`` is split into per-attempt
-    subdirectories so the doubling collections never collide.
+    policy — models, workers, store — for every generated collection.
+    A configured ``shard_dir`` is split into per-attempt subdirectories
+    so the doubling collections never collide.
 
     Returns the final collection and a diagnostics dict with the
     doubling trace — the empirical analogue of the paper's fixed-theta

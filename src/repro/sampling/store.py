@@ -15,10 +15,12 @@ implementations:
     Root-block shards spilled to disk.  ``stream_piece_blocks`` already
     decomposes generation into per-(piece, root block) tasks, and those
     blocks are exactly the shards: each is written to ``shard_dir`` as a
-    ``.npz`` the moment it is sampled (so peak RAM during generation is
-    one block, not theta), the per-piece inverted index is built from
-    one read of the piece's shards (in RAM when the piece fits the
-    ``max_resident_bytes`` build budget, else by a bucketed external
+    ``.npz`` the moment it is sampled (peak RAM during generation is
+    one block plus the committed rows kept within a share of
+    ``max_resident_bytes``, not theta), the per-piece inverted index is
+    built in one pass over the piece's shards (from those kept rows,
+    opening only the files of shards this store did not commit; in RAM
+    when the piece fits the build budget, else by a bucketed external
     sort), and queries read only the slabs they touch through explicit
     bounded file reads — never a whole-collection materialisation.  A
     manifest makes shard directories self-describing: interrupted
@@ -96,6 +98,9 @@ _SEG_CACHE_MAX_BYTES = 64 * 1024 * 1024
 #: Share of ``max_resident_bytes`` the in-RAM touch summaries may hold
 #: (beyond it, :meth:`ShardStore.block_touch` reads the shard file).
 _TOUCH_CACHE_FRACTION = 4
+#: Share of ``max_resident_bytes`` the committed shard rows may hold
+#: (beyond it, the index build reads the shard file).
+_ROW_CACHE_FRACTION = 4
 #: Largest request pool the segment LRU serves; bigger scans go
 #: straight to the vectorised coalescing reader, whose O(1)-ish read
 #: count already wins there and whose per-entry cost is lower.  The
@@ -703,15 +708,25 @@ class ShardStore(SampleStore):
                                         slab, never whole)
 
     ``max_resident_bytes`` bounds everything this store holds in RAM:
-    the shard LRU cache serving :meth:`rr_set`, the index build (a piece
-    whose entries fit ``max_resident_bytes // 32`` is inverted in RAM
-    from the one read of its shards; a bigger one spills to a bucketed
-    external sort with buckets of that size), the touch summaries kept
-    for :meth:`blocks_touching`, and (via :attr:`gather_chunk_bytes`)
-    the slab chunks the coverage kernels gather per dispatch.  OS page
-    cache does the rest — all file traffic is explicit ``read()`` I/O,
-    so cached pages are reclaimable and never count against the
-    process's resident set the way a mapped index would.
+
+    * the shard LRU cache serving :meth:`rr_set`;
+    * the rows (per-sample sizes and node ids, in the narrowest
+      unsigned type that holds them) of the shards this store committed
+      itself, kept from :meth:`put_block` within a quarter of the
+      budget: :meth:`finalize` builds from them and opens a shard file
+      only for blocks it did not commit (foreign or shared-writer
+      commits, a reopened directory, rows beyond the share);
+    * the index build: a piece whose entries fit
+      ``max_resident_bytes // 32`` is inverted in RAM in one pass over
+      its shards, a bigger one spills to a bucketed external sort with
+      buckets of that size;
+    * the touch summaries kept for :meth:`blocks_touching`;
+    * (via :attr:`gather_chunk_bytes`) the slab chunks the coverage
+      kernels gather per dispatch.
+
+    OS page cache does the rest — all file traffic is explicit
+    ``read()`` I/O, so cached pages are reclaimable and never count
+    against the process's resident set the way a mapped index would.
 
     Passing ``shard_dir=None`` spills into a private temporary
     directory that lives as long as the store object does (the CI
@@ -767,6 +782,13 @@ class ShardStore(SampleStore):
         # the shard file.
         self._touch: dict[tuple[int, int], np.ndarray] = {}
         self._touch_bytes = 0
+        # (piece, block) -> (sizes, nodes) of a shard this store
+        # committed, each in the narrowest unsigned type its values fit
+        # (uint16 node ids below 65 536 vertices): the index build reads
+        # these instead of the file.  Admitted only by put_block, within
+        # a share of max_resident_bytes.
+        self._rows: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self._row_bytes = 0
         self._idx_ptr: dict[int, np.ndarray] = {}
         self._sizes: dict[int, np.ndarray] = {}
         self._idx_files: dict[int, object] = {}
@@ -857,6 +879,8 @@ class ShardStore(SampleStore):
             self._completed = set()
             self._touch.clear()
             self._touch_bytes = 0
+            self._rows.clear()
+            self._row_bytes = 0
             self._roots_key = None
             self.manifest_version = _MANIFEST_VERSION
             self._write_manifest()
@@ -888,12 +912,14 @@ class ShardStore(SampleStore):
         # Resume: completion truth is the committed shard *files* (the
         # manifest lists no blocks) — a scan picks up both blocks whose
         # files survived and blocks committed by other writers (foreign
-        # pids in a distributed fill).  Summaries of blocks whose files
-        # are gone are dropped with them.
+        # pids in a distributed fill).  Summaries and rows of blocks
+        # whose files are gone are dropped with them.
         self._completed = set()
         self.rescan()
         for key in [k for k in self._touch if k not in self._completed]:
             self._forget_touch(key)
+        for key in [k for k in self._rows if k not in self._completed]:
+            self._forget_rows(key)
         self.finalized = bool(manifest.get("finalized")) and all(
             os.path.exists(p)
             for j in range(self.num_pieces)
@@ -951,6 +977,7 @@ class ShardStore(SampleStore):
         )
         self._completed.add((piece, block))
         self._remember_touch((piece, block), touch)
+        self._remember_rows((piece, block), ptr, nodes)
 
     @property
     def supports_touch(self) -> bool:
@@ -985,6 +1012,43 @@ class ShardStore(SampleStore):
         old = self._touch.pop(key, None)
         if old is not None:
             self._touch_bytes -= old.nbytes
+
+    def _remember_rows(self, key: tuple[int, int], ptr, nodes) -> None:
+        """Keep a committed shard's rows in RAM while they fit the budget.
+
+        A shared writer never builds an index, so it keeps none.
+        """
+        self._forget_rows(key)
+        if self.shared_writer:
+            return
+        sizes = np.diff(ptr)
+        rows = (
+            sizes.astype(np.min_scalar_type(int(sizes.max(initial=0)))),
+            nodes.astype(np.min_scalar_type(self.n - 1)),
+        )
+        nbytes = rows[0].nbytes + rows[1].nbytes
+        budget = self.max_resident_bytes // _ROW_CACHE_FRACTION
+        if self._row_bytes + nbytes <= budget:
+            self._rows[key] = rows
+            self._row_bytes += nbytes
+
+    def _forget_rows(self, key: tuple[int, int]) -> None:
+        old = self._rows.pop(key, None)
+        if old is not None:
+            self._row_bytes -= old[0].nbytes + old[1].nbytes
+
+    def _block_rows(
+        self, piece: int, block: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One shard's ``(sizes, nodes)``: the rows this store committed,
+        else read from its file.  Reads never admit rows, and kept rows
+        hold the narrowest unsigned type their values fit: callers widen
+        where they need int64."""
+        rows = self._rows.get((piece, block))
+        if rows is not None:
+            return rows
+        ptr, nodes = self._load_block_file(piece, block)
+        return np.diff(ptr), nodes
 
     def _load_block_file(
         self, piece: int, block: int
@@ -1058,6 +1122,7 @@ class ShardStore(SampleStore):
             pass
         self._completed.discard((piece, block))
         self._forget_touch((piece, block))
+        self._forget_rows((piece, block))
         hit = self._cache.pop((piece, block), None)
         if hit is not None:
             self._cache_bytes -= hit[0].nbytes + hit[1].nbytes
@@ -1140,14 +1205,18 @@ class ShardStore(SampleStore):
         self._write_manifest()
 
     def _build_piece_index(self, piece: int) -> None:
-        """One piece's inverted index, reading each shard file once.
+        """One piece's inverted index from its shards' rows.
 
-        The read pass records per-sample sizes and keeps each shard's
-        nodes while the piece fits one bucket of the build budget (32
+        Shards this store committed are built from the rows
+        :meth:`put_block` kept in RAM; only the others (foreign or
+        shared-writer commits, a freshly opened directory, rows beyond
+        the budget share) are read from their files, once each.  The
+        pass records per-sample sizes and keeps each shard's nodes
+        while the piece fits one bucket of the build budget (32
         bytes/entry within ``max_resident_bytes``: the nodes plus the
         inversion's scratch; ~8M entries at the default).  Such a piece
         is inverted in RAM by :func:`_invert_csr`, the construction
-        :class:`MemoryStore` uses, and written out: no second read, no
+        :class:`MemoryStore` uses, and written out: no second pass, no
         spill.  A piece that overflows the bucket drops what it kept,
         counts per-vertex entries instead and goes through
         :meth:`_external_sort`.  Shards are visited in root order, so
@@ -1161,8 +1230,8 @@ class ShardStore(SampleStore):
         total = 0
         for b in range(self.num_blocks):
             lo, hi = self._block_span(b)
-            block_ptr, nodes = self._load_block_file(piece, b)
-            sizes[lo:hi] = np.diff(block_ptr)
+            block_sizes, nodes = self._block_rows(piece, b)
+            sizes[lo:hi] = block_sizes
             total += nodes.size
             if counts is None:
                 if total <= bucket_entries:
@@ -1175,7 +1244,7 @@ class ShardStore(SampleStore):
             if nodes.size:
                 counts += np.bincount(nodes, minlength=self.n)
         if counts is None:
-            nodes = np.concatenate(kept)
+            nodes = np.concatenate(kept, dtype=np.int64)
             del kept
             ptr = np.zeros(self.theta + 1, dtype=np.int64)
             np.cumsum(sizes, out=ptr[1:])
@@ -1196,8 +1265,9 @@ class ShardStore(SampleStore):
     ) -> None:
         """Write ``idx.bin`` of a piece too big for one in-RAM bucket.
 
-        A second pass over the shards splits each shard's (vertex,
-        sample) pairs into vertex-range buckets on disk, each holding at
+        A second pass over the shards' rows (:meth:`_block_rows`) splits
+        each shard's (vertex, sample) pairs into vertex-range buckets on
+        disk, each holding at
         most ``bucket_entries`` entries (a single heavier vertex gets a
         bucket of its own); each bucket is then loaded alone, stably
         sorted by vertex, and appended to ``idx.bin``.  Both stable
@@ -1233,9 +1303,10 @@ class ShardStore(SampleStore):
         try:
             for b in range(self.num_blocks):
                 lo, _ = self._block_span(b)
-                ptr, nodes = self._load_block_file(piece, b)
+                block_sizes, nodes = self._block_rows(piece, b)
+                nodes = nodes.astype(np.int64, copy=False)
                 samples = lo + np.repeat(
-                    np.arange(ptr.size - 1, dtype=np.int64), np.diff(ptr)
+                    np.arange(block_sizes.size, dtype=np.int64), block_sizes
                 )
                 if use_native:
                     sv = np.empty(nodes.size, dtype=np.int64)
@@ -1365,7 +1436,12 @@ class ShardStore(SampleStore):
 
     @property
     def resident_bytes(self) -> int:
-        return self._cache_bytes + self._seg_bytes + self._touch_bytes
+        return (
+            self._cache_bytes
+            + self._seg_bytes
+            + self._touch_bytes
+            + self._row_bytes
+        )
 
     def stats(self) -> dict[str, int]:
         """Managed-cache counters: the segment LRU and the block LRU."""
@@ -1558,7 +1634,8 @@ class ShardStore(SampleStore):
 
     def _evict_segments(self) -> None:
         # The segment LRU honours both its own budget and the store-wide
-        # resident ceiling shared with the block LRU and touch summaries.
+        # resident ceiling shared with the block LRU, touch summaries and
+        # committed rows.
         while self._seg_cache and (
             self._seg_bytes > self._seg_budget
             or self.resident_bytes > self.max_resident_bytes
@@ -1684,10 +1761,8 @@ class ShardStore(SampleStore):
         ptr = np.zeros(self.theta + 1, dtype=np.int64)
         np.cumsum(sizes, out=ptr[1:])
         nodes = np.concatenate(
-            [
-                self._load_block_file(piece, b)[1]
-                for b in range(self.num_blocks)
-            ]
+            [self._block_rows(piece, b)[1] for b in range(self.num_blocks)],
+            dtype=np.int64,
         )
         return ptr, nodes
 
@@ -1706,6 +1781,8 @@ class ShardStore(SampleStore):
         self._seg_bytes = 0
         self._touch.clear()
         self._touch_bytes = 0
+        self._rows.clear()
+        self._row_bytes = 0
 
     def __repr__(self) -> str:
         return (

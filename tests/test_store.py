@@ -45,6 +45,7 @@ from repro.graph.generators import (
 from repro.im.ris import max_coverage_seeds
 from repro.sampling.mrr import MRRCollection
 from repro.sampling.store import (
+    DEFAULT_MAX_RESIDENT_BYTES,
     MemoryStore,
     ShardStore,
     check_store,
@@ -650,6 +651,15 @@ def _manifest_stat(shard_dir: str) -> tuple[int, int]:
     return st.st_ino, st.st_mtime_ns
 
 
+def _put(store, source, piece: int, block: int) -> None:
+    """Commit ``source``'s samples of one (piece, block) span of ``store``."""
+    ptr, nodes = source.store.rr_arrays(piece)
+    lo, hi = store._block_span(block)
+    store.put_block(
+        piece, block, ptr[lo : hi + 1] - ptr[lo], nodes[ptr[lo] : ptr[hi]]
+    )
+
+
 class TestOneReadIndexBuild:
     def test_in_ram_and_spilled_builds_are_byte_identical(
         self, world, tmp_path, monkeypatch
@@ -722,18 +732,300 @@ class TestOneReadIndexBuild:
         )
         store = ShardStore.open(shard_dir)
         store.invalidate_blocks([(1, 0)])
-        ptr, nodes = mem_mrr.store.rr_arrays(1)
-        lo, hi = store._block_span(0)
-        store.put_block(
-            1, 0, ptr[lo : hi + 1] - ptr[lo], nodes[ptr[lo] : ptr[hi]]
-        )
+        _put(store, mem_mrr, 1, 0)
         loads = _count_npz_loads(monkeypatch)
         store.finalize()
-        # only piece 1 rebuilds, and it opens each of its shards once
+        # only piece 1 rebuilds; it opens each shard it did not commit
+        # once, and builds block 0 from the rows put_block kept
         assert sorted(loads) == [
-            store._block_path(1, b) for b in range(store.num_blocks)
+            store._block_path(1, b) for b in range(1, store.num_blocks)
         ]
         _assert_collections_equal(mem_mrr, MRRCollection.from_store(store))
+
+    def test_refill_after_generate_opens_no_shard(
+        self, world, mem_mrr, tmp_path, monkeypatch
+    ):
+        graph, campaign = world
+        # committed by this process's put_block, not by worker processes
+        store = MRRCollection.generate(
+            graph, campaign, THETA, seed=21,
+            runtime=Runtime(
+                store="disk", shard_dir=str(tmp_path / "shards"),
+                executor="thread",
+            ),
+        ).store
+        last = store.num_blocks - 1
+        store.invalidate_blocks([(1, 0), (2, last)])
+        _put(store, mem_mrr, 1, 0)
+        _put(store, mem_mrr, 2, last)
+        loads = _count_npz_loads(monkeypatch)
+        store.finalize()
+        _assert_collections_equal(mem_mrr, MRRCollection.from_store(store))
+        # every shard was committed here: the rebuild and rr_arrays
+        # both read the kept rows
+        assert loads == []
+
+
+def _spliced(default, theta, block_size, sources) -> MemoryStore:
+    """The memory store of ``default``'s first ``theta`` samples, with
+    the (piece, block) spans named in ``sources`` taken from another
+    collection."""
+    rr_ptr, rr_nodes = [], []
+    for j in range(default.num_pieces):
+        sizes, parts = [], []
+        for b in range(-(-theta // block_size)):
+            ptr, nodes = sources.get((j, b), default).store.rr_arrays(j)
+            lo, hi = b * block_size, min((b + 1) * block_size, theta)
+            sizes.append(np.diff(ptr[lo : hi + 1]))
+            parts.append(nodes[ptr[lo] : ptr[hi]])
+        ptr = np.zeros(theta + 1, dtype=np.int64)
+        np.cumsum(np.concatenate(sizes), out=ptr[1:])
+        rr_ptr.append(ptr)
+        rr_nodes.append(np.concatenate(parts))
+    return MemoryStore.from_arrays(default.n, rr_ptr, rr_nodes)
+
+
+#: Rows are cut into blocks of this many samples (THETA = 8 blocks + 32).
+ROW_BLOCK = 96
+#: A budget whose row share (8 bytes) holds no shard's rows.
+NO_ROW_BUDGET = 32
+
+
+class TestResidentRows:
+    """Shards this store committed are indexed from rows kept in RAM.
+
+    Every case is run at the default budget (every row kept), at a
+    budget whose share holds about half the rows, and at one that
+    holds none (every shard read from its file).  All three write the
+    same index bytes, equal to the memory store's: a row that went
+    stale (refilled, dropped, deleted, recommitted by another writer)
+    never reaches an index.
+    """
+
+    @pytest.fixture(scope="class")
+    def alt_mrr(self, world):
+        """Different content for the same dimensions: a changed graph."""
+        graph, campaign = world
+        src, dst = preferential_attachment_digraph(80, 3, seed=11)
+        changed = build_topic_graph(
+            80, src, dst, 4, topics_per_edge=2.0, prob_mean=0.35, seed=12
+        )
+        assert changed.fingerprint() != graph.fingerprint()
+        return MRRCollection.generate(
+            changed, campaign, THETA, seed=21,
+            runtime=Runtime(workers=1, store="memory"),
+        )
+
+    @staticmethod
+    def _row_bytes(mem_mrr):
+        """n = 80 and RR sets of fewer than 256 vertices: every size and
+        node id is kept in one byte."""
+        return sum(
+            THETA + int(mem_mrr.rr_set_sizes(j).sum()) for j in range(3)
+        )
+
+    def _budgets(self, mem_mrr):
+        half = 2 * self._row_bytes(mem_mrr)  # its quarter holds half
+        return {"default": None, "half": half, "none": NO_ROW_BUDGET}
+
+    @staticmethod
+    def _fill(store, source, theta):
+        store.begin(source.n, 3, theta, ROW_BLOCK)
+        for j in range(3):
+            for b in range(store.num_blocks):
+                _put(store, source, j, b)
+                assert store.resident_bytes <= store.max_resident_bytes
+
+    @staticmethod
+    def _check(store, expected):
+        assert store.resident_bytes <= store.max_resident_bytes
+        pieces = range(store.num_pieces)
+        built = [_index_bytes(store.shard_dir, j) for j in pieces]
+        for j in pieces:
+            idx_ptr, idx_samples = expected.index_arrays(j)
+            assert built[j][0] == idx_samples.tobytes()
+            np.testing.assert_array_equal(store.idx_ptr(j), idx_ptr)
+            np.testing.assert_array_equal(
+                store.rr_set_sizes(j), expected.rr_set_sizes(j)
+            )
+            for x, y in zip(store.rr_arrays(j), expected.rr_arrays(j)):
+                assert x.dtype == np.int64
+                np.testing.assert_array_equal(x, y)
+        return built
+
+    def _run(self, mem_mrr, tmp_path, scenario):
+        built = {}
+        for tag, budget in self._budgets(mem_mrr).items():
+            store = ShardStore(
+                str(tmp_path / tag), max_resident_bytes=budget
+            )
+            built[tag] = scenario(store)
+            if tag == "none":
+                assert store.resident_bytes == 0
+        assert built["default"] == built["half"] == built["none"]
+
+    def test_rows_count_against_the_budget(self, mem_mrr, tmp_path):
+        store = ShardStore(str(tmp_path / "shards"))
+        self._fill(store, mem_mrr, THETA)
+        store.finalize()
+        rows = self._row_bytes(mem_mrr)
+        touch = sum(
+            store.block_touch(j, b).nbytes
+            for j in range(3)
+            for b in range(store.num_blocks)
+        )
+        assert store.resident_bytes == rows + touch
+        lo, hi = store._block_span(1)
+        dropped = hi - lo + int(mem_mrr.rr_set_sizes(0)[lo:hi].sum())
+        dropped += store.block_touch(0, 1).nbytes
+        store.invalidate_blocks([(0, 1)])
+        assert store.resident_bytes == rows + touch - dropped
+        store.close()
+        assert store.resident_bytes == 0
+
+    def test_wide_values_widen_in_the_build(self, tmp_path):
+        """Node ids past 65 535 and RR sets past 255 vertices, kept in
+        uint32/uint16 rows, index like the memory store's, in RAM and
+        through the external sort."""
+        n, rng = 70_000, np.random.default_rng(3)
+        sizes = rng.integers(600, 1000, size=8)
+        ptr = np.zeros(9, dtype=np.int64)
+        np.cumsum(sizes, out=ptr[1:])
+        nodes = np.concatenate(
+            [rng.choice(n, size=int(k), replace=False) for k in sizes]
+        )
+        nodes[0] = n - 1
+        assert nodes.size > 4096  # the small budget's bucket spills
+        expected = MemoryStore.from_arrays(n, [ptr], [nodes])
+        built = []
+        # 128 KiB: rows fit its quarter, the 4096-entry bucket spills
+        for budget in (None, 128 * 1024):
+            store = ShardStore(
+                str(tmp_path / str(budget)), max_resident_bytes=budget
+            )
+            store.begin(n, 1, 8, 4)
+            for b in range(2):
+                lo, hi = 4 * b, 4 * b + 4
+                store.put_block(
+                    0, b, ptr[lo : hi + 1] - ptr[lo], nodes[ptr[lo] : ptr[hi]]
+                )
+            assert store.resident_bytes == store._touch_bytes + (
+                8 * 2 + nodes.size * 4
+            )
+            store.finalize()
+            built.append(self._check(store, expected))
+        assert built[0] == built[1]
+
+    def test_refilled_blocks(self, mem_mrr, alt_mrr, tmp_path):
+        last = -(-THETA // ROW_BLOCK) - 1
+        refilled = _spliced(
+            mem_mrr, THETA, ROW_BLOCK, {(1, 0): alt_mrr, (2, last): alt_mrr}
+        )
+        for j in (1, 2):  # the refill really changes both indexes
+            assert not np.array_equal(
+                refilled.index_arrays(j)[1], mem_mrr.index_arrays(j)[1]
+            )
+
+        def scenario(store):
+            self._fill(store, mem_mrr, THETA)
+            store.finalize()
+            # refilled with different content (the changed graph's) ...
+            store.invalidate_blocks([(1, 0), (2, last)])
+            _put(store, alt_mrr, 1, 0)
+            _put(store, alt_mrr, 2, last)
+            store.finalize()
+            self._check(store, refilled)
+            # ... and back
+            store.invalidate_blocks([(1, 0)])
+            _put(store, mem_mrr, 1, 0)
+            store.finalize()
+            return self._check(
+                store,
+                _spliced(mem_mrr, THETA, ROW_BLOCK, {(2, last): alt_mrr}),
+            )
+
+        self._run(mem_mrr, tmp_path, scenario)
+
+    def test_theta_growth_drops_partial_last_block(
+        self, mem_mrr, alt_mrr, tmp_path
+    ):
+        small = 500  # blocks 0-4 full, block 5 holds samples 480-499
+
+        def scenario(store):
+            store.begin(mem_mrr.n, 3, small, ROW_BLOCK)
+            last = store.num_blocks - 1
+            for j in range(3):
+                for b in range(store.num_blocks):
+                    _put(store, alt_mrr if b == last else mem_mrr, j, b)
+            store.finalize()
+            self._check(
+                store,
+                _spliced(
+                    mem_mrr, small, ROW_BLOCK,
+                    {(j, last): alt_mrr for j in range(3)},
+                ),
+            )
+            store.retarget(THETA)
+            assert not any(store.has_block(j, last) for j in range(3))
+            for j in range(3):
+                for b in range(last, store.num_blocks):
+                    _put(store, mem_mrr, j, b)
+            store.finalize()
+            return self._check(store, _spliced(mem_mrr, THETA, ROW_BLOCK, {}))
+
+        self._run(mem_mrr, tmp_path, scenario)
+
+    def test_resume_after_deleted_shard(self, mem_mrr, alt_mrr, tmp_path):
+        def scenario(store):
+            self._fill(store, mem_mrr, THETA)
+            store.finalize()
+            _deface_manifest(store.shard_dir)
+            os.remove(store._block_path(2, 0))
+            store.begin(mem_mrr.n, 3, THETA, ROW_BLOCK)
+            assert not store.has_block(2, 0)
+            # the hole is filled by another writer, with other content:
+            # the row this store kept for the deleted file must be gone
+            worker = ShardStore(store.shard_dir, shared_writer=True)
+            worker.begin(mem_mrr.n, 3, THETA, ROW_BLOCK)
+            _put(worker, alt_mrr, 2, 0)
+            store.finalize()
+            return self._check(
+                store, _spliced(mem_mrr, THETA, ROW_BLOCK, {(2, 0): alt_mrr})
+            )
+
+        self._run(mem_mrr, tmp_path, scenario)
+
+    def test_foreign_commit_rows_come_from_disk(
+        self, mem_mrr, alt_mrr, tmp_path, monkeypatch
+    ):
+        loads = _count_npz_loads(monkeypatch)
+
+        def scenario(store):
+            self._fill(store, mem_mrr, THETA)
+            store.finalize()
+            last = store.num_blocks - 1
+            store.invalidate_blocks([(1, 0), (2, last)])
+            worker = ShardStore(store.shard_dir, shared_writer=True)
+            worker.begin(mem_mrr.n, 3, THETA, ROW_BLOCK)
+            _put(worker, alt_mrr, 1, 0)
+            _put(worker, alt_mrr, 2, last)
+            assert not worker._rows  # a shared writer keeps none
+            loads.clear()
+            store.finalize()
+            foreign = [store._block_path(1, 0), store._block_path(2, last)]
+            if store.max_resident_bytes == DEFAULT_MAX_RESIDENT_BYTES:
+                assert sorted(loads) == foreign
+            else:
+                assert set(foreign) <= set(loads)
+            return self._check(
+                store,
+                _spliced(
+                    mem_mrr, THETA, ROW_BLOCK,
+                    {(1, 0): alt_mrr, (2, last): alt_mrr},
+                ),
+            )
+
+        self._run(mem_mrr, tmp_path, scenario)
 
 
 class TestManifestWrites:
