@@ -16,6 +16,13 @@ reads.  This benchmark pins
 
 and records the measured wall-clock ratio in
 ``benchmarks/out/store_gather_coalesce.txt``.
+
+The coalescing reader is the only path from the solvers to the index
+file: there is no slab cache in front of it.  An earlier in-RAM
+segment LRU, and its repeated-gather speed gate, went once local
+search stopped re-gathering the same small pool for every candidate
+move (it scores moves from a per-solve ``PoolIndex``, as BAB and
+BAB-P do), which left the cache nothing to serve.
 """
 
 from __future__ import annotations
@@ -146,64 +153,3 @@ def test_gather_read_coalescing(disk_mrr, monkeypatch, artifact_dir):
         + "\n".join(rows)
     )
     write_artifact(artifact_dir, "store_gather_coalesce", text)
-
-
-def test_repeated_gather_segment_lru(disk_mrr, artifact_dir):
-    """Hot-pool re-gathers served from the segment LRU beat cold reads.
-
-    Solvers hammer ``gather_index`` with small overlapping candidate
-    pools (CELF marginal re-scores, BAB child evaluations), so
-    repeated slabs of hot vertices must come from the in-RAM segment
-    cache, not the index file.  Gate: the cached store answers a
-    repeated small-pool gather at least 2x faster than an identical
-    store with the cache pinned off, with byte-identical output.
-    """
-    shard_dir = disk_mrr.store.shard_dir
-    cached = ShardStore.open(shard_dir)
-    uncached = ShardStore.open(shard_dir, index_cache_bytes=0)
-    rng = np.random.default_rng(23)
-    pool = np.sort(
-        rng.choice(disk_mrr.n, size=16, replace=False)
-    ).astype(np.int64)
-
-    def repeat_gather(store, rounds=20):
-        out = None
-        for _ in range(rounds):
-            out = store.gather_index(0, pool)
-        return out
-
-    # Warm both (file pages for the uncached store, segments for the
-    # cached one), then time steady-state repeats.
-    want, want_deg = uncached.gather_index(0, pool)
-    got, got_deg = repeat_gather(cached, rounds=1)
-    np.testing.assert_array_equal(got, want)
-    np.testing.assert_array_equal(got_deg, want_deg)
-
-    def timed(store):
-        best = float("inf")
-        for _ in range(5):
-            start = time.perf_counter()
-            repeat_gather(store)
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    t_cached = timed(cached)
-    t_uncached = timed(uncached)
-    stats = cached.stats()
-    assert stats["index_cache_hits"] > 0
-    assert stats["index_cache_bytes"] <= cached._seg_budget
-    speedup = t_uncached / t_cached
-    text = (
-        "ShardStore segment-LRU repeated gather "
-        f"(pool={pool.size}, theta={THETA})\n"
-        f"uncached {t_uncached * 1e3:8.3f} ms   "
-        f"cached {t_cached * 1e3:8.3f} ms   speedup {speedup:5.2f}x\n"
-        f"stats: {stats}"
-    )
-    write_artifact(artifact_dir, "store_gather_segment_lru", text)
-    assert speedup >= 2.0, (
-        f"segment LRU speedup {speedup:.2f}x < 2.0x — hot gathers are "
-        "not being served from RAM"
-    )
-    cached.close()
-    uncached.close()

@@ -22,7 +22,10 @@ implementations:
     opening only the files of shards this store did not commit; in RAM
     when the piece fits the build budget, else by a bucketed external
     sort), and queries read only the slabs they touch through explicit
-    bounded file reads — never a whole-collection materialisation.  A
+    bounded file reads — never a whole-collection materialisation.
+    No slab cache sits in front of those reads: solvers that re-score
+    one candidate pool gather it once per solve into a
+    :class:`~repro.core.upper_bound.PoolIndex`.  A
     manifest makes shard directories self-describing: interrupted
     generations resume from the committed shard files, finished ones
     reload without resampling, and mismatched or corrupted shards fail
@@ -91,30 +94,12 @@ _MANIFEST_VERSION = 2
 #: always complete.
 _SHARD_NAME = re.compile(r"piece(\d+)_block(\d+)\.npz$")
 
-#: Default byte budget of the decompressed index-segment LRU as a
-#: fraction of ``max_resident_bytes``, and its absolute ceiling.
-_SEG_CACHE_FRACTION = 4
-_SEG_CACHE_MAX_BYTES = 64 * 1024 * 1024
 #: Share of ``max_resident_bytes`` the in-RAM touch summaries may hold
 #: (beyond it, :meth:`ShardStore.block_touch` reads the shard file).
 _TOUCH_CACHE_FRACTION = 4
 #: Share of ``max_resident_bytes`` the committed shard rows may hold
 #: (beyond it, the index build reads the shard file).
 _ROW_CACHE_FRACTION = 4
-#: Largest request pool the segment LRU serves; bigger scans go
-#: straight to the vectorised coalescing reader, whose O(1)-ish read
-#: count already wins there and whose per-entry cost is lower.  The
-#: crossover (measured, tmpfs) sits near 100 vertices; 64 keeps a
-#: comfortable margin on both sides and is the *starting point* of the
-#: adaptive crossover (``ShardStore._adapt_seg_limit``), which re-fits
-#: the limit from observed hit rate and segment sizes within
-#: [_SEG_LIMIT_MIN, _SEG_LIMIT_MAX] every _SEG_ADAPT_EVERY lookups.
-_SEG_POOL_LIMIT = 64
-_SEG_LIMIT_MIN = 16
-_SEG_LIMIT_MAX = 512
-_SEG_ADAPT_EVERY = 1024
-
-_EMPTY_I64 = np.zeros(0, dtype=np.int64)
 
 
 def check_store(store: str | None) -> str:
@@ -754,7 +739,6 @@ class ShardStore(SampleStore):
         *,
         max_resident_bytes: int | None = None,
         shared_writer: bool = False,
-        index_cache_bytes: int | None = None,
     ) -> None:
         super().__init__()
         if max_resident_bytes is None:
@@ -792,30 +776,8 @@ class ShardStore(SampleStore):
         self._idx_ptr: dict[int, np.ndarray] = {}
         self._sizes: dict[int, np.ndarray] = {}
         self._idx_files: dict[int, object] = {}
-        # Decompressed index-segment LRU: (piece, vertex) -> sample-id
-        # slab, for hot vertices hit by repeated gathers (CELF re-scans
-        # the same candidate pool every round).  0 disables.
-        if index_cache_bytes is None:
-            index_cache_bytes = min(
-                self.max_resident_bytes // _SEG_CACHE_FRACTION,
-                _SEG_CACHE_MAX_BYTES,
-            )
-        if int(index_cache_bytes) < 0:
-            raise ConfigError(
-                f"index_cache_bytes must be >= 0, got {index_cache_bytes}"
-            )
-        self._seg_budget = int(index_cache_bytes)
-        self._seg_cache: OrderedDict[tuple[int, int], np.ndarray] = (
-            OrderedDict()
-        )
-        self._seg_bytes = 0
-        self._seg_hits = 0
-        self._seg_misses = 0
-        # Adaptive pool-size crossover: the largest request pool the
-        # segment LRU serves, re-fit from observed hit rate and segment
-        # sizes every _SEG_ADAPT_EVERY lookups (see _adapt_seg_limit).
-        self._seg_limit = _SEG_POOL_LIMIT
-        self._seg_adapt_mark = 0
+        # Non-empty slabs gather_index has read from the index files.
+        self._slab_reads = 0
         self.manifest_version = _MANIFEST_VERSION
         # (size, crc32) of the roots this store last wrote (save_roots).
         self._roots_key: tuple[int, int] | None = None
@@ -855,10 +817,10 @@ class ShardStore(SampleStore):
             "fingerprint": self.fingerprint,
             "finalized": self.finalized,
         }
-        tmp = self._path(_MANIFEST + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-        os.replace(tmp, self._path(_MANIFEST))
+        # Writer-unique staging: concurrent opens of one published
+        # directory each rewrite the manifest in begin().
+        data = json.dumps(payload).encode("utf-8")
+        self._atomic_write(self._path(_MANIFEST), lambda fh: fh.write(data))
 
     def _read_manifest(self) -> dict | None:
         path = self._path(_MANIFEST)
@@ -1094,9 +1056,6 @@ class ShardStore(SampleStore):
                 os.remove(path)
             except OSError:
                 pass
-        for key in [k for k in self._seg_cache if k[0] == piece]:
-            seg = self._seg_cache.pop(key)
-            self._seg_bytes -= seg.nbytes
 
     def _piece_index_ready(self, piece: int) -> bool:
         """Whether one piece's full index triple is on disk.
@@ -1363,14 +1322,9 @@ class ShardStore(SampleStore):
         shard_dir: str,
         *,
         max_resident_bytes: int | None = None,
-        index_cache_bytes: int | None = None,
     ) -> "ShardStore":
         """Reopen a finalized shard directory for querying."""
-        store = cls(
-            shard_dir,
-            max_resident_bytes=max_resident_bytes,
-            index_cache_bytes=index_cache_bytes,
-        )
+        store = cls(shard_dir, max_resident_bytes=max_resident_bytes)
         manifest = store._read_manifest()
         if manifest is None:
             raise StoreError(f"no shard manifest in {shard_dir}")
@@ -1436,21 +1390,20 @@ class ShardStore(SampleStore):
 
     @property
     def resident_bytes(self) -> int:
-        return (
-            self._cache_bytes
-            + self._seg_bytes
-            + self._touch_bytes
-            + self._row_bytes
-        )
+        return self._cache_bytes + self._touch_bytes + self._row_bytes
 
     def stats(self) -> dict[str, int]:
-        """Managed-cache counters: the segment LRU and the block LRU."""
+        """Read counters: index slabs read from file, and the block LRU.
+
+        ``index_cache_misses`` counts the non-empty slabs
+        :meth:`gather_index` has read from the index files; no slab is
+        served from RAM, so ``index_cache_hits`` is always 0.  Both
+        keep their old names because the perfbench update workload
+        reads them; the next benchmark change renames them.
+        """
         return {
-            "index_cache_hits": self._seg_hits,
-            "index_cache_misses": self._seg_misses,
-            "index_cache_entries": len(self._seg_cache),
-            "index_cache_bytes": self._seg_bytes,
-            "index_cache_pool_limit": self._seg_limit,
+            "index_cache_hits": 0,
+            "index_cache_misses": self._slab_reads,
             "block_cache_bytes": self._cache_bytes,
         }
 
@@ -1526,12 +1479,11 @@ class ShardStore(SampleStore):
         falls back to the per-vertex direct reads — bounded memory
         first, saved seeks second.
 
-        A bounded LRU of decompressed index segments sits in front of
-        the file reads (``index_cache_bytes``; hit/miss counters in
-        :meth:`stats`): repeated gathers over a hot candidate pool —
-        CELF re-scoring the same vertices every round — are served from
-        RAM, with only the cold subset going through the coalescing
-        reader.  Output is byte-identical either way.
+        Every gather reads the file: there is no slab cache in front of
+        it.  Solvers that re-score one candidate pool many times (BAB,
+        BAB-P, local search) gather it once per solve into a
+        :class:`~repro.core.upper_bound.PoolIndex` instead.  The
+        non-empty slabs read are counted in :meth:`stats`.
         """
         self._check_finalized()
         ptr = self.idx_ptr(piece)
@@ -1539,109 +1491,8 @@ class ShardStore(SampleStore):
         total = int(deg.sum())
         if not total:
             return np.zeros(0, dtype=np.int64), deg
-        # The segment LRU pays O(pool) Python-level bookkeeping, which
-        # only beats the vectorised coalescing reader for the small hot
-        # pools solvers hammer (CELF marginal re-scores, BAB child
-        # evaluations); large scans go straight to the file path.  The
-        # crossover starts at the measured-on-tmpfs default and adapts
-        # to the observed hit rate and segment sizes; both paths return
-        # byte-identical output, so the switch point never changes
-        # results.
-        if self._seg_budget <= 0 or vertices.size > self._seg_limit:
-            return self._gather_slabs(piece, ptr, vertices, deg, total), deg
-        return self._gather_via_segments(piece, ptr, vertices, deg, total), deg
-
-    def _adapt_seg_limit(self) -> None:
-        """Re-fit the segment-LRU pool-size crossover from live stats.
-
-        A hot cache (high hit rate) means the Python-level bookkeeping
-        is amortised by avoided reads, so the crossover moves up — a
-        cold one pushes it back toward the coalescing reader.  The
-        limit is additionally capped so one served pool cannot exceed
-        the cache budget at the observed average segment size (admitting
-        a pool that can never fit just churns the LRU).
-        """
-        lookups = self._seg_hits + self._seg_misses
-        if not lookups:
-            return
-        hit_rate = self._seg_hits / lookups
-        limit = int(_SEG_POOL_LIMIT * (0.5 + 2.0 * hit_rate))
-        if self._seg_cache:
-            avg_bytes = max(self._seg_bytes // len(self._seg_cache), 1)
-            limit = min(limit, max(self._seg_budget // avg_bytes, 1))
-        self._seg_limit = int(
-            min(max(limit, _SEG_LIMIT_MIN), _SEG_LIMIT_MAX)
-        )
-
-    def _gather_via_segments(self, piece, ptr, vertices, deg, total):
-        """Serve hot slabs from the segment LRU, read the rest, merge.
-
-        Positions are assembled strictly in request order, so the
-        concatenation is byte-identical to a pure file gather for any
-        vertex order or multiplicity.
-        """
-        cache = self._seg_cache
-        vlist = vertices.tolist()
-        slabs: list[np.ndarray | None] = [None] * len(vlist)
-        miss_pos: list[int] = []
-        hits = 0
-        for pos, (v, d) in enumerate(zip(vlist, deg.tolist())):
-            if d == 0:
-                slabs[pos] = _EMPTY_I64
-                continue
-            seg = cache.get((piece, v))
-            if seg is None:
-                miss_pos.append(pos)
-            else:
-                cache.move_to_end((piece, v))
-                slabs[pos] = seg
-                hits += 1
-        self._seg_hits += hits
-        self._seg_misses += len(miss_pos)
-        lookups = self._seg_hits + self._seg_misses
-        if lookups - self._seg_adapt_mark >= _SEG_ADAPT_EVERY:
-            self._seg_adapt_mark = lookups
-            self._adapt_seg_limit()
-        if miss_pos:
-            sub = vertices[miss_pos]
-            sub_deg = deg[miss_pos]
-            sub_samples = self._gather_slabs(
-                piece, ptr, sub, sub_deg, int(sub_deg.sum())
-            )
-            offsets = np.zeros(len(miss_pos) + 1, dtype=np.int64)
-            np.cumsum(sub_deg, out=offsets[1:])
-            for i, pos in enumerate(miss_pos):
-                seg = sub_samples[offsets[i] : offsets[i + 1]]
-                slabs[pos] = seg
-                self._admit_segment(piece, vlist[pos], seg)
-            self._evict_segments()
-        if len(slabs) == 1:
-            return np.asarray(slabs[0])
-        return np.concatenate(slabs)
-
-    def _admit_segment(self, piece: int, vertex: int, seg: np.ndarray) -> None:
-        """Admit one vertex's slab (copied — the cache owns its bytes)."""
-        nbytes = seg.nbytes
-        if nbytes == 0 or nbytes > max(self._seg_budget // 8, 1):
-            # one huge slab must not flush the whole cache
-            return
-        key = (piece, int(vertex))
-        old = self._seg_cache.pop(key, None)
-        if old is not None:
-            self._seg_bytes -= old.nbytes
-        self._seg_cache[key] = seg.copy()
-        self._seg_bytes += nbytes
-
-    def _evict_segments(self) -> None:
-        # The segment LRU honours both its own budget and the store-wide
-        # resident ceiling shared with the block LRU, touch summaries and
-        # committed rows.
-        while self._seg_cache and (
-            self._seg_bytes > self._seg_budget
-            or self.resident_bytes > self.max_resident_bytes
-        ):
-            _, old = self._seg_cache.popitem(last=False)
-            self._seg_bytes -= old.nbytes
+        self._slab_reads += int(np.count_nonzero(deg))
+        return self._gather_slabs(piece, ptr, vertices, deg, total), deg
 
     def _gather_slabs(self, piece, ptr, vertices, deg, total):
         """The file-reading gather: coalesced runs, bounded fallbacks."""
@@ -1745,8 +1596,6 @@ class ShardStore(SampleStore):
         ):
             _, (old_ptr, old_nodes) = self._cache.popitem(last=False)
             self._cache_bytes -= old_ptr.nbytes + old_nodes.nbytes
-        if self.resident_bytes > self.max_resident_bytes:
-            self._evict_segments()
         return ptr, nodes
 
     def rr_set(self, piece, sample) -> np.ndarray:
@@ -1777,8 +1626,6 @@ class ShardStore(SampleStore):
         self._idx_files = {}
         self._cache.clear()
         self._cache_bytes = 0
-        self._seg_cache.clear()
-        self._seg_bytes = 0
         self._touch.clear()
         self._touch_bytes = 0
         self._rows.clear()

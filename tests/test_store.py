@@ -192,9 +192,6 @@ class TestStoreEquivalence:
             graph, campaign, THETA, seed=21,
             runtime=Runtime(store="disk", shard_dir=str(tmp_path / "shards")),
         )
-        # This test counts *file* reads across budget tiers; the segment
-        # LRU would serve the repeat gathers from RAM, so pin it off.
-        disk.store._seg_budget = 0
         rng = np.random.default_rng(3)
         sparse = np.sort(rng.choice(graph.n, size=10, replace=False))
         want, want_deg = mem_mrr.store.gather_index(0, sparse)
@@ -384,6 +381,35 @@ class TestShardRoundTrip:
         )
         reloaded = MRRCollection.from_store(ShardStore.open(shard_dir))
         _assert_collections_equal(mem_mrr, reloaded)
+
+    def test_concurrent_opens_race_on_the_manifest(
+        self, world, tmp_path, monkeypatch
+    ):
+        """Two opens of one published directory both rewrite its
+        manifest; neither may lose the other's staging file.  A nested
+        open runs just before the outer open's manifest rename — the
+        interleaving that made a shared ``manifest.json.tmp`` vanish
+        under the outer ``os.replace`` (``FileNotFoundError``)."""
+        graph, campaign = world
+        shard_dir = str(tmp_path / "shards")
+        MRRCollection.generate(
+            graph, campaign, THETA, seed=21,
+            runtime=Runtime(store="disk", shard_dir=shard_dir),
+        )
+        manifest = os.path.join(shard_dir, "manifest.json")
+        real_replace = os.replace
+        nested = []
+
+        def racing_replace(src, dst):
+            if os.fspath(dst) == manifest and not nested:
+                nested.append(None)  # once: the nested open renames too
+                nested[0] = ShardStore.open(shard_dir)
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", racing_replace)
+        outer = ShardStore.open(shard_dir)
+        assert nested[0].finalized and outer.finalized
+        assert not [n for n in os.listdir(shard_dir) if n.endswith(".tmp")]
 
     def test_regenerate_skips_sampling(self, world, tmp_path, monkeypatch):
         graph, campaign = world
